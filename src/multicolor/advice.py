@@ -14,17 +14,12 @@ from dataclasses import dataclass, field
 from .errors import TapeUnderrunError
 
 
-def _value_bits(x: int) -> int:
-    # ceil(log2(x+1)); 0 for x = 0
-    return x.bit_length()
-
-
 def enc(x: int) -> list[int]:
     """Self-delimiting encoding of a non-negative integer, MSB first."""
     if x < 0:
         raise ValueError(f"enc expects x >= 0, got {x}")
-    last_len = _value_bits(x)
-    mid_len = _value_bits(last_len)
+    last_len = x.bit_length()  # ceil(log2(x+1)); 0 for x = 0
+    mid_len = last_len.bit_length()
     bits = [1] * mid_len + [0]
     bits += _to_fixed(last_len, mid_len)
     bits += _to_fixed(x, last_len)
@@ -35,8 +30,8 @@ def enc_len(x: int) -> int:
     """|enc(x)| without materializing the bits."""
     if x < 0:
         raise ValueError(f"enc_len expects x >= 0, got {x}")
-    last_len = _value_bits(x)
-    mid_len = _value_bits(last_len)
+    last_len = x.bit_length()
+    mid_len = last_len.bit_length()
     return (mid_len + 1) + mid_len + last_len
 
 

@@ -5,15 +5,14 @@ action per request (a ColorAction, or a CancelAction for cancellations).
 
 from __future__ import annotations
 
-from .advice import AdviceTape, dec
+from dataclasses import dataclass
+from typing import Callable
+
+from . import oracle
+from .advice import AdviceTape, dec, enc_len
 from .errors import AdviceError, CapacityExceededError, DomainError
-from .graph import Graph
-from .instance import CancelAction, ColorAction, Request
-
-BORROW_FROM = {"R": "G", "G": "B", "B": "R"}
-
-# class -> residue of its interleaved private colors (mod 3)
-_CLASS_RESIDUE = {"R": 1, "G": 2, "B": 0}
+from .graph import BORROW_FROM, PALETTE_START, Graph
+from .instance import CancelAction, ColorAction
 
 
 def _require_kind(graph: Graph, kinds, algo):
@@ -21,78 +20,33 @@ def _require_kind(graph: Graph, kinds, algo):
         raise DomainError(f"{algo} needs a {'/'.join(kinds)} graph, got {graph.kind}")
 
 
-def _greedy_color(graph, f, v, m):
-    """One GreedyOptAdvice step: bottom-up for L nodes, top-down for U."""
-    live = f[v]
-    if graph.partition[v] == "U":
-        color = m if not live else min(live) - 1
-    else:
-        color = max(live, default=0) + 1
-    if color < 1 or color > m:
-        raise CapacityExceededError(
-            f"node {v!r} needs color {color} outside 1..{m}; advice value too small"
-        )
-    return color
-
-
-def greedy_opt(graph: Graph, tape: AdviceTape, requests) -> list:
-    """Strictly 1-competitive bipartite player; advice is enc(Opt)."""
-    _require_kind(graph, ("path", "bipartite"), "greedy_opt")
-    m = dec(tape)
-    f = {v: set() for v in graph.nodes}
-    out = []
-    for r in requests:
-        if r.op != "color":
-            raise DomainError("greedy_opt does not handle cancellations")
-        color = _greedy_color(graph, f, r.node, m)
-        f[r.node].add(color)
-        out.append(ColorAction(color))
-    return out
-
-
-def greedy_truncated(graph: Graph, tape: AdviceTape, requests, b: int) -> list:
-    """Reads the b high-order bits of Opt and enc(a); reconstructs
-    m = 2^a * Opt_b + 2^a - 1 (or m = Opt exactly when a = 0) and plays
-    greedy_opt with that m."""
-    _require_kind(graph, ("path", "bipartite"), "greedy_truncated")
-    if b < 1:
-        raise DomainError(f"b must be >= 1, got {b}")
-    raw = tape.read_fixed(b)
-    a = dec(tape)
-    m = raw if a == 0 else (raw << a) + (1 << a) - 1
-    f = {v: set() for v in graph.nodes}
-    out = []
-    for r in requests:
-        if r.op != "color":
-            raise DomainError("greedy_truncated does not handle cancellations")
-        color = _greedy_color(graph, f, r.node, m)
-        f[r.node].add(color)
-        out.append(ColorAction(color))
-    return out
-
-
-def greedy_cancel(graph: Graph, tape: AdviceTape, requests) -> list:
-    """GreedyOptAdvice extended with 0-recoloring for cancellations.
-
-    Invariant after every step: an L node with k live colors holds exactly
-    {1..k}, a U node holds exactly {m-k+1..m}.  A cancellation recolors at
-    most one request (the one holding the node's extreme color).
-    """
-    _require_kind(graph, ("path", "bipartite"), "greedy_cancel")
-    m = dec(tape)
+def _greedy(algo, graph: Graph, tape: AdviceTape, requests, read_m, cancels=False) -> list:
+    """GreedyOptAdvice with m = read_m(tape): bottom-up for L nodes, top-down
+    for U.  A cancellation recolors at most the request holding the node's
+    extreme color, so an L node with k live colors holds exactly {1..k} and
+    a U node {m-k+1..m}."""
+    _require_kind(graph, ("path", "bipartite"), algo)
+    m = read_m(tape)
     f = {v: set() for v in graph.nodes}
     out = []
     for r in requests:
         v = r.node
+        upper = graph.partition[v] == "U"
         if r.op == "color":
-            color = _greedy_color(graph, f, v, m)
+            color = min(f[v], default=m + 1) - 1 if upper else max(f[v], default=0) + 1
+            if color < 1 or color > m:
+                raise CapacityExceededError(
+                    f"node {v!r} needs color {color} outside 1..{m}; advice value too small"
+                )
             f[v].add(color)
             out.append(ColorAction(color))
             continue
+        if not cancels:
+            raise DomainError(f"{algo} does not handle cancellations")
         c = r.cancel_color
         if c not in f[v]:
             raise DomainError(f"cancel of absent color {c} at {v!r}")
-        extreme = min(f[v]) if graph.partition[v] == "U" else max(f[v])
+        extreme = min(f[v]) if upper else max(f[v])
         if c == extreme:
             out.append(CancelAction())
         else:
@@ -100,6 +54,31 @@ def greedy_cancel(graph: Graph, tape: AdviceTape, requests) -> list:
             out.append(CancelAction(recolor=(extreme, c)))
         f[v].discard(extreme)
     return out
+
+
+def greedy_opt(graph: Graph, tape: AdviceTape, requests) -> list:
+    """Strictly 1-competitive bipartite player; advice is enc(Opt)."""
+    return _greedy("greedy_opt", graph, tape, requests, dec)
+
+
+def greedy_truncated(graph: Graph, tape: AdviceTape, requests, b: int) -> list:
+    """Reads the b high-order bits of Opt and enc(a); reconstructs
+    m = 2^a * Opt_b + 2^a - 1 (or m = Opt exactly when a = 0) and plays
+    greedy_opt with that m."""
+    def read_m(tape):
+        if b < 1:
+            raise DomainError(f"b must be >= 1, got {b}")
+        raw = tape.read_fixed(b)
+        a = dec(tape)
+        return ((raw + 1) << a) - 1
+
+    return _greedy("greedy_truncated", graph, tape, requests, read_m)
+
+
+def greedy_cancel(graph: Graph, tape: AdviceTape, requests) -> list:
+    """greedy_opt extended with 0-recoloring for cancellations; advice is
+    enc(peak clique load)."""
+    return _greedy("greedy_cancel", graph, tape, requests, dec, cancels=True)
 
 
 def trivial(graph: Graph, tape: AdviceTape, requests) -> list:
@@ -114,11 +93,9 @@ def trivial(graph: Graph, tape: AdviceTape, requests) -> list:
     return out
 
 
-def _private_palette(residue: int, size: int) -> list[int]:
-    """First `size` colors of the residue-interleaved class palette.
-    Residue 1 -> 1,4,7,...; residue 2 -> 2,5,8,...; residue 0 -> 3,6,9,..."""
-    start = residue if residue != 0 else 3
-    return [start + 3 * i for i in range(size)]
+def _private_palette(cls: str, size: int) -> set[int]:
+    """First `size` colors of the class's interleaved private palette."""
+    return set(range(PALETTE_START[cls], 3 * size + 1, 3))
 
 
 def fpa(graph: Graph, tape: AdviceTape, requests, strict_safety: bool = False) -> list:
@@ -143,16 +120,13 @@ def fpa(graph: Graph, tape: AdviceTape, requests, strict_safety: bool = False) -
         if strict_safety:
             for u in graph.neighbors(v):
                 excluded |= f[u]
-        if len(f[v]) < c:
-            candidates = palette[graph.class_of[v]] - excluded
-            if not candidates:
-                raise CapacityExceededError(f"no private color left at {v!r}")
-            color = min(candidates)
-        else:
-            candidates = palette[BORROW_FROM[graph.class_of[v]]] - excluded
-            if not candidates:
-                raise CapacityExceededError(f"no borrowable color left at {v!r}")
-            color = max(candidates)
+        own = len(f[v]) < c
+        cls = graph.class_of[v]
+        candidates = palette[cls if own else BORROW_FROM[cls]] - excluded
+        if not candidates:
+            raise CapacityExceededError(
+                f"no {'private' if own else 'borrowable'} color left at {v!r}")
+        color = min(candidates) if own else max(candidates)
         f[v].add(color)
         out.append(ColorAction(color))
     return out
@@ -171,8 +145,7 @@ def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
     size = 0          # current private palette size (per class)
     frozen = False    # set once any node leaves phase 1
     phase = {v: 1 for v in graph.nodes}
-    p3min = {}
-    p3max = {}
+    window = {}       # node -> its phase-3 colors [3s+1, 4s+1]
     upper = {}
     f = {v: set() for v in graph.nodes}
     out = []
@@ -184,64 +157,102 @@ def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
         cls = graph.class_of[v]
         if phase[v] == 1:
             if tape.read_bit() == 0:
-                own = set(_private_palette(_CLASS_RESIDUE[cls], size)) - f[v]
+                own = _private_palette(cls, size) - f[v]
                 if not own:
                     if frozen:
                         raise AdviceError(
                             f"{v!r} needs a private palette beyond the frozen size {size}"
                         )
                     size += 1
-                    own = set(_private_palette(_CLASS_RESIDUE[cls], size)) - f[v]
+                    own = _private_palette(cls, size) - f[v]
                 color = min(own)
-                f[v].add(color)
-                out.append(ColorAction(color))
-                continue
-            s = len(f[v])
-            phase[v] = 2
-            p3min[v] = 3 * s + 1
-            p3max[v] = 4 * s + 1
-            frozen = True
+            else:
+                s = len(f[v])
+                phase[v] = 2
+                window[v] = range(3 * s + 1, 4 * s + 2)
+                frozen = True
         if phase[v] == 2:
             if tape.read_bit() == 0:
-                lender = set(_private_palette(_CLASS_RESIDUE[BORROW_FROM[cls]], size))
-                lender -= f[v]
+                lender = _private_palette(BORROW_FROM[cls], size) - f[v]
                 for u in graph.neighbors(v):
                     lender -= f[u]
                 if not lender:
                     raise CapacityExceededError(f"no borrowable color left at {v!r}")
                 color = max(lender)
-                f[v].add(color)
-                out.append(ColorAction(color))
-                continue
-            upper[v] = tape.read_bit()
-            phase[v] = 3
-        # phase 3
-        window = set(range(p3min[v], p3max[v] + 1)) - f[v]
-        if not window:
-            raise CapacityExceededError(f"phase-3 window exhausted at {v!r}")
-        color = max(window) if upper[v] == 1 else min(window)
+            else:
+                upper[v] = tape.read_bit()
+                phase[v] = 3
+        if phase[v] == 3:
+            free = set(window[v]) - f[v]
+            if not free:
+                raise CapacityExceededError(f"phase-3 window exhausted at {v!r}")
+            color = max(free) if upper[v] == 1 else min(free)
         f[v].add(color)
         out.append(ColorAction(color))
     return out
 
 
+@dataclass(frozen=True)
+class Algorithm:
+    """An online player and its advice: play(graph, tape, requests, b) runs the
+    player, advise(instance, optimum, b) writes its tape from the run's shared
+    oracle.Optimum, and bound(instance, optimum, b) is the declared worst-case
+    tape length, None if unknown.  b is greedy_truncated's width."""
+
+    play: Callable
+    advise: Callable
+    bound: Callable
+
+
+def _width(b):
+    if b is None:
+        raise DomainError("greedy_truncated needs the truncation width b")
+    return b
+
+
+def _trivial_bound(instance, optimum):
+    if optimum.value is None:
+        return None
+    w = optimum.value.bit_length()
+    return enc_len(w) + instance.n * w
+
+
+class _Registry(dict):
+    def __missing__(self, algo):
+        raise DomainError(f"unknown algorithm {algo!r}")
+
+
+# The lambdas look the players and oracles up when called, so whatever
+# rebinds a module-level name (a tracer, a monkeypatch) sees every call.
+ALGORITHMS: dict[str, Algorithm] = _Registry({
+    "greedy_opt": Algorithm(
+        lambda g, tape, reqs, b: greedy_opt(g, tape, reqs),
+        lambda inst, optimum, b: oracle.advice_greedyopt(inst, optimum),
+        lambda inst, optimum, b: enc_len(optimum.closed_form)),
+    "greedy_truncated": Algorithm(
+        lambda g, tape, reqs, b: greedy_truncated(g, tape, reqs, _width(b)),
+        lambda inst, optimum, b: oracle.advice_truncated(inst, _width(b), optimum),
+        lambda inst, optimum, b: _width(b) + enc_len(
+            max(0, optimum.closed_form.bit_length() - b))),
+    "greedy_cancel": Algorithm(
+        lambda g, tape, reqs, b: greedy_cancel(g, tape, reqs),
+        lambda inst, optimum, b: oracle.advice_cancel(inst, optimum),
+        lambda inst, optimum, b: enc_len(optimum.peak_load)),
+    "trivial": Algorithm(
+        lambda g, tape, reqs, b: trivial(g, tape, reqs),
+        lambda inst, optimum, b: oracle.advice_trivial(inst, optimum),
+        lambda inst, optimum, b: _trivial_bound(inst, optimum)),
+    "fpa": Algorithm(
+        lambda g, tape, reqs, b: fpa(g, tape, reqs),
+        lambda inst, optimum, b: oracle.advice_fpa(inst, optimum),
+        lambda inst, optimum, b: enc_len((optimum.omega + 1) // 2)),
+    "hex43": Algorithm(
+        lambda g, tape, reqs, b: hex43(g, tape, reqs),
+        lambda inst, optimum, b: oracle.advice_43(inst),
+        lambda inst, optimum, b: inst.n + 2 * len(inst.graph.nodes)),
+})
+
+
 def run_player(algo: str, graph: Graph, tape: AdviceTape, requests, b: int | None = None):
-    """Dispatch by algorithm id; returns the action list."""
-    if algo == "greedy_opt":
-        return greedy_opt(graph, tape, requests)
-    if algo == "greedy_truncated":
-        if b is None:
-            raise DomainError("greedy_truncated needs the truncation width b")
-        return greedy_truncated(graph, tape, requests, b)
-    if algo == "greedy_cancel":
-        return greedy_cancel(graph, tape, requests)
-    if algo == "trivial":
-        return trivial(graph, tape, requests)
-    if algo == "fpa":
-        return fpa(graph, tape, requests)
-    if algo == "hex43":
-        return hex43(graph, tape, requests)
-    raise DomainError(f"unknown algorithm {algo!r}")
-
-
-ALGORITHMS = ("greedy_opt", "greedy_truncated", "greedy_cancel", "trivial", "fpa", "hex43")
+    """Run the player of an algorithm id; returns the action list."""
+    return ALGORITHMS[algo].play(graph, tape, requests, b)

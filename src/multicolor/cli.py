@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
+import os
 import sys
 
 from . import adversary, harness, oracle
-from .errors import MultiColorError
+from .algorithms import ALGORITHMS
+from .errors import DomainError, MultiColorError
 
 
 def _parse_budget(text):
@@ -35,6 +38,9 @@ def _write_out(text, out):
 def cmd_gen(args):
     if args.family == "path_family":
         instances = adversary.path_family(args.n)
+        if not 0 <= args.i < len(instances):
+            raise DomainError(f"path_family --n {args.n} has indices 0..{len(instances) - 1}, "
+                              f"got --i {args.i}")
         instance = instances[args.i]
     elif args.family == "hex_chain":
         branch = tuple(int(ch) for ch in args.branch)
@@ -74,20 +80,16 @@ def cmd_run(args):
     report = harness.run(instance, args.algo, b=args.b,
                          max_nodes=max_nodes, max_requests=max_requests)
     if args.format == "json":
-        _write_out(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n",
-                   args.out)
+        text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
     else:
-        text, _ = harness.batch({"runs": [{"instance": args.instance,
-                                           "algo": args.algo, "b": args.b}]})
-        _write_out(text, args.out)
-    bound = harness.advice_bound(instance, args.algo, b=args.b)
-    ok = report.valid and (bound is None or report.advice_bits_read <= bound)
-    return 0 if ok else 1
+        buf = io.StringIO()
+        harness.csv_writer(buf).writerow(harness.report_row(report))
+        text = buf.getvalue()
+    _write_out(text, args.out)
+    return 0 if report.ok else 1
 
 
 def cmd_batch(args):
-    import os
-
     with open(args.manifest) as fh:
         manifest = json.load(fh)
     text, ok = harness.batch(manifest, base_dir=os.path.dirname(args.manifest) or ".")
@@ -97,8 +99,7 @@ def cmd_batch(args):
 
 def cmd_verify(args):
     instance = harness.load_instance(args.instance)
-    with open(args.log) as fh:
-        actions = harness.actions_from_dicts(json.load(fh)["actions"])
+    actions = harness.load_log(args.log)
     violation = harness.validate_full(instance, actions)
     if violation is None:
         _write_out(json.dumps({"verdict": "ok"}) + "\n", args.out)
@@ -136,9 +137,7 @@ def build_parser():
 
     r = sub.add_parser("run", help="run one algorithm on one instance")
     r.add_argument("instance")
-    r.add_argument("--algo", required=True,
-                   choices=["greedy_opt", "greedy_truncated", "greedy_cancel",
-                            "trivial", "fpa", "hex43"])
+    r.add_argument("--algo", required=True, choices=list(ALGORITHMS))
     r.add_argument("--b", type=int, help="truncation width (greedy_truncated)")
     r.add_argument("--budget", default="14,40")
     r.add_argument("--format", default="json", choices=["json", "csv"])

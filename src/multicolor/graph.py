@@ -23,6 +23,11 @@ HEX_OFFSETS = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)})
 
 CLASS_NAMES = ("R", "G", "B")
 
+# class -> the class whose private palette it borrows from (fpa, hex43, the 4/3 plan)
+BORROW_FROM = {"R": "G", "G": "B", "B": "R"}
+# class -> first color of its interleaved private palette: R 1,4,7,...; G 2,5,8,...; B 3,6,9,...
+PALETTE_START = {"R": 1, "G": 2, "B": 3}
+
 
 @dataclass(frozen=True)
 class CellCoord:
@@ -144,7 +149,4 @@ def maximal_cliques(g: Graph) -> list[frozenset]:
 
 def clique_weight(g: Graph, demand: dict) -> int:
     """omega: maximum total demand over the maximal cliques of g."""
-    cliques = maximal_cliques(g)
-    if not cliques:
-        return 0
-    return max(sum(demand.get(v, 0) for v in c) for c in cliques)
+    return max((sum(demand.get(v, 0) for v in c) for c in maximal_cliques(g)), default=0)

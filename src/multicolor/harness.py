@@ -14,22 +14,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .advice import AdviceTape, enc_len
-from .algorithms import run_player
-from .errors import DomainError, MalformedInstanceError, MultiColorError
-from .graph import Graph, build_bipartite, build_hexagonal
-from .instance import (
-    CancelAction,
-    ColorAction,
-    Instance,
-    Request,
-    demand_clique_weight,
-    peak_clique_load,
-    validate_full,
-)
+from .advice import AdviceTape
+from .algorithms import ALGORITHMS, run_player
+from .errors import MalformedInstanceError, MalformedLogError, MultiColorError
+from .graph import build_bipartite, build_hexagonal
+from .instance import CancelAction, ColorAction, Instance, Request, validate_full
 from . import oracle
 
 
@@ -44,9 +37,6 @@ def instance_to_dict(instance: Instance, tape: str | None = None) -> dict:
         gd["partition"] = {v: g.partition[v] for v in g.nodes}
     else:
         gd["cells"] = {v: [g.cell_of[v].q, g.cell_of[v].r] for v in g.nodes}
-    if g.kind == "path":
-        # preserve path order so the alternation invariant can be re-checked
-        gd["nodes"] = list(g.nodes)
     reqs = []
     for r in instance.requests:
         if r.op == "color":
@@ -59,29 +49,36 @@ def instance_to_dict(instance: Instance, tape: str | None = None) -> dict:
     return out
 
 
+def _field(record, key, where, error=MalformedInstanceError):
+    """record[key], or an `error` naming the missing field."""
+    if not isinstance(record, dict) or key not in record:
+        raise error(f"{where} has no field {key!r}")
+    return record[key]
+
+
 def instance_from_dict(data: dict) -> Instance:
-    gd = data["graph"]
-    kind = gd["kind"]
+    gd = _field(data, "graph", "instance")
+    kind = _field(gd, "kind", "graph")
     if kind == "hexagonal":
-        graph = build_hexagonal({v: tuple(c) for v, c in gd["cells"].items()})
+        graph = build_hexagonal({v: tuple(c) for v, c in _field(gd, "cells", "graph").items()})
     elif kind in ("path", "bipartite"):
+        nodes = _field(gd, "nodes", "graph")
         if kind == "path":
-            nodes = gd["nodes"]
             edges = gd.get("edges") or [[nodes[i], nodes[i + 1]] for i in range(len(nodes) - 1)]
             partition = gd.get("partition") or {
                 v: ("L" if i % 2 == 0 else "U") for i, v in enumerate(nodes)
             }
         else:
-            nodes, edges, partition = gd["nodes"], gd["edges"], gd["partition"]
+            edges, partition = _field(gd, "edges", "graph"), _field(gd, "partition", "graph")
         graph = build_bipartite(nodes, edges, partition)
         if kind == "path":
-            graph = Graph(kind="path", nodes=tuple(gd["nodes"]), edges=graph.edges,
-                          partition=graph.partition)
+            graph = replace(graph, kind="path", nodes=tuple(nodes))
     else:
         raise MalformedInstanceError(f"unknown graph kind {kind!r}")
     requests = tuple(
-        Request(node=r["node"], op=r["op"], cancel_color=r.get("color"))
-        for r in data["requests"]
+        Request(node=_field(r, "node", "request"), op=_field(r, "op", "request"),
+                cancel_color=r.get("color"))
+        for r in _field(data, "requests", "instance")
     )
     return Instance(graph=graph, requests=requests, name=data.get("name", "instance"))
 
@@ -110,12 +107,18 @@ def actions_to_dicts(actions) -> list[dict]:
 def actions_from_dicts(items) -> list:
     actions = []
     for a in items:
-        if a["op"] == "color":
-            actions.append(ColorAction(a["color"]))
+        if _field(a, "op", "action", MalformedLogError) == "color":
+            actions.append(ColorAction(_field(a, "color", "color action", MalformedLogError)))
         else:
             rec = a.get("recolor")
             actions.append(CancelAction(recolor=tuple(rec) if rec else None))
     return actions
+
+
+def load_log(path: str) -> list:
+    """The actions of an assignment log file {"actions": [...]}."""
+    with open(path) as fh:
+        return actions_from_dicts(_field(json.load(fh), "actions", "log", MalformedLogError))
 
 
 # ---------------------------------------------------------------------------
@@ -131,78 +134,49 @@ class RunReport:
     opt_value: int | None
     strict_ratio: float | None
     valid: bool
+    advice_bound: int | None
     runtime_millis: float = field(compare=False, default=0.0)
+
+    @property
+    def ok(self) -> bool:
+        """Valid, and within the declared advice bound when there is one."""
+        return self.valid and (self.advice_bound is None
+                               or self.advice_bits_read <= self.advice_bound)
 
 
 def make_advice(instance: Instance, algo: str, b: int | None = None,
-                max_nodes: int = oracle.DEFAULT_MAX_NODES,
-                max_requests: int = oracle.DEFAULT_MAX_REQUESTS) -> AdviceTape:
-    if algo == "greedy_opt":
-        return oracle.advice_greedyopt(instance)
-    if algo == "greedy_truncated":
-        if b is None:
-            raise DomainError("greedy_truncated needs the truncation width b")
-        return oracle.advice_truncated(instance, b)
-    if algo == "greedy_cancel":
-        return oracle.advice_cancel(instance)
-    if algo == "trivial":
-        return oracle.advice_trivial(instance, max_nodes=max_nodes, max_requests=max_requests)
-    if algo == "fpa":
-        return oracle.advice_fpa(instance)
-    if algo == "hex43":
-        return oracle.advice_43(instance)
-    raise DomainError(f"unknown algorithm {algo!r}")
+                optimum: oracle.Optimum | None = None) -> AdviceTape:
+    """The oracle's advice tape for the algorithm on this instance."""
+    return ALGORITHMS[algo].advise(instance, optimum or oracle.Optimum(instance), b)
 
 
-def advice_bound(instance: Instance, algo: str, b: int | None = None) -> int | None:
+def advice_bound(instance: Instance, algo: str, b: int | None = None,
+                 optimum: oracle.Optimum | None = None) -> int | None:
     """Declared worst-case advice length for the algorithm on this instance."""
-    n = instance.n
-    if algo == "greedy_opt":
-        return enc_len(oracle.opt_bipartite(instance))
-    if algo == "greedy_truncated":
-        opt = oracle.opt_bipartite(instance)
-        a = max(0, opt.bit_length() - b)
-        return b + enc_len(a)
-    if algo == "greedy_cancel":
-        return enc_len(peak_clique_load(instance))
-    if algo == "trivial":
-        opt = oracle.opt_value(instance)
-        if opt is None:
-            return None
-        w = opt.bit_length()
-        return enc_len(w) + n * w
-    if algo == "fpa":
-        omega = demand_clique_weight(instance)
-        return enc_len((omega + 1) // 2)
-    if algo == "hex43":
-        return n + 2 * len(instance.graph.nodes)
-    return None
+    return ALGORITHMS[algo].bound(instance, optimum or oracle.Optimum(instance), b)
 
 
 def _metrics(actions):
-    colors = set()
-    max_color = 0
-    for a in actions:
-        if isinstance(a, ColorAction):
-            colors.add(a.color)
-            max_color = max(max_color, a.color)
-        elif isinstance(a, CancelAction) and a.recolor is not None:
-            colors.add(a.recolor[1])
-            max_color = max(max_color, a.recolor[1])
-    return max_color, len(colors)
+    """(max color, number of distinct colors) over colorings and recolorings."""
+    colors = {a.color for a in actions if isinstance(a, ColorAction)}
+    colors |= {a.recolor[1] for a in actions if isinstance(a, CancelAction) and a.recolor}
+    return max(colors, default=0), len(colors)
 
 
 def run(instance: Instance, algo: str, b: int | None = None,
         max_nodes: int = oracle.DEFAULT_MAX_NODES,
         max_requests: int = oracle.DEFAULT_MAX_REQUESTS) -> RunReport:
-    """Generate the tape, run the player, validate, and measure."""
+    """Generate the tape, run the player, validate, and measure.  The tape,
+    the advice bound and the reported Opt share one oracle.Optimum."""
     start = time.perf_counter()
-    tape = make_advice(instance, algo, b=b, max_nodes=max_nodes, max_requests=max_requests)
+    optimum = oracle.Optimum(instance, max_nodes=max_nodes, max_requests=max_requests)
+    tape = make_advice(instance, algo, b=b, optimum=optimum)
     actions = run_player(algo, instance.graph, tape, instance.requests, b=b)
     violation = validate_full(instance, actions)
     max_color, distinct = _metrics(actions)
-    opt = oracle.opt_value(instance, max_nodes=max_nodes, max_requests=max_requests)
+    opt = optimum.value
     ratio = (max_color / opt) if opt else None
+    bound = advice_bound(instance, algo, b=b, optimum=optimum)
     elapsed = (time.perf_counter() - start) * 1000.0
     return RunReport(
         algorithm=algo,
@@ -213,12 +187,36 @@ def run(instance: Instance, algo: str, b: int | None = None,
         opt_value=opt,
         strict_ratio=ratio,
         valid=violation is None,
+        advice_bound=bound,
         runtime_millis=elapsed,
     )
 
 
 CSV_COLUMNS = ("algorithm", "instance", "max_color", "distinct_colors",
                "advice_bits_read", "opt_value", "strict_ratio", "valid", "status")
+
+
+def report_row(report: RunReport) -> dict:
+    """The CSV row of a successful run."""
+    return {
+        "algorithm": report.algorithm,
+        "instance": report.instance,
+        "max_color": report.max_color,
+        "distinct_colors": report.distinct_colors,
+        "advice_bits_read": report.advice_bits_read,
+        "opt_value": "" if report.opt_value is None else report.opt_value,
+        "strict_ratio": "" if report.strict_ratio is None else f"{report.strict_ratio:.6f}",
+        "valid": str(report.valid).lower(),
+        "status": "ok",
+    }
+
+
+def csv_writer(out) -> csv.DictWriter:
+    """A CSV report writer on the text stream out, header written; its rows
+    are dicts keyed by CSV_COLUMNS, missing columns left empty."""
+    writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, restval="", lineterminator="\n")
+    writer.writeheader()
+    return writer
 
 
 def batch(manifest: dict, base_dir: str = ".") -> tuple[str, bool]:
@@ -228,38 +226,18 @@ def batch(manifest: dict, base_dir: str = ".") -> tuple[str, bool]:
     batch continues.  runtime is deliberately not a CSV column so reruns are
     byte-identical.
     """
-    import os
-
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
+    writer = csv_writer(buf)
     all_ok = True
     for entry in manifest["runs"]:
         algo = entry.get("algo", "?")
         try:
             instance = load_instance(os.path.join(base_dir, entry["instance"]))
             report = run(instance, algo, b=entry.get("b"))
-            bound = advice_bound(instance, algo, b=entry.get("b"))
-            within = bound is None or report.advice_bits_read <= bound
-            writer.writerow({
-                "algorithm": report.algorithm,
-                "instance": report.instance,
-                "max_color": report.max_color,
-                "distinct_colors": report.distinct_colors,
-                "advice_bits_read": report.advice_bits_read,
-                "opt_value": "" if report.opt_value is None else report.opt_value,
-                "strict_ratio": "" if report.strict_ratio is None else f"{report.strict_ratio:.6f}",
-                "valid": str(report.valid).lower(),
-                "status": "ok",
-            })
-            all_ok = all_ok and report.valid and within
+            writer.writerow(report_row(report))
+            all_ok = all_ok and report.ok
         except (MultiColorError, OSError, KeyError, json.JSONDecodeError) as exc:
-            writer.writerow({
-                "algorithm": algo,
-                "instance": entry.get("instance", "?"),
-                "max_color": "", "distinct_colors": "", "advice_bits_read": "",
-                "opt_value": "", "strict_ratio": "", "valid": "",
-                "status": f"error: {exc}",
-            })
+            writer.writerow({"algorithm": algo, "instance": entry.get("instance", "?"),
+                             "status": f"error: {exc}"})
             all_ok = False
     return buf.getvalue(), all_ok

@@ -127,9 +127,7 @@ def apply_step(state: ColoringState, request: Request, action):
                 return bad
             live.add(new)
 
-    new_f = dict(state.f)
-    new_f[v] = frozenset(live)
-    return replace(state, f=new_f, step=step)
+    return replace(state, f={**state.f, v: frozenset(live)}, step=step)
 
 
 def validate_full(instance: Instance, actions):

@@ -5,23 +5,28 @@ advice-tape generators for every online player.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
+from . import algorithms
 from .advice import AdviceTape, enc
 from .errors import (
     BudgetExceededError,
     DomainError,
     InternalConsistencyError,
-    MalformedInstanceError,
     MultiColorError,
 )
-from .graph import Graph, clique_weight
-from .instance import Instance, demand, demand_clique_weight, peak_clique_load
+from .graph import BORROW_FROM, PALETTE_START, Graph, clique_weight, maximal_cliques
+from .instance import (
+    Instance,
+    demand,
+    demand_clique_weight,
+    peak_clique_load,
+    validate_full,
+)
 
 DEFAULT_MAX_NODES = 14
 DEFAULT_MAX_REQUESTS = 40
-
-BORROW_FROM = {"R": "G", "G": "B", "B": "R"}
 
 
 @dataclass(frozen=True)
@@ -41,9 +46,11 @@ def opt_exact(instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
     """
     if instance.has_cancellations():
         raise DomainError("opt_exact handles cancellation-free instances only")
+    g = instance.graph
     dem = demand(instance)
-    omega = clique_weight(instance.graph, dem)
-    active = [v for v in instance.graph.nodes if dem[v] > 0]
+    all_cliques = maximal_cliques(g)
+    omega = max((sum(dem[v] for v in c) for c in all_cliques), default=0)
+    active = [v for v in g.nodes if dem[v] > 0]
     total = sum(dem.values())
     if len(active) > max_nodes or total > max_requests:
         raise BudgetExceededError(
@@ -52,13 +59,11 @@ def opt_exact(instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
             lower_bound=omega,
         )
     if not active:
-        return OptWitness(opt_value=0, coloring={v: frozenset() for v in instance.graph.nodes})
+        return OptWitness(opt_value=0, coloring={v: frozenset() for v in g.nodes})
 
     order = sorted(active, key=lambda v: (-dem[v], v))
-    g = instance.graph
     neighbor_cache = {v: sorted(set(g.neighbors(v)) & set(active)) for v in order}
-    from .graph import maximal_cliques
-    cliques = [tuple(c & set(active)) for c in maximal_cliques(g)]
+    cliques = [tuple(c & set(active)) for c in all_cliques]
     cliques = [c for c in cliques if len(c) >= 2]
 
     c = omega
@@ -161,17 +166,59 @@ def opt_bipartite(instance: Instance) -> int:
     return demand_clique_weight(instance)
 
 
+class Optimum:
+    """The offline facts about one instance's optimum: the bipartite closed
+    form, the peak clique load, omega and the exact witness.  Each is computed
+    at most once, on first use, so a run's tape, advice bound and report
+    share them."""
+
+    def __init__(self, instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
+                 max_requests: int = DEFAULT_MAX_REQUESTS):
+        self.instance = instance
+        self.budget = {"max_nodes": max_nodes, "max_requests": max_requests}
+
+    @cached_property
+    def closed_form(self) -> int:
+        return opt_bipartite(self.instance)
+
+    @cached_property
+    def peak_load(self) -> int:
+        return peak_clique_load(self.instance)
+
+    @cached_property
+    def omega(self) -> int:
+        return demand_clique_weight(self.instance)
+
+    @cached_property
+    def witness(self) -> OptWitness:
+        return opt_exact(self.instance, **self.budget)
+
+    @cached_property
+    def value(self) -> int | None:
+        """Best available exact optimum: closed form for path/bipartite, the
+        peak load for cancellation sequences, exact search otherwise.
+        None when the search budget is exceeded."""
+        bipartite = self.instance.graph.kind in ("path", "bipartite")
+        if self.instance.has_cancellations():
+            return self.peak_load if bipartite else None
+        if bipartite:
+            return self.closed_form
+        try:
+            return self.witness.opt_value
+        except BudgetExceededError:
+            return None
+
+
 # ---------------------------------------------------------------------------
-# advice generators
+# advice generators; each reads the facts it needs from optimum, a fresh
+# Optimum of the instance when none is given
 
-def advice_greedyopt(instance: Instance) -> AdviceTape:
+def advice_greedyopt(instance: Instance, optimum: Optimum | None = None) -> AdviceTape:
     """enc(Opt) for the strictly 1-competitive bipartite player."""
-    tape = AdviceTape()
-    tape.write_int(opt_bipartite(instance))
-    return tape
+    return AdviceTape(bits=enc((optimum or Optimum(instance)).closed_form))
 
 
-def advice_truncated(instance: Instance, b: int) -> AdviceTape:
+def advice_truncated(instance: Instance, b: int, optimum: Optimum | None = None) -> AdviceTape:
     """b raw high-order bits of Opt followed by enc(a), a = bits(Opt) - b.
 
     If Opt fits in b bits the raw field is Opt left-padded with zeros and
@@ -179,58 +226,44 @@ def advice_truncated(instance: Instance, b: int) -> AdviceTape:
     """
     if b < 1:
         raise DomainError(f"b must be >= 1, got {b}")
-    opt = opt_bipartite(instance)
-    total_bits = opt.bit_length()
+    opt = (optimum or Optimum(instance)).closed_form
+    a = max(0, opt.bit_length() - b)
+    raw = opt >> a
     tape = AdviceTape()
-    if total_bits <= b:
-        a = 0
-        raw = opt
-    else:
-        a = total_bits - b
-        raw = opt >> a
     tape.write((raw >> (b - 1 - i)) & 1 for i in range(b))
     tape.write_int(a)
     return tape
 
 
-def advice_cancel(instance: Instance) -> AdviceTape:
+def advice_cancel(instance: Instance, optimum: Optimum | None = None) -> AdviceTape:
     """enc(peak clique load); peak load <= Opt, and the reader's interval
     invariants only need m to dominate every instantaneous edge load."""
     if instance.graph.kind not in ("path", "bipartite"):
         raise DomainError(f"advice_cancel needs a path or bipartite graph, got {instance.graph.kind}")
-    tape = AdviceTape()
-    tape.write_int(peak_clique_load(instance))
-    return tape
+    return AdviceTape(bits=enc((optimum or Optimum(instance)).peak_load))
 
 
-def advice_trivial(instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
-                   max_requests: int = DEFAULT_MAX_REQUESTS) -> AdviceTape:
+def advice_trivial(instance: Instance, optimum: Optimum | None = None) -> AdviceTape:
     """enc(w) plus one w-bit field per request, w = ceil(log2(Opt+1)).
 
     Each field is (color - 1) of the request under the exact witness,
     replayed per node in increasing color order.
     """
-    witness = opt_exact(instance, max_nodes=max_nodes, max_requests=max_requests)
+    witness = (optimum or Optimum(instance)).witness
     w = witness.opt_value.bit_length()
-    tape = AdviceTape()
-    tape.write_int(w)
-    pending = {v: sorted(witness.coloring[v]) for v in instance.graph.nodes}
-    served = {v: 0 for v in instance.graph.nodes}
+    tape = AdviceTape(bits=enc(w))
+    pending = {v: iter(sorted(witness.coloring[v])) for v in instance.graph.nodes}
     for r in instance.requests:
-        color = pending[r.node][served[r.node]]
-        served[r.node] += 1
+        color = next(pending[r.node])
         tape.write((color - 1 >> (w - 1 - i)) & 1 for i in range(w))
     return tape
 
 
-def advice_fpa(instance: Instance) -> AdviceTape:
+def advice_fpa(instance: Instance, optimum: Optimum | None = None) -> AdviceTape:
     """enc(ceil(omega/2)) for the fixed-preference-allocation player."""
     if instance.graph.kind != "hexagonal":
         raise DomainError("advice_fpa needs a hexagonal graph")
-    omega = demand_clique_weight(instance)
-    tape = AdviceTape()
-    tape.write_int((omega + 1) // 2)
-    return tape
+    return AdviceTape(bits=enc(((optimum or Optimum(instance)).omega + 1) // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +380,9 @@ def _advice_43_with_quota(instance: Instance, palette_target: int) -> AdviceTape
     dem = demand(instance)
     omega = clique_weight(g, dem)
     bound = (4 * omega + 1) // 3
-    start = {"R": 1, "G": 2, "B": 3}
     quota = {}
     for v in g.nodes:
-        value_cap = max(0, (bound - start[g.class_of[v]]) // 3 + 1)
+        value_cap = max(0, (bound - PALETTE_START[g.class_of[v]]) // 3 + 1)
         quota[v] = min(dem[v], palette_target, value_cap)
     lender_cap = {}
     for v in g.nodes:
@@ -400,17 +432,14 @@ def _advice_43_with_quota(instance: Instance, palette_target: int) -> AdviceTape
 def _within_43_bound(instance: Instance, tape: AdviceTape, bound: int) -> bool:
     """Run the phase-automaton player on a copy of the tape and check the
     output is valid and the max color stays within bound."""
-    from .algorithms import hex43
-    from .instance import ColorAction, validate_full
-
     try:
-        actions = hex43(instance.graph, AdviceTape(bits=list(tape.bits)), instance.requests)
+        copy = AdviceTape(bits=list(tape.bits))
+        actions = algorithms.hex43(instance.graph, copy, instance.requests)
     except MultiColorError:
         return False
     if validate_full(instance, actions) is not None:
         return False
-    max_color = max((a.color for a in actions if isinstance(a, ColorAction)), default=0)
-    return max_color <= bound
+    return all(a.color <= bound for a in actions)
 
 
 def advice_43(instance: Instance) -> AdviceTape:
@@ -438,19 +467,3 @@ def advice_43(instance: Instance) -> AdviceTape:
             return candidate
     return tape
 
-
-def opt_value(instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
-              max_requests: int = DEFAULT_MAX_REQUESTS):
-    """Best available exact optimum: closed form for path/bipartite, the
-    peak load for cancellation sequences, exact search otherwise.
-    Returns None when the search budget is exceeded."""
-    if instance.has_cancellations():
-        if instance.graph.kind in ("path", "bipartite"):
-            return peak_clique_load(instance)
-        return None
-    if instance.graph.kind in ("path", "bipartite"):
-        return opt_bipartite(instance)
-    try:
-        return opt_exact(instance, max_nodes=max_nodes, max_requests=max_requests).opt_value
-    except BudgetExceededError:
-        return None

@@ -1,9 +1,14 @@
+import argparse
 import json
+import sys
 
 import pytest
 
-from multicolor.adversary import hex_chain, path_family, random_instance
-from multicolor.cli import main
+from multicolor import harness
+from multicolor.adversary import hex_chain, path_family, random_cancel_instance, random_instance
+from multicolor.algorithms import ALGORITHMS
+from multicolor.cli import build_parser, main
+from multicolor.errors import MalformedInstanceError, MalformedLogError
 from multicolor.graph import build_hexagonal, build_path
 from multicolor.harness import (
     actions_from_dicts,
@@ -94,10 +99,62 @@ class TestRun:
             ("trivial", hex_edge_21()),
             ("fpa", hex_edge_21()),
             ("hex43", hex_edge_21()),
+            ("greedy_cancel", random_cancel_instance(seed=3)),
         ]:
             b = 2 if algo == "greedy_truncated" else None
             report = run(inst, algo, b=b)
             assert report.advice_bits_read <= advice_bound(inst, algo, b=b)
+            assert report.advice_bound == advice_bound(inst, algo, b=b)
+
+
+def count_calls(monkeypatch, fn):
+    """Rebind fn in every multicolor module that binds it to a counting
+    wrapper; returns the list that collects one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "multicolor" or name.startswith("multicolor."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+class TestWorkCounts:
+    """One run computes each offline quantity once, shared by the tape, the
+    advice bound and the reported Opt."""
+
+    def test_trivial_hexagonal_runs_one_exact_search(self, monkeypatch):
+        from multicolor.oracle import opt_exact
+
+        calls = count_calls(monkeypatch, opt_exact)
+        report = run(hex_edge_21(), "trivial")
+        assert len(calls) == 1
+        assert report.opt_value == report.max_color
+        assert report.advice_bound is not None
+
+    def test_greedy_cancel_computes_one_peak_load(self, monkeypatch):
+        from multicolor.instance import peak_clique_load
+
+        inst = random_cancel_instance(seed=5)
+        calls = count_calls(monkeypatch, peak_clique_load)
+        report = run(inst, "greedy_cancel")
+        assert len(calls) == 1
+        assert report.valid and report.ok
+
+    def test_cli_run_csv_runs_once(self, tmp_path, monkeypatch, capsys):
+        inst_path = str(tmp_path / "inst.json")
+        save_instance(path_family(40)[2], inst_path)
+        calls = count_calls(monkeypatch, harness.run)
+        assert main(["run", inst_path, "--algo", "greedy_opt", "--format", "csv"]) == 0
+        assert len(calls) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("algorithm,")
+        assert lines[1].startswith("greedy_opt,path_family_n40_i2,12,")
 
 
 class TestBatch:
@@ -196,3 +253,32 @@ class TestCli:
         main(["gen", "hex_chain", "--branch", "1", "--out", inst_path])
         # bipartite-only algorithm on a hexagonal instance -> domain error
         assert main(["run", inst_path, "--algo", "greedy_opt"]) == 2
+
+    def test_algo_choices_are_the_registry(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        algo = next(a for a in sub.choices["run"]._actions if a.dest == "algo")
+        assert list(algo.choices) == list(ALGORITHMS)
+
+    def test_gen_index_out_of_range_exits_2(self, capsys):
+        assert main(["gen", "path_family", "--n", "40", "--i", "99"]) == 2
+        assert "--i 99" in capsys.readouterr().err
+
+    def test_run_instance_missing_field_exits_2(self, tmp_path, capsys):
+        data = {"graph": {"kind": "bipartite"}, "requests": []}
+        with pytest.raises(MalformedInstanceError, match="'nodes'"):
+            instance_from_dict(data)
+        inst_path = tmp_path / "bad.json"
+        inst_path.write_text(json.dumps(data))
+        assert main(["run", str(inst_path), "--algo", "greedy_opt"]) == 2
+        assert "'nodes'" in capsys.readouterr().err
+
+    def test_verify_log_missing_color_exits_2(self, tmp_path, capsys):
+        inst_path = str(tmp_path / "i0.json")
+        save_instance(path_family(40)[0], inst_path)
+        with pytest.raises(MalformedLogError, match="'color'"):
+            actions_from_dicts([{"op": "color"}])
+        log_path = tmp_path / "log.json"
+        log_path.write_text(json.dumps({"actions": [{"op": "color"}]}))
+        assert main(["verify", inst_path, str(log_path)]) == 2
+        assert "'color'" in capsys.readouterr().err

@@ -19,11 +19,14 @@ import sys
 
 from . import adversary, harness, oracle
 from .algorithms import ALGORITHMS
-from .errors import DomainError, MultiColorError
+from .errors import DomainError, MalformedManifestError, MultiColorError
 
 
 def _parse_budget(text):
-    nodes, requests = (int(x) for x in text.split(","))
+    try:
+        nodes, requests = (int(x) for x in text.split(","))
+    except ValueError:
+        raise DomainError(f"--budget must be NODES,REQUESTS, got {text!r}") from None
     return nodes, requests
 
 
@@ -43,7 +46,10 @@ def cmd_gen(args):
                               f"got --i {args.i}")
         instance = instances[args.i]
     elif args.family == "hex_chain":
-        branch = tuple(int(ch) for ch in args.branch)
+        try:
+            branch = tuple(int(ch) for ch in args.branch)
+        except ValueError:
+            raise DomainError(f"--branch must be digits, got {args.branch!r}") from None
         instance = adversary.hex_chain(len(branch), branch, pad_requests=args.pad)
     elif args.family == "hex_54":
         instance = adversary.hex_54(args.p, args.i)
@@ -90,8 +96,7 @@ def cmd_run(args):
 
 
 def cmd_batch(args):
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
+    manifest = harness._load_json(args.manifest, MalformedManifestError)
     text, ok = harness.batch(manifest, base_dir=os.path.dirname(args.manifest) or ".")
     _write_out(text, args.out)
     return 0 if ok else 1

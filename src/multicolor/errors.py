@@ -33,6 +33,10 @@ class MalformedInstanceError(MultiColorError):
     pass
 
 
+class MalformedManifestError(MultiColorError):
+    pass
+
+
 class TapeUnderrunError(MultiColorError):
     """Read past the written prefix of an advice tape."""
 

@@ -10,7 +10,7 @@ gets one of three classes R/G/B via (q - r) mod 3, which yields a proper
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
 
 from .errors import (
     InvalidEmbeddingError,
@@ -53,11 +53,20 @@ class Graph:
     cell_of: dict = field(default_factory=dict)
     class_of: dict = field(default_factory=dict)
 
-    def neighbors(self, v: str) -> set:
-        return {next(iter(e - {v})) for e in self.edges if v in e}
+    @cached_property
+    def adjacency(self) -> dict:
+        """node -> {neighbour: None}, its neighbours as an ordered set; built once."""
+        adj = {v: {} for v in self.nodes}
+        for u, w in self.edge_list():  # sorted, so each adj[v] fills in sorted order
+            adj[u][w] = adj[w][u] = None
+        return adj
+
+    def neighbors(self, v: str):
+        """The neighbours of v: a set-like view that iterates in sorted order."""
+        return self.adjacency.get(v, {}).keys()
 
     def adjacent(self, u: str, v: str) -> bool:
-        return frozenset((u, v)) in self.edges
+        return v in self.adjacency.get(u, ())
 
     def edge_list(self) -> list[tuple[str, str]]:
         return sorted(tuple(sorted(e)) for e in self.edges)
@@ -103,18 +112,19 @@ def build_hexagonal(cells: dict) -> Graph:
     Adjacency is derived from the six axial offsets; the R/G/B class of a
     node at (q, r) is (q - r) mod 3.
     """
-    coords = {}
+    coords, node_at = {}, {}
     for v, c in cells.items():
         if not isinstance(c, CellCoord):
             c = CellCoord(*c)
-        if c in coords.values():
+        if node_at.setdefault((c.q, c.r), v) != v:
             raise InvalidEmbeddingError(f"duplicate cell {c} (node {v!r})")
         coords[v] = c
     nodes = tuple(sorted(coords))
     edges = frozenset(
-        frozenset((u, w))
-        for u, w in combinations(nodes, 2)
-        if coords[u].is_adjacent(coords[w])
+        frozenset((v, node_at[c.q + dq, c.r + dr]))
+        for v, c in coords.items()
+        for dq, dr in HEX_OFFSETS
+        if (c.q + dq, c.r + dr) in node_at
     )
     class_of = {v: CLASS_NAMES[(coords[v].q - coords[v].r) % 3] for v in nodes}
     return Graph(
@@ -132,18 +142,17 @@ def maximal_cliques(g: Graph) -> list[frozenset]:
     For the three supported kinds, every clique has size at most 3
     (paths and bipartite graphs are triangle-free; hexagonal grids have no K4),
     so isolated nodes, edges, and triangles are the only candidates.
+    Triangles are listed through each edge u < w: every common neighbour
+    x > w gives {u, w, x} once (Chiba & Nishizeki), in O(|E| * max degree)
+    time.  An edge with no common neighbour is a maximal clique itself.
     """
-    triangles = set()
-    for u, w, x in combinations(g.nodes, 3):
-        if g.adjacent(u, w) and g.adjacent(u, x) and g.adjacent(w, x):
-            triangles.add(frozenset((u, w, x)))
-    cliques = set(triangles)
-    for e in g.edges:
-        if not any(e < t for t in triangles):
-            cliques.add(e)
-    for v in g.nodes:
-        if not g.neighbors(v):
-            cliques.add(frozenset((v,)))
+    cliques = []
+    for u, w in g.edge_list():
+        common = g.neighbors(u) & g.neighbors(w)
+        cliques += [frozenset((u, w, x)) for x in common if x > w]
+        if not common:
+            cliques.append(frozenset((u, w)))
+    cliques += [frozenset((v,)) for v in g.nodes if not g.neighbors(v)]
     return sorted(cliques, key=lambda c: sorted(c))
 
 

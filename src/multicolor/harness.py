@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 
 from .advice import AdviceTape
 from .algorithms import ALGORITHMS, run_player
-from .errors import MalformedInstanceError, MalformedLogError, MultiColorError
+from .errors import (MalformedInstanceError, MalformedLogError, MalformedManifestError,
+                     MultiColorError)
 from .graph import build_bipartite, build_hexagonal
 from .instance import CancelAction, ColorAction, Instance, Request, validate_full
 from . import oracle
@@ -89,9 +90,17 @@ def save_instance(instance: Instance, path: str, tape: str | None = None) -> Non
         fh.write("\n")
 
 
-def load_instance(path: str) -> Instance:
+def _load_json(path: str, error=MalformedInstanceError):
+    """The JSON document in the file at path; `error` if it is not JSON."""
     with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise error(str(exc)) from exc
+
+
+def load_instance(path: str) -> Instance:
+    return instance_from_dict(_load_json(path))
 
 
 def actions_to_dicts(actions) -> list[dict]:
@@ -117,8 +126,8 @@ def actions_from_dicts(items) -> list:
 
 def load_log(path: str) -> list:
     """The actions of an assignment log file {"actions": [...]}."""
-    with open(path) as fh:
-        return actions_from_dicts(_field(json.load(fh), "actions", "log", MalformedLogError))
+    return actions_from_dicts(_field(_load_json(path, MalformedLogError), "actions", "log",
+                                     MalformedLogError))
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +238,14 @@ def batch(manifest: dict, base_dir: str = ".") -> tuple[str, bool]:
     buf = io.StringIO()
     writer = csv_writer(buf)
     all_ok = True
-    for entry in manifest["runs"]:
+    for entry in _field(manifest, "runs", "manifest", MalformedManifestError):
         algo = entry.get("algo", "?")
         try:
             instance = load_instance(os.path.join(base_dir, entry["instance"]))
             report = run(instance, algo, b=entry.get("b"))
             writer.writerow(report_row(report))
             all_ok = all_ok and report.ok
-        except (MultiColorError, OSError, KeyError, json.JSONDecodeError) as exc:
+        except (MultiColorError, OSError, KeyError) as exc:
             writer.writerow({"algorithm": algo, "instance": entry.get("instance", "?"),
                              "status": f"error: {exc}"})
             all_ok = False

@@ -80,15 +80,36 @@ class ColoringState:
         return max((max(s) for s in self.f.values() if s), default=0)
 
 
-def _check_assignable(state: ColoringState, v: str, color: int, step: int):
-    """Return a Violation if giving color to v is illegal, else None."""
-    if color < 1:
-        return Violation(step=step, kind="invalid-color", node=v, color=color)
-    if color in state.colors_at(v):
-        return Violation(step=step, kind="node-duplicate", node=v, color=color)
-    for u in state.graph.neighbors(v):
-        if color in state.colors_at(u):
-            return Violation(step=step, kind="edge-conflict", node=v, color=color, other_node=u)
+def _serve(graph: Graph, f: dict, step: int, request: Request, action):
+    """Apply one request's rules to f (node -> set of live colors), changing
+    only f[request.node], in place.  Returns the Violation, else None."""
+    v = request.node
+    live = f[v]
+    if request.op == "color":
+        if not isinstance(action, ColorAction):
+            return Violation(step=step, kind="invalid-color", node=v)
+        new = action.color
+    else:
+        if not isinstance(action, CancelAction):
+            return Violation(step=step, kind="bad-cancel", node=v, color=request.cancel_color)
+        c = request.cancel_color
+        if c not in live:
+            return Violation(step=step, kind="bad-cancel", node=v, color=c)
+        live.discard(c)
+        if action.recolor is None:
+            return None
+        old, new = action.recolor
+        if old not in live:
+            return Violation(step=step, kind="bad-cancel", node=v, color=old)
+        live.discard(old)
+    if new < 1:
+        return Violation(step=step, kind="invalid-color", node=v, color=new)
+    if new in live:
+        return Violation(step=step, kind="node-duplicate", node=v, color=new)
+    for u in graph.neighbors(v):  # in sorted order: the smallest conflict is named
+        if new in f.get(u, ()):
+            return Violation(step=step, kind="edge-conflict", node=v, color=new, other_node=u)
+    live.add(new)
     return None
 
 
@@ -98,40 +119,17 @@ def apply_step(state: ColoringState, request: Request, action):
     Returns the new ColoringState, or a Violation if the action is illegal.
     The input state is never mutated.
     """
-    step = state.step + 1
     v = request.node
-    live = set(state.colors_at(v))
-
-    if request.op == "color":
-        if not isinstance(action, ColorAction):
-            return Violation(step=step, kind="invalid-color", node=v)
-        bad = _check_assignable(state, v, action.color, step)
-        if bad is not None:
-            return bad
-        live.add(action.color)
-    else:
-        if not isinstance(action, CancelAction):
-            return Violation(step=step, kind="bad-cancel", node=v, color=request.cancel_color)
-        c = request.cancel_color
-        if c not in live:
-            return Violation(step=step, kind="bad-cancel", node=v, color=c)
-        live.discard(c)
-        if action.recolor is not None:
-            old, new = action.recolor
-            if old not in live:
-                return Violation(step=step, kind="bad-cancel", node=v, color=old)
-            live.discard(old)
-            interim = replace(state, f={**state.f, v: frozenset(live)}, step=step)
-            bad = _check_assignable(interim, v, new, step)
-            if bad is not None:
-                return bad
-            live.add(new)
-
-    return replace(state, f={**state.f, v: frozenset(live)}, step=step)
+    f = {**state.f, v: set(state.colors_at(v))}
+    bad = _serve(state.graph, f, state.step + 1, request, action)
+    if bad is not None:
+        return bad
+    f[v] = frozenset(f[v])
+    return replace(state, f=f, step=state.step + 1)
 
 
 def validate_full(instance: Instance, actions):
-    """Replay all requests through apply_step.
+    """Replay all requests under apply_step's rules, on mutable per-node sets.
 
     Returns None if the whole log is legal, otherwise the first Violation.
     Raises MalformedLogError if the log length does not match.
@@ -140,11 +138,11 @@ def validate_full(instance: Instance, actions):
         raise MalformedLogError(
             f"log has {len(actions)} actions for {instance.n} requests"
         )
-    state = ColoringState(graph=instance.graph)
-    for request, action in zip(instance.requests, actions):
-        state = apply_step(state, request, action)
-        if isinstance(state, Violation):
-            return state
+    f = {v: set() for v in instance.graph.nodes}
+    for step, (request, action) in enumerate(zip(instance.requests, actions), 1):
+        bad = _serve(instance.graph, f, step, request, action)
+        if bad is not None:
+            return bad
     return None
 
 
@@ -158,21 +156,24 @@ def demand(instance: Instance) -> dict:
 
 
 def peak_clique_load(instance: Instance) -> int:
-    """Maximum over time and maximal cliques of the live request count."""
-    cliques = maximal_cliques(instance.graph)
+    """Maximum over time and maximal cliques of the live request count.  Only
+    a color request can raise it, and only in the cliques through its node."""
+    through = {v: [] for v in instance.graph.nodes}  # node -> the cliques containing it
+    for c in maximal_cliques(instance.graph):
+        for v in c:
+            through[v].append(c)
     live = {v: 0 for v in instance.graph.nodes}
     peak = 0
     for i, r in enumerate(instance.requests):
         if r.op == "color":
             live[r.node] += 1
+            peak = max(peak, *(sum(live[u] for u in c) for c in through[r.node]))
         else:
             if live[r.node] == 0:
                 raise MalformedInstanceError(
                     f"step {i + 1}: cancellation at {r.node!r} with no live request"
                 )
             live[r.node] -= 1
-        load = max((sum(live[v] for v in c) for c in cliques), default=0)
-        peak = max(peak, load)
     return peak
 
 

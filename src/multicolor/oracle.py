@@ -62,7 +62,7 @@ def opt_exact(instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
         return OptWitness(opt_value=0, coloring={v: frozenset() for v in g.nodes})
 
     order = sorted(active, key=lambda v: (-dem[v], v))
-    neighbor_cache = {v: sorted(set(g.neighbors(v)) & set(active)) for v in order}
+    neighbor_cache = {v: [u for u in g.neighbors(v) if dem[u] > 0] for v in order}
     cliques = [tuple(c & set(active)) for c in all_cliques]
     cliques = [c for c in cliques if len(c) >= 2]
 
@@ -309,9 +309,11 @@ def plan_43(instance: Instance) -> Plan43:
 
     g2_nodes = sorted(v for v in g.nodes if in_g2[v])
     pending = {v: dem[v] - phase1[v] - borrow[v] for v in g2_nodes}
-    for u, w in combinations(g2_nodes, 2):
-        if g.adjacent(u, w):
-            if any(g.adjacent(u, x) and g.adjacent(w, x) for x in g2_nodes if x not in (u, w)):
+    for u in g2_nodes:
+        for w in g.neighbors(u):
+            if w <= u or w not in pending:
+                continue
+            if any(x in pending for x in g.neighbors(u) & g.neighbors(w)):
                 raise InternalConsistencyError("triangle in G2")
             if pending[u] + pending[w] > omega - 2 * q:
                 raise InternalConsistencyError("G2 edge exceeds the pending-pair bound")

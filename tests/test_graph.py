@@ -180,3 +180,79 @@ def test_hex_round_trip_adjacency(cells):
     rebuilt = build_hexagonal(g.cell_of)
     assert rebuilt.edges == g.edges
     assert rebuilt.class_of == g.class_of
+
+
+# -- the adjacency index and the code built on it ---------------------------
+
+def random_bipartite_graph(seed, n, density):
+    """Seeded random bipartite graph; low densities leave isolated nodes."""
+    import random
+
+    rng = random.Random(seed)
+    nodes = [f"n{i}" for i in range(n)]
+    partition = {v: rng.choice("LU") for v in nodes}
+    edges = [(u, w) for i, u in enumerate(nodes) for w in nodes[i + 1:]
+             if partition[u] != partition[w] and rng.random() < density]
+    return build_bipartite(nodes, edges, partition)
+
+
+def random_hex_graph(seed, n, extent):
+    from multicolor.adversary import random_instance
+
+    return random_instance("hexagonal", seed=seed, n_nodes=n, n_requests=0,
+                           grid_extent=extent).graph
+
+
+CROSS_CHECK_GRAPHS = (
+    [build_path(k) for k in (1, 2, 3, 17)]
+    + [random_bipartite_graph(s, n, d) for s in range(5) for n, d in ((12, 0.1), (60, 0.08))]
+    + [random_hex_graph(s, n, e) for s in range(5) for n, e in ((10, 4), (90, 14), (200, 17))]
+)
+
+
+@pytest.mark.parametrize("g", CROSS_CHECK_GRAPHS, ids=lambda g: f"{g.kind}-{len(g.nodes)}")
+def test_maximal_cliques_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+    ref = nx.Graph()
+    ref.add_nodes_from(g.nodes)
+    ref.add_edges_from(g.edge_list())
+    cliques = maximal_cliques(g)
+    assert set(cliques) == {frozenset(c) for c in nx.find_cliques(ref)}
+    assert len(set(cliques)) == len(cliques)
+    assert cliques == sorted(cliques, key=sorted)
+
+
+def test_cross_check_graphs_have_isolated_nodes_and_triangles():
+    def sizes(kind):
+        return {len(c) for g in CROSS_CHECK_GRAPHS if g.kind == kind for c in maximal_cliques(g)}
+
+    assert sizes("bipartite") == {1, 2}
+    assert sizes("hexagonal") == {1, 2, 3}
+
+
+@given(st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=40))
+def test_hex_edges_match_all_pairs_reference(cells):
+    coords = {f"n{i}": CellCoord(*c) for i, c in enumerate(sorted(cells))}
+    g = build_hexagonal(coords)
+    assert g.edges == frozenset(
+        frozenset((u, w)) for u in coords for w in coords
+        if u != w and coords[u].is_adjacent(coords[w])
+    )
+
+
+def test_duplicate_cell_among_many_rejected():
+    cells = {f"n{i}": (i % 7, i // 7) for i in range(30)}
+    cells["z"] = (3, 2)
+    with pytest.raises(InvalidEmbeddingError, match="'z'"):
+        build_hexagonal(cells)
+
+
+def test_adjacency_index_sorted_and_symmetric():
+    g = random_bipartite_graph(3, 40, 0.2)
+    for v in g.nodes:
+        nbrs = list(g.neighbors(v))
+        assert nbrs == sorted(nbrs)
+        assert set(nbrs) == {w for e in g.edges if v in e for w in e - {v}}
+        assert all(g.adjacent(v, w) and g.adjacent(w, v) for w in nbrs)
+    assert not g.adjacent("n0", "n0") and not g.adjacent("n0", "missing")
+    assert list(g.neighbors("missing")) == []

@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -189,6 +191,15 @@ class TestBatch:
         assert not ok
         assert lines[4].startswith("hex43,")
 
+    def test_non_json_instance_is_an_error_row(self, tmp_path):
+        manifest = self._manifest(tmp_path)
+        (tmp_path / "junk.json").write_text("not json")
+        manifest["runs"].insert(1, {"instance": "junk.json", "algo": "fpa"})
+        text, ok = batch(manifest, base_dir=str(tmp_path))
+        assert not ok
+        assert text.split("\n")[2] == ("fpa,junk.json,,,,,,,"
+                                       "error: Expecting value: line 1 column 1 (char 0)")
+
 
 class TestCli:
     def test_gen_opt_run_verify(self, tmp_path, capsys):
@@ -282,3 +293,68 @@ class TestCli:
         log_path.write_text(json.dumps({"actions": [{"op": "color"}]}))
         assert main(["verify", inst_path, str(log_path)]) == 2
         assert "'color'" in capsys.readouterr().err
+
+    def test_non_json_instance_exits_2(self, tmp_path, capsys):
+        junk = tmp_path / "junk.json"
+        junk.write_text("{not json")
+        with pytest.raises(MalformedInstanceError):
+            load_instance(str(junk))
+        log_path = tmp_path / "log.json"
+        log_path.write_text(json.dumps({"actions": []}))
+        for argv in (["run", str(junk), "--algo", "greedy_opt"], ["opt", str(junk)],
+                     ["verify", str(junk), str(log_path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: Expecting property name")
+
+    def test_non_json_log_exits_2(self, tmp_path, capsys):
+        inst_path = str(tmp_path / "i0.json")
+        save_instance(path_family(40)[0], inst_path)
+        log_path = tmp_path / "log.json"
+        log_path.write_bytes(b"\xff\xfe")
+        with pytest.raises(MalformedLogError):
+            harness.load_log(str(log_path))
+        assert main(["verify", inst_path, str(log_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_json_manifest_exits_2(self, tmp_path, capsys):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text("runs: []")
+        assert main(["batch", str(manifest_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: Expecting value")
+        manifest_path.write_text(json.dumps({"run": []}))
+        assert main(["batch", str(manifest_path)]) == 2
+        assert "manifest has no field 'runs'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "opt"])
+    def test_bad_budget_exits_2(self, tmp_path, capsys, command):
+        inst_path = str(tmp_path / "i0.json")
+        save_instance(path_family(40)[0], inst_path)
+        argv = [command, inst_path, "--budget", "14"] + (["--algo", "trivial"] if command == "run" else [])
+        assert main(argv) == 2
+        assert "--budget must be NODES,REQUESTS, got '14'" in capsys.readouterr().err
+
+    def test_bad_branch_exits_2(self, capsys):
+        assert main(["gen", "hex_chain", "--branch", "1x"]) == 2
+        assert "--branch must be digits, got '1x'" in capsys.readouterr().err
+
+    def test_verify_output_independent_of_hash_seed(self, tmp_path):
+        leaves = ["a", "b", "d", "e"]
+        graph = {"kind": "bipartite", "nodes": ["c"] + leaves,
+                 "edges": [["c", v] for v in leaves],
+                 "partition": {"c": "L", **{v: "U" for v in leaves}}}
+        inst_path = tmp_path / "star.json"
+        inst_path.write_text(json.dumps({"graph": graph, "requests": [
+            {"node": v, "op": "color"} for v in leaves + ["c"]]}))
+        log_path = tmp_path / "log.json"
+        log_path.write_text(json.dumps({"actions": [{"op": "color", "color": 1}] * 5}))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = set()
+        for hash_seed in range(1, 7):
+            env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-m", "multicolor.cli", "verify",
+                                   str(inst_path), str(log_path)],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 1
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        assert json.loads(outputs.pop())["violation"]["other_node"] == "a"

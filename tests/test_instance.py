@@ -154,3 +154,84 @@ def test_replay_determinism(path_i2):
     actions = witness_actions(path_i2, opt_exact(path_i2).coloring)
     assert validate_full(path_i2, actions) is None
     assert validate_full(path_i2, actions) is None
+
+
+# -- incremental peak load and in-place validation --------------------------
+
+def brute_force_peak(inst):
+    """Re-sum every maximal clique after every request."""
+    from multicolor.graph import maximal_cliques
+
+    cliques = maximal_cliques(inst.graph)
+    live = {v: 0 for v in inst.graph.nodes}
+    peak = 0
+    for r in inst.requests:
+        live[r.node] += 1 if r.op == "color" else -1
+        peak = max(peak, max((sum(live[v] for v in c) for c in cliques), default=0))
+    return peak
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_peak_clique_load_matches_brute_force(seed):
+    from multicolor.adversary import random_cancel_instance
+
+    inst = random_cancel_instance(seed=seed, n_nodes=3 + seed % 12, n_requests=10 + seed)
+    assert peak_clique_load(inst) == brute_force_peak(inst)
+
+
+def star():
+    """Centre c joined to the leaves a, b, d, e."""
+    leaves = ["a", "b", "d", "e"]
+    return build_bipartite(["c"] + leaves, [("c", v) for v in leaves],
+                           {"c": "L", **{v: "U" for v in leaves}})
+
+
+def test_edge_conflict_names_smallest_neighbour():
+    reqs = tuple(Request(v, "color") for v in ("e", "d", "b", "a", "c"))
+    v = validate_full(Instance(star(), reqs), [ColorAction(1)] * 5)
+    assert v == Violation(step=5, kind="edge-conflict", node="c", color=1, other_node="a")
+
+
+def test_recolor_violation_leaves_state_untouched():
+    state = ColoringState(graph=edge_graph(), f={"u": frozenset({1, 2}), "w": frozenset({3})})
+    result = apply_step(state, Request("u", "cancel", cancel_color=1), CancelAction(recolor=(2, 3)))
+    assert result.kind == "edge-conflict" and result.other_node == "w"
+    assert state.f == {"u": {1, 2}, "w": {3}}
+
+
+def replay_apply_step(inst, actions):
+    """Reference validator: the pure apply_step, one step at a time."""
+    state = ColoringState(graph=inst.graph)
+    for request, action in zip(inst.requests, actions):
+        state = apply_step(state, request, action)
+        if isinstance(state, Violation):
+            return state
+    return None
+
+
+@given(st.integers(0, 500), st.data())
+@settings(max_examples=300, deadline=None)
+def test_validate_full_matches_apply_step_on_corrupted_logs(seed, data):
+    from multicolor.adversary import random_cancel_instance
+    from multicolor.algorithms import greedy_cancel
+    from multicolor.oracle import advice_cancel
+
+    inst = random_cancel_instance(seed=seed, n_nodes=6, n_requests=30)
+    actions = greedy_cancel(inst.graph, advice_cancel(inst), inst.requests)
+    assert validate_full(inst, actions) is None
+    colors = st.integers(-1, 10)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, inst.n - 1))
+        r = inst.requests[i]
+        kind = data.draw(st.sampled_from(["wrong-color", "duplicate", "bad-cancel", "bad-recolor"]))
+        if kind == "wrong-color":
+            actions[i] = ColorAction(data.draw(colors))
+        elif kind == "duplicate":
+            earlier = [a.color for a, q in zip(actions[:i], inst.requests)
+                       if q.node == r.node and isinstance(a, ColorAction)]
+            actions[i] = ColorAction(data.draw(st.sampled_from(earlier)) if earlier else 1)
+        elif kind == "bad-cancel":
+            actions[i] = ColorAction(1) if r.op == "cancel" else CancelAction()
+        else:
+            actions[i] = CancelAction(recolor=(data.draw(colors), data.draw(colors)))
+    assert validate_full(inst, actions) == replay_apply_step(inst, actions)

@@ -61,6 +61,27 @@ class Graph:
             adj[u][w] = adj[w][u] = None
         return adj
 
+    @cached_property
+    def cliques(self) -> list[frozenset]:
+        """All maximal cliques, sorted for determinism; enumerated once.
+
+        For the three supported kinds, every clique has size at most 3
+        (paths and bipartite graphs are triangle-free; hexagonal grids have
+        no K4), so isolated nodes, edges, and triangles are the only
+        candidates.  Triangles are listed through each edge u < w: every
+        common neighbour x > w gives {u, w, x} once (Chiba & Nishizeki), in
+        O(|E| * max degree) time.  An edge with no common neighbour is a
+        maximal clique itself.
+        """
+        cliques = []
+        for u, w in self.edge_list():
+            common = self.neighbors(u) & self.neighbors(w)
+            cliques += [frozenset((u, w, x)) for x in common if x > w]
+            if not common:
+                cliques.append(frozenset((u, w)))
+        cliques += [frozenset((v,)) for v in self.nodes if not self.neighbors(v)]
+        return sorted(cliques, key=lambda c: sorted(c))
+
     def neighbors(self, v: str):
         """The neighbours of v: a set-like view that iterates in sorted order."""
         return self.adjacency.get(v, {}).keys()
@@ -137,23 +158,9 @@ def build_hexagonal(cells: dict) -> Graph:
 
 
 def maximal_cliques(g: Graph) -> list[frozenset]:
-    """All maximal cliques, sorted for determinism.
-
-    For the three supported kinds, every clique has size at most 3
-    (paths and bipartite graphs are triangle-free; hexagonal grids have no K4),
-    so isolated nodes, edges, and triangles are the only candidates.
-    Triangles are listed through each edge u < w: every common neighbour
-    x > w gives {u, w, x} once (Chiba & Nishizeki), in O(|E| * max degree)
-    time.  An edge with no common neighbour is a maximal clique itself.
-    """
-    cliques = []
-    for u, w in g.edge_list():
-        common = g.neighbors(u) & g.neighbors(w)
-        cliques += [frozenset((u, w, x)) for x in common if x > w]
-        if not common:
-            cliques.append(frozenset((u, w)))
-    cliques += [frozenset((v,)) for v in g.nodes if not g.neighbors(v)]
-    return sorted(cliques, key=lambda c: sorted(c))
+    """All maximal cliques of g, sorted for determinism: the list cached on
+    the graph (Graph.cliques), shared by every caller, so never mutate it."""
+    return g.cliques
 
 
 def clique_weight(g: Graph, demand: dict) -> int:

@@ -57,13 +57,45 @@ def _field(record, key, where, error=MalformedInstanceError):
     return record[key]
 
 
+def _wrong_type(where, what, value):
+    """The MalformedInstanceError saying that `where` must be `what`."""
+    return MalformedInstanceError(f"{where} must be {what}, got {value!r}")
+
+
+def _is_pair(value, item_type):
+    """Whether value is a list (or tuple) of two item_type values; a bool is no int."""
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and type(value[0]) is item_type and type(value[1]) is item_type)
+
+
+def _request(r, i):
+    """Request i (from 1) of an instance file, its field types checked."""
+    node, op = _field(r, "node", "request"), _field(r, "op", "request")
+    color = r.get("color")
+    if not isinstance(node, str):
+        raise _wrong_type(f"request {i} field 'node'", "a string", node)
+    if op == "cancel" and type(color) is not int:
+        raise _wrong_type(f"request {i} field 'color'", "an integer", color)
+    return Request(node=node, op=op, cancel_color=color)  # checks op
+
+
 def instance_from_dict(data: dict) -> Instance:
+    """The instance of a decoded instance file.  A missing field or a field
+    of the wrong type raises MalformedInstanceError naming the field."""
     gd = _field(data, "graph", "instance")
     kind = _field(gd, "kind", "graph")
     if kind == "hexagonal":
-        graph = build_hexagonal({v: tuple(c) for v, c in _field(gd, "cells", "graph").items()})
+        cells = _field(gd, "cells", "graph")
+        if not isinstance(cells, dict):
+            raise _wrong_type("graph field 'cells'", "an object", cells)
+        for v, c in cells.items():
+            if not isinstance(v, str) or not _is_pair(c, int):
+                raise _wrong_type(f"cell {v!r}", "a pair of integers under a node name", c)
+        graph = build_hexagonal({v: tuple(c) for v, c in cells.items()})
     elif kind in ("path", "bipartite"):
         nodes = _field(gd, "nodes", "graph")
+        if not isinstance(nodes, list) or not all(isinstance(v, str) for v in nodes):
+            raise _wrong_type("graph field 'nodes'", "a list of node names", nodes)
         if kind == "path":
             edges = gd.get("edges") or [[nodes[i], nodes[i + 1]] for i in range(len(nodes) - 1)]
             partition = gd.get("partition") or {
@@ -71,17 +103,23 @@ def instance_from_dict(data: dict) -> Instance:
             }
         else:
             edges, partition = _field(gd, "edges", "graph"), _field(gd, "partition", "graph")
+        if not isinstance(edges, list) or not all(_is_pair(e, str) for e in edges):
+            raise _wrong_type("graph field 'edges'", "a list of node-name pairs", edges)
+        if not isinstance(partition, dict):
+            raise _wrong_type("graph field 'partition'", "an object", partition)
         graph = build_bipartite(nodes, edges, partition)
         if kind == "path":
             graph = replace(graph, kind="path", nodes=tuple(nodes))
     else:
         raise MalformedInstanceError(f"unknown graph kind {kind!r}")
-    requests = tuple(
-        Request(node=_field(r, "node", "request"), op=_field(r, "op", "request"),
-                cancel_color=r.get("color"))
-        for r in _field(data, "requests", "instance")
-    )
-    return Instance(graph=graph, requests=requests, name=data.get("name", "instance"))
+    requests = _field(data, "requests", "instance")
+    if not isinstance(requests, list):
+        raise _wrong_type("instance field 'requests'", "a list", requests)
+    name = data.get("name", "instance")
+    if not isinstance(name, str):
+        raise _wrong_type("instance field 'name'", "a string", name)
+    return Instance(graph=graph, requests=tuple(_request(r, i) for i, r in enumerate(requests, 1)),
+                    name=name)
 
 
 def save_instance(instance: Instance, path: str, tape: str | None = None) -> None:
@@ -174,11 +212,14 @@ def _metrics(actions):
 
 def run(instance: Instance, algo: str, b: int | None = None,
         max_nodes: int = oracle.DEFAULT_MAX_NODES,
-        max_requests: int = oracle.DEFAULT_MAX_REQUESTS) -> RunReport:
+        max_requests: int = oracle.DEFAULT_MAX_REQUESTS,
+        optimum: oracle.Optimum | None = None) -> RunReport:
     """Generate the tape, run the player, validate, and measure.  The tape,
-    the advice bound and the reported Opt share one oracle.Optimum."""
+    the advice bound and the reported Opt share one oracle.Optimum of the
+    instance: optimum when given (its budget then replaces max_nodes and
+    max_requests), else a fresh one."""
     start = time.perf_counter()
-    optimum = oracle.Optimum(instance, max_nodes=max_nodes, max_requests=max_requests)
+    optimum = optimum or oracle.Optimum(instance, max_nodes=max_nodes, max_requests=max_requests)
     tape = make_advice(instance, algo, b=b, optimum=optimum)
     actions = run_player(algo, instance.graph, tape, instance.requests, b=b)
     violation = validate_full(instance, actions)
@@ -233,16 +274,21 @@ def batch(manifest: dict, base_dir: str = ".") -> tuple[str, bool]:
 
     Rows keep manifest order.  A failing entry becomes an error row and the
     batch continues.  runtime is deliberately not a CSV column so reruns are
-    byte-identical.
+    byte-identical.  Consecutive entries on one instance file share its load
+    and its offline optimum (one oracle.Optimum); only the last file loaded
+    is kept.
     """
     buf = io.StringIO()
     writer = csv_writer(buf)
     all_ok = True
+    loaded, instance, optimum = None, None, None  # the last file loaded, its instance and Optimum
     for entry in _field(manifest, "runs", "manifest", MalformedManifestError):
         algo = entry.get("algo", "?")
         try:
-            instance = load_instance(os.path.join(base_dir, entry["instance"]))
-            report = run(instance, algo, b=entry.get("b"))
+            if entry["instance"] != loaded:
+                instance = load_instance(os.path.join(base_dir, entry["instance"]))
+                loaded, optimum = entry["instance"], oracle.Optimum(instance)
+            report = run(instance, algo, b=entry.get("b"), optimum=optimum)
             writer.writerow(report_row(report))
             all_ok = all_ok and report.ok
         except (MultiColorError, OSError, KeyError) as exc:

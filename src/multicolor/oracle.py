@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import islice
 
 from . import algorithms
 from .advice import AdviceTape, enc
@@ -62,98 +62,103 @@ def opt_exact(instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
         return OptWitness(opt_value=0, coloring={v: frozenset() for v in g.nodes})
 
     order = sorted(active, key=lambda v: (-dem[v], v))
-    neighbor_cache = {v: [u for u in g.neighbors(v) if dem[u] > 0] for v in order}
-    cliques = [tuple(c & set(active)) for c in all_cliques]
-    cliques = [c for c in cliques if len(c) >= 2]
+    position = {v: i for i, v in enumerate(order)}
+    need = [dem[v] for v in order]
+    neighbors = [[position[u] for u in g.neighbors(v) if u in position] for v in order]
+    cliques = [[position[v] for v in c if v in position] for c in all_cliques]
+    palette_size, masks = _search(need, neighbors, cliques, omega)
+    coloring = {v: frozenset() for v in g.nodes}
+    coloring.update((v, frozenset(_colors(m))) for v, m in zip(order, masks))
+    return OptWitness(opt_value=palette_size, coloring=coloring)
 
-    c = omega
-    while True:
-        witness = _search(order, dem, neighbor_cache, cliques, c)
-        if witness is not None:
-            coloring = {v: witness.get(v, frozenset()) for v in g.nodes}
-            return OptWitness(opt_value=c, coloring=coloring)
-        c += 1
+
+def _colors(mask):
+    """The colors of a color mask (color c is bit c), in increasing order."""
+    return [c for c in range(mask.bit_length()) if mask >> c & 1]
 
 
 def _candidate_sets(avail, k, used):
-    """Feasible color sets for one node, in lexicographic order, with value
-    symmetry broken: never-used colors are interchangeable, so only prefixes
-    of the fresh colors need to be tried."""
-    used_avail = [c for c in avail if c in used]
-    fresh = [c for c in avail if c not in used]
-    out = []
-    for s in range(min(k, len(used_avail)), -1, -1):
-        j = k - s
-        if j > len(fresh):
-            continue
-        head = tuple(fresh[:j])
-        for comb in combinations(used_avail, s):
-            out.append(tuple(sorted(comb + head)))
-    out.sort()
-    return out
+    """The feasible k-color sets (masks) for one node, lazily, in the
+    lexicographic order of their sorted colors, with value symmetry broken:
+    never-used colors are interchangeable, so the fresh colors of a set must
+    be the smallest fresh colors of avail."""
+    colors = _colors(avail)
+
+    def extend(start, k, fresh, chosen):
+        # fresh: the fresh colors not passed over yet; only its lowest may be taken
+        if k == 0:
+            yield chosen
+            return
+        for idx in range(start, len(colors) - k + 1):
+            bit = 1 << colors[idx]
+            if bit & used:
+                yield from extend(idx + 1, k - 1, fresh, chosen | bit)
+            elif bit == fresh & -fresh:
+                yield from extend(idx + 1, k - 1, fresh ^ bit, chosen | bit)
+
+    return extend(0, k, avail & ~used, 0)
 
 
-def _search(order, dem, neighbors, cliques, palette_size):
-    assigned = {}
-    demanded = set(order)
+def _search(need, neighbors, cliques, palette_size):
+    """The smallest palette size, from palette_size up, that admits a coloring,
+    and the coloring: node i gets need[i] colors, disjoint from those of its
+    neighbors (lists of node indices), by backtracking over the nodes in
+    index order.  A color set is an int mask, color c being bit c."""
+    n = len(need)
+    assigned = [0] * n  # 0 until a node is assigned
+    # nothing later is constrained by a node without a later neighbor
+    constrains = [any(j > i for j in nbrs) for i, nbrs in enumerate(neighbors)]
+    # per start index: (open nodes, their total demand) of each clique with
+    # at least two nodes at or after start
+    open_cliques = []
+    for start in range(n + 1):
+        parts = [[j for j in c if j >= start] for c in cliques]
+        open_cliques.append([(p, sum(need[j] for j in p)) for p in parts if len(p) >= 2])
 
-    def avail_for(v):
-        blocked = set()
-        for u in neighbors[v]:
-            blocked |= assigned.get(u, frozenset())
-        return [c for c in range(1, palette_size + 1) if c not in blocked]
+    def avail_for(i):
+        blocked = 0
+        for j in neighbors[i]:
+            blocked |= assigned[j]
+        return full & ~blocked
 
     def forward_ok(start):
-        rest = order[start:]
-        avail = {}
-        for v in rest:
-            avail[v] = set(avail_for(v))
-            if len(avail[v]) < dem[v]:
+        avail = [0] * n
+        for i in range(start, n):
+            avail[i] = a = avail_for(i)
+            if a.bit_count() < need[i]:
                 return False
         # Hall-style necessary condition per clique: within a clique the
         # color sets are pairwise disjoint, so the open demands must fit in
         # the union of the open availabilities
-        open_set = set(rest)
-        for clique in cliques:
-            open_nodes = [v for v in clique if v in open_set]
-            if len(open_nodes) < 2:
-                continue
-            union = set()
-            for v in open_nodes:
-                union |= avail[v]
-            if sum(dem[v] for v in open_nodes) > len(union):
+        for nodes, total in open_cliques[start]:
+            union = 0
+            for j in nodes:
+                union |= avail[j]
+            if total > union.bit_count():
                 return False
         return True
 
-    def backtrack(idx):
-        if idx == len(order):
+    def backtrack(i, used):
+        if i == n:
             return True
-        v = order[idx]
-        avail = avail_for(v)
-        if len(avail) < dem[v]:
+        avail = avail_for(i)
+        if avail.bit_count() < need[i]:
             return False
-        open_neighbors = any(
-            u in demanded and u not in assigned for u in neighbors[v]
-        )
-        if not open_neighbors:
-            # nothing later is constrained by this choice: the
-            # lexicographically smallest feasible set suffices
-            candidates = [tuple(avail[: dem[v]])]
-        else:
-            used = set()
-            for s in assigned.values():
-                used |= s
-            candidates = _candidate_sets(avail, dem[v], used)
+        candidates = _candidate_sets(avail, need[i], used)
+        if not constrains[i]:  # the smallest feasible set suffices
+            candidates = islice(candidates, 1)
         for cand in candidates:
-            assigned[v] = frozenset(cand)
-            if forward_ok(idx + 1) and backtrack(idx + 1):
+            assigned[i] = cand
+            if forward_ok(i + 1) and backtrack(i + 1, used | cand):
                 return True
-            del assigned[v]
+        assigned[i] = 0
         return False
 
-    if backtrack(0):
-        return dict(assigned)
-    return None
+    while True:
+        full = (1 << palette_size + 1) - 2  # the colors 1..palette_size
+        if backtrack(0, 0):
+            return palette_size, assigned
+        palette_size += 1
 
 
 def opt_bipartite(instance: Instance) -> int:

@@ -1,4 +1,7 @@
 import argparse
+import csv
+import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -17,9 +20,11 @@ from multicolor.harness import (
     actions_to_dicts,
     advice_bound,
     batch,
+    csv_writer,
     instance_from_dict,
     instance_to_dict,
     load_instance,
+    report_row,
     run,
     save_instance,
 )
@@ -158,6 +163,30 @@ class TestWorkCounts:
         assert lines[0].startswith("algorithm,")
         assert lines[1].startswith("greedy_opt,path_family_n40_i2,12,")
 
+    def test_batch_shares_one_load_and_one_search_per_file(self, tmp_path, monkeypatch):
+        from multicolor.oracle import opt_exact
+
+        save_instance(random_instance("hexagonal", seed=7, n_nodes=10, n_requests=30),
+                      str(tmp_path / "hex.json"))
+        manifest = {"runs": [{"instance": "hex.json", "algo": algo}
+                             for algo in ("fpa", "hex43", "trivial")]}
+        loads = count_calls(monkeypatch, harness.load_instance)
+        searches = count_calls(monkeypatch, opt_exact)
+        text, ok = batch(manifest, base_dir=str(tmp_path))
+        assert ok and len(text.splitlines()) == 4
+        assert len(loads) == 1
+        assert len(searches) == 1
+
+
+def _run_benchmarks():
+    """scripts/run_benchmarks.py as a module."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "run_benchmarks", os.path.join(root, "scripts", "run_benchmarks.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 class TestBatch:
     def _manifest(self, tmp_path):
@@ -199,6 +228,38 @@ class TestBatch:
         assert not ok
         assert text.split("\n")[2] == ("fpa,junk.json,,,,,,,"
                                        "error: Expecting value: line 1 column 1 (char 0)")
+
+    def test_shared_runs_match_runs_one_by_one(self, tmp_path):
+        manifest = _run_benchmarks().build_corpus(str(tmp_path), 25)
+        buf = io.StringIO()
+        writer = csv_writer(buf)
+        for entry in manifest["runs"]:
+            instance = load_instance(str(tmp_path / entry["instance"]))
+            writer.writerow(report_row(run(instance, entry["algo"], b=entry.get("b"))))
+        text, _ = batch(manifest, base_dir=str(tmp_path))
+        assert text == buf.getvalue()
+
+    @pytest.mark.parametrize("name", ["missing.json", "junk.json"])
+    def test_unreadable_file_twice_gives_two_equal_error_rows(self, tmp_path, name):
+        manifest = self._manifest(tmp_path)
+        (tmp_path / "junk.json").write_text("not json")
+        manifest["runs"][1:1] = [{"instance": name, "algo": "fpa"}] * 2
+        text, ok = batch(manifest, base_dir=str(tmp_path))
+        lines = text.split("\n")
+        assert not ok
+        assert lines[2] == lines[3]
+        assert lines[2].startswith(f"fpa,{name},,,,,,,error: ")
+        assert lines[4].startswith("greedy_truncated,")
+
+    def test_a_b_a_reloads_a(self, tmp_path, monkeypatch):
+        manifest = self._manifest(tmp_path)
+        a, b = manifest["runs"][0], manifest["runs"][2]
+        manifest["runs"] = [a, b, a]
+        loads = count_calls(monkeypatch, harness.load_instance)
+        lines = batch(manifest, base_dir=str(tmp_path))[0].splitlines()
+        assert len(loads) == 3
+        assert lines[1] == lines[3]
+        assert lines[1].startswith("greedy_opt,path_family_n40_i2,12,")
 
 
 class TestCli:
@@ -283,6 +344,50 @@ class TestCli:
         inst_path.write_text(json.dumps(data))
         assert main(["run", str(inst_path), "--algo", "greedy_opt"]) == 2
         assert "'nodes'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("requests", 1, "color"), "1", "request 2 field 'color'"),
+        (("requests", 1, "color"), True, "request 2 field 'color'"),
+        (("requests", 0, "node"), ["u"], "request 1 field 'node'"),
+        (("requests",), 5, "instance field 'requests'"),
+        (("name",), ["x"], "instance field 'name'"),
+        (("graph", "nodes"), [["u"], "w"], "graph field 'nodes'"),
+        (("graph", "edges"), [["u"]], "graph field 'edges'"),
+        (("graph", "edges"), [["u", ["w"]]], "graph field 'edges'"),
+        (("graph", "partition"), [], "graph field 'partition'"),
+        (("graph", "cells"), [], "graph field 'cells'"),
+        (("graph", "cells", "u"), [0], "cell 'u'"),
+        (("graph", "cells", "u"), ["0", 0], "cell 'u'"),
+        (("graph", "cells", "u"), [0, False], "cell 'u'"),
+    ])
+    def test_wrong_type_field_exits_2(self, tmp_path, capsys, path, value, field):
+        graph = ({"kind": "hexagonal", "cells": {"u": [0, 0], "w": [1, 0]}}
+                 if "cells" in path else
+                 {"kind": "bipartite", "nodes": ["u", "w"], "edges": [["u", "w"]],
+                  "partition": {"u": "L", "w": "U"}})
+        data = {"graph": graph, "name": "bad", "requests": [
+            {"node": "u", "op": "color"}, {"node": "u", "op": "cancel", "color": 1}]}
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(MalformedInstanceError, match=f"{field} must be"):
+            instance_from_dict(data)
+
+        inst_path = tmp_path / "bad.json"
+        inst_path.write_text(json.dumps(data))
+        log_path = tmp_path / "log.json"
+        log_path.write_text(json.dumps({"actions": []}))
+        for argv in (["run", str(inst_path), "--algo", "trivial"], ["opt", str(inst_path)],
+                     ["verify", str(inst_path), str(log_path)]):
+            assert main(argv) == 2
+            assert field in capsys.readouterr().err
+        text, ok = batch({"runs": [{"instance": "bad.json", "algo": "trivial"}]},
+                         base_dir=str(tmp_path))
+        assert not ok
+        row = next(csv.DictReader(io.StringIO(text)))
+        assert row["algorithm"] == "trivial" and row["instance"] == "bad.json"
+        assert row["status"].startswith(f"error: {field} must be")
 
     def test_verify_log_missing_color_exits_2(self, tmp_path, capsys):
         inst_path = str(tmp_path / "i0.json")

@@ -1,11 +1,14 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from multicolor.adversary import path_family, random_instance
 from multicolor.advice import enc, enc_len
 from multicolor.errors import BudgetExceededError, DomainError
-from multicolor.graph import build_bipartite, build_hexagonal, build_path
-from multicolor.instance import Instance, Request, demand, validate_full
+from multicolor.graph import (HEX_OFFSETS, build_bipartite, build_hexagonal, build_path,
+                              maximal_cliques)
+from multicolor.instance import Instance, Request, demand, demand_clique_weight, validate_full
 from multicolor.oracle import (
     advice_43,
     advice_cancel,
@@ -251,3 +254,153 @@ def test_omega_bounds_opt_on_hex(seed):
 def test_path_family_all_opts():
     for i, inst in enumerate(path_family(40)):
         assert opt_exact(inst).opt_value == 10 + i
+
+
+def milp_opt(instance):
+    """Opt by a 0/1 program solved with scipy's HiGHS, independent of
+    opt_exact: x[v, c] says node v holds color c, y[c] that color c is in
+    use; minimize the colors in use.  Every maximal clique holds a color at
+    most once, and only a color in use.  A greedy coloring needs at most
+    max(n_v + the demands of v's neighbours) colors, so that many suffice."""
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+
+    g, dem = instance.graph, demand(instance)
+    active = [v for v in g.nodes if dem[v] > 0]
+    if not active:
+        return 0
+    top = max(dem[v] + sum(dem[u] for u in g.neighbors(v)) for v in active)
+    col = {v: i * top for i, v in enumerate(active)}  # x[v, c] is column col[v] + c
+    y = len(active) * top                            # y[c] is column y + c
+    rows, lower, upper = [], [], []
+
+    def add(coefficients, lo, hi):
+        row = np.zeros(y + top)
+        for j, a in coefficients:
+            row[j] += a
+        rows.append(row)
+        lower.append(lo)
+        upper.append(hi)
+
+    for v in active:
+        add([(col[v] + c, 1) for c in range(top)], dem[v], dem[v])
+    for clique in maximal_cliques(g):
+        members = [v for v in clique if v in col]
+        for c in range(top):
+            if members:
+                add([(col[v] + c, 1) for v in members] + [(y + c, -1)], -np.inf, 0)
+    for c in range(top - 1):  # colors come into use in order
+        add([(y + c + 1, 1), (y + c, -1)], -np.inf, 0)
+    cost = np.zeros(y + top)
+    cost[y:] = 1
+    result = optimize.milp(cost, integrality=np.ones(y + top),
+                           bounds=optimize.Bounds(0, 1),
+                           constraints=optimize.LinearConstraint(np.array(rows), lower, upper))
+    assert result.success
+    return round(result.fun)
+
+
+def reference_opt_exact(instance):
+    """opt_exact's search written on Python sets, with every candidate list
+    built in full and sorted: the reference for its witness."""
+
+    g, dem = instance.graph, demand(instance)
+    active = [v for v in g.nodes if dem[v] > 0]
+    omega = max((sum(dem[v] for v in c) for c in maximal_cliques(g)), default=0)
+    order = sorted(active, key=lambda v: (-dem[v], v))
+    neighbors = {v: [u for u in g.neighbors(v) if dem[u] > 0] for v in order}
+    cliques = [c & set(active) for c in maximal_cliques(g)]
+    cliques = [c for c in cliques if len(c) >= 2]
+
+    def candidates(avail, k, used):
+        used_avail = [c for c in avail if c in used]
+        fresh = [c for c in avail if c not in used]
+        return sorted(tuple(sorted(comb + tuple(fresh[:k - s])))
+                      for s in range(min(k, len(used_avail)) + 1) if k - s <= len(fresh)
+                      for comb in combinations(used_avail, s))
+
+    def search(size):
+        assigned = {}
+
+        def avail_for(v):
+            blocked = set().union(*(assigned.get(u, ()) for u in neighbors[v]))
+            return [c for c in range(1, size + 1) if c not in blocked]
+
+        def forward_ok(rest):
+            avail = {v: set(avail_for(v)) for v in rest}
+            if any(len(avail[v]) < dem[v] for v in rest):
+                return False
+            for clique in cliques:
+                open_nodes = clique & set(rest)
+                if len(open_nodes) >= 2 and sum(dem[v] for v in open_nodes) > len(
+                        set().union(*(avail[v] for v in open_nodes))):
+                    return False
+            return True
+
+        def backtrack(idx):
+            if idx == len(order):
+                return True
+            v = order[idx]
+            avail = avail_for(v)
+            if len(avail) < dem[v]:
+                return False
+            if any(u not in assigned for u in neighbors[v]):
+                options = candidates(avail, dem[v], set().union(*assigned.values()))
+            else:
+                options = [tuple(avail[:dem[v]])]
+            for option in options:
+                assigned[v] = frozenset(option)
+                if forward_ok(order[idx + 1:]) and backtrack(idx + 1):
+                    return True
+                del assigned[v]
+            return False
+
+        return assigned if backtrack(0) else None
+
+    size = omega
+    while (witness := search(size)) is None:
+        size += 1
+    return size, {v: witness.get(v, frozenset()) for v in g.nodes}
+
+
+def hex_ring_9(d):
+    """The induced 9-cycle around three mutually adjacent cells, d requests
+    per node: omega = 2d, but a color holds at most 4 of the 9 nodes, so
+    Opt = ceil(9d / 4) > omega."""
+
+    centers = {(0, 0), (1, 0), (0, 1)}
+    ring = {(q + dq, r + dr) for q, r in centers for dq, dr in HEX_OFFSETS} - centers
+    g = build_hexagonal({f"c{i}": cell for i, cell in enumerate(sorted(ring))})
+    return Instance(g, tuple(Request(v, "color") for v in g.nodes for _ in range(d)),
+                    name=f"hex_ring_9_d{d}")
+
+
+SMALL_EXACT_INSTANCES = (
+    [hex_ring_9(d) for d in (1, 2, 3, 4)]
+    + [random_instance("hexagonal", seed=s, n_nodes=10, n_requests=30) for s in range(40)]
+    + [random_instance("hexagonal", seed=s, n_nodes=14, n_requests=40, grid_extent=5)
+       for s in range(10)]
+    + [random_instance("bipartite", seed=s, n_nodes=8, n_requests=24) for s in range(20)]
+    + [random_instance("bipartite", seed=s, n_nodes=14, n_requests=40, edge_density=0.3)
+       for s in range(10)]
+)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hex_ring_9_opt_exceeds_omega(d):
+    inst = hex_ring_9(d)
+    assert opt_exact(inst).opt_value == -(-9 * d // 4) > demand_clique_weight(inst) == 2 * d
+
+
+@pytest.mark.parametrize("inst", SMALL_EXACT_INSTANCES,
+                         ids=lambda inst: f"{inst.name}_v{len(inst.graph.nodes)}")
+def test_opt_exact_matches_milp_and_reference(inst):
+    """Opt against an independent 0/1 program; the witness is a proper
+    coloring with exact demands, and the one the set-based search finds."""
+    witness = opt_exact(inst)
+    assert witness.opt_value == milp_opt(inst)
+    dem = demand(inst)
+    assert all(len(witness.coloring[v]) == dem[v] for v in inst.graph.nodes)
+    assert validate_full(inst, witness_actions(inst, witness.coloring)) is None
+    assert max(max(s) for s in witness.coloring.values() if s) == witness.opt_value
+    assert (witness.opt_value, witness.coloring) == reference_opt_exact(inst)

@@ -9,8 +9,6 @@ A codeword for x >= 0 has three consecutive parts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import TapeUnderrunError
 
 
@@ -41,16 +39,27 @@ def _to_fixed(value: int, width: int) -> list[int]:
     return [(value >> (width - 1 - i)) & 1 for i in range(width)]
 
 
-@dataclass
 class AdviceTape:
     """Append-only bit sequence with a read cursor.
 
     high_water counts bits consumed; reading past the written prefix raises
-    (the oracle must have written enough).
+    (the oracle must have written enough).  Mutable, so equal by value but
+    not hashable.
     """
 
-    bits: list[int] = field(default_factory=list)
-    cursor: int = 0
+    __slots__ = ("bits", "cursor")
+
+    def __init__(self, bits: list[int] | None = None, cursor: int = 0):
+        self.bits = [] if bits is None else bits
+        self.cursor = cursor
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.bits, self.cursor) == (other.bits, other.cursor)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"AdviceTape(bits={self.bits!r}, cursor={self.cursor!r})"
 
     @classmethod
     def from_string(cls, s: str) -> "AdviceTape":

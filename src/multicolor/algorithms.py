@@ -5,14 +5,12 @@ action per request (a ColorAction, or a CancelAction for cancellations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 from . import oracle
 from .advice import AdviceTape, dec, enc_len
 from .errors import AdviceError, CapacityExceededError, DomainError
 from .graph import BORROW_FROM, PALETTE_START, Graph
 from .instance import CancelAction, ColorAction
+from .value import Value, setters
 
 
 def _require_kind(graph: Graph, kinds, algo):
@@ -192,16 +190,21 @@ def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class Algorithm:
+class Algorithm(Value):
     """An online player and its advice: play(graph, tape, requests, b) runs the
     player, advise(instance, optimum, b) writes its tape from the run's shared
     oracle.Optimum, and bound(instance, optimum, b) is the declared worst-case
     tape length, None if unknown.  b is greedy_truncated's width."""
 
-    play: Callable
-    advise: Callable
-    bound: Callable
+    __slots__ = __match_args__ = ("play", "advise", "bound")
+
+    def __init__(self, play, advise, bound):
+        _set_algorithm_play(self, play)
+        _set_algorithm_advise(self, advise)
+        _set_algorithm_bound(self, bound)
+
+
+_set_algorithm_play, _set_algorithm_advise, _set_algorithm_bound = setters(Algorithm)
 
 
 def _width(b):

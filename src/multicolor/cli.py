@@ -11,7 +11,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import json
 import os
@@ -86,7 +85,7 @@ def cmd_run(args):
     report = harness.run(instance, args.algo, b=args.b,
                          max_nodes=max_nodes, max_requests=max_requests)
     if args.format == "json":
-        text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(report.asdict(), indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
         harness.csv_writer(buf).writerow(harness.report_row(report))
@@ -110,7 +109,7 @@ def cmd_verify(args):
         _write_out(json.dumps({"verdict": "ok"}) + "\n", args.out)
         return 0
     _write_out(json.dumps({"verdict": "violation",
-                           "violation": dataclasses.asdict(violation)}) + "\n", args.out)
+                           "violation": violation.asdict()}) + "\n", args.out)
     return 1
 
 

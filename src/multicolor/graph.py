@@ -9,7 +9,6 @@ gets one of three classes R/G/B via (q - r) mod 3, which yields a proper
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import (
@@ -18,6 +17,7 @@ from .errors import (
     NotBipartiteError,
     UnknownNodeError,
 )
+from .value import Value, setters
 
 HEX_OFFSETS = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)})
 
@@ -29,29 +29,40 @@ BORROW_FROM = {"R": "G", "G": "B", "B": "R"}
 PALETTE_START = {"R": 1, "G": 2, "B": 3}
 
 
-@dataclass(frozen=True)
-class CellCoord:
-    q: int
-    r: int
+class CellCoord(Value):
+    __slots__ = __match_args__ = ("q", "r")
+
+    def __init__(self, q: int, r: int):
+        _set_cell_q(self, q)
+        _set_cell_r(self, r)
 
     def is_adjacent(self, other: "CellCoord") -> bool:
         return (other.q - self.q, other.r - self.r) in HEX_OFFSETS
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable graph with a kind tag and kind-specific annotations.
+_set_cell_q, _set_cell_r = setters(CellCoord)
+
+
+class Graph(Value):
+    """Immutable graph with a kind tag ("path" | "bipartite" | "hexagonal"),
+    its nodes (a tuple), its edges (a frozenset of frozenset pairs) and
+    kind-specific annotations.
 
     partition maps node -> "L"/"U" for path and bipartite graphs;
     cell_of and class_of are populated for hexagonal graphs only.
     """
 
-    kind: str  # "path" | "bipartite" | "hexagonal"
-    nodes: tuple[str, ...]
-    edges: frozenset[frozenset]
-    partition: dict = field(default_factory=dict)
-    cell_of: dict = field(default_factory=dict)
-    class_of: dict = field(default_factory=dict)
+    __match_args__ = ("kind", "nodes", "edges", "partition", "cell_of", "class_of")
+    __slots__ = __match_args__ + ("__dict__",)  # __dict__ holds the cached properties
+
+    def __init__(self, kind: str, nodes: tuple, edges: frozenset, partition: dict | None = None,
+                 cell_of: dict | None = None, class_of: dict | None = None):
+        _set_graph_kind(self, kind)
+        _set_graph_nodes(self, nodes)
+        _set_graph_edges(self, edges)
+        _set_graph_partition(self, {} if partition is None else partition)
+        _set_graph_cell_of(self, {} if cell_of is None else cell_of)
+        _set_graph_class_of(self, {} if class_of is None else class_of)
 
     @cached_property
     def adjacency(self) -> dict:
@@ -91,6 +102,10 @@ class Graph:
 
     def edge_list(self) -> list[tuple[str, str]]:
         return sorted(tuple(sorted(e)) for e in self.edges)
+
+
+(_set_graph_kind, _set_graph_nodes, _set_graph_edges, _set_graph_partition, _set_graph_cell_of,
+ _set_graph_class_of) = setters(Graph)
 
 
 def build_path(k: int) -> Graph:

@@ -16,14 +16,14 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
 
 from .advice import AdviceTape
 from .algorithms import ALGORITHMS, run_player
 from .errors import (MalformedInstanceError, MalformedLogError, MalformedManifestError,
                      MultiColorError)
-from .graph import build_bipartite, build_hexagonal
+from .graph import Graph, build_bipartite, build_hexagonal
 from .instance import CancelAction, ColorAction, Instance, Request, validate_full
+from .value import Value, setters
 from . import oracle
 
 
@@ -57,9 +57,9 @@ def _field(record, key, where, error=MalformedInstanceError):
     return record[key]
 
 
-def _wrong_type(where, what, value):
-    """The MalformedInstanceError saying that `where` must be `what`."""
-    return MalformedInstanceError(f"{where} must be {what}, got {value!r}")
+def _wrong_type(where, what, value, error=MalformedInstanceError):
+    """The `error` saying that `where` must be `what`."""
+    return error(f"{where} must be {what}, got {value!r}")
 
 
 def _is_pair(value, item_type):
@@ -109,7 +109,7 @@ def instance_from_dict(data: dict) -> Instance:
             raise _wrong_type("graph field 'partition'", "an object", partition)
         graph = build_bipartite(nodes, edges, partition)
         if kind == "path":
-            graph = replace(graph, kind="path", nodes=tuple(nodes))
+            graph = Graph("path", tuple(nodes), graph.edges, graph.partition)
     else:
         raise MalformedInstanceError(f"unknown graph kind {kind!r}")
     requests = _field(data, "requests", "instance")
@@ -151,44 +151,76 @@ def actions_to_dicts(actions) -> list[dict]:
     return out
 
 
+def _action(a, i):
+    """Action i (from 1) of an assignment log, its field types checked."""
+    where = f"action {i}"
+    op = _field(a, "op", where, MalformedLogError)
+    if op == "color":
+        color = _field(a, "color", where, MalformedLogError)
+        if type(color) is not int:
+            raise _wrong_type(f"{where} field 'color'", "an integer", color, MalformedLogError)
+        return ColorAction(color)
+    if op != "cancel":
+        raise _wrong_type(f"{where} field 'op'", "'color' or 'cancel'", op, MalformedLogError)
+    rec = a.get("recolor")
+    if rec is not None and not _is_pair(rec, int):
+        raise _wrong_type(f"{where} field 'recolor'", "null or a pair of integers", rec,
+                          MalformedLogError)
+    return CancelAction(recolor=None if rec is None else tuple(rec))
+
+
 def actions_from_dicts(items) -> list:
-    actions = []
-    for a in items:
-        if _field(a, "op", "action", MalformedLogError) == "color":
-            actions.append(ColorAction(_field(a, "color", "color action", MalformedLogError)))
-        else:
-            rec = a.get("recolor")
-            actions.append(CancelAction(recolor=tuple(rec) if rec else None))
-    return actions
+    """The actions of a decoded log.  A missing field or a field of the wrong
+    type raises MalformedLogError naming the action and the field."""
+    return [_action(a, i) for i, a in enumerate(items, 1)]
 
 
 def load_log(path: str) -> list:
     """The actions of an assignment log file {"actions": [...]}."""
-    return actions_from_dicts(_field(_load_json(path, MalformedLogError), "actions", "log",
-                                     MalformedLogError))
+    items = _field(_load_json(path, MalformedLogError), "actions", "log", MalformedLogError)
+    if not isinstance(items, list):
+        raise _wrong_type("log field 'actions'", "a list", items, MalformedLogError)
+    return actions_from_dicts(items)
 
 
 # ---------------------------------------------------------------------------
 # running
 
-@dataclass(frozen=True)
-class RunReport:
-    algorithm: str
-    instance: str
-    max_color: int
-    distinct_colors: int
-    advice_bits_read: int
-    opt_value: int | None
-    strict_ratio: float | None
-    valid: bool
-    advice_bound: int | None
-    runtime_millis: float = field(compare=False, default=0.0)
+class RunReport(Value):
+    """The measurements of one run.  Equality ignores runtime_millis, so
+    reruns compare equal."""
+
+    __slots__ = __match_args__ = (
+        "algorithm", "instance", "max_color", "distinct_colors", "advice_bits_read",
+        "opt_value", "strict_ratio", "valid", "advice_bound", "runtime_millis")
+
+    def __init__(self, algorithm: str, instance: str, max_color: int, distinct_colors: int,
+                 advice_bits_read: int, opt_value: int | None, strict_ratio: float | None,
+                 valid: bool, advice_bound: int | None, runtime_millis: float = 0.0):
+        _set_report_algorithm(self, algorithm)
+        _set_report_instance(self, instance)
+        _set_report_max_color(self, max_color)
+        _set_report_distinct_colors(self, distinct_colors)
+        _set_report_advice_bits_read(self, advice_bits_read)
+        _set_report_opt_value(self, opt_value)
+        _set_report_strict_ratio(self, strict_ratio)
+        _set_report_valid(self, valid)
+        _set_report_advice_bound(self, advice_bound)
+        _set_report_runtime_millis(self, runtime_millis)
+
+    def _key(self) -> tuple:
+        return self._fields()[:-1]  # all but runtime_millis
 
     @property
     def ok(self) -> bool:
         """Valid, and within the declared advice bound when there is one."""
         return self.valid and (self.advice_bound is None
                                or self.advice_bits_read <= self.advice_bound)
+
+
+(_set_report_algorithm, _set_report_instance, _set_report_max_color, _set_report_distinct_colors,
+ _set_report_advice_bits_read, _set_report_opt_value, _set_report_strict_ratio,
+ _set_report_valid, _set_report_advice_bound, _set_report_runtime_millis) = setters(RunReport)
 
 
 def make_advice(instance: Instance, algo: str, b: int | None = None,
@@ -269,6 +301,22 @@ def csv_writer(out) -> csv.DictWriter:
     return writer
 
 
+def _run_entry(entry, i):
+    """(instance file, b) of manifest run i (from 1), its field types checked."""
+    where = f"run {i}"
+    if not isinstance(entry, dict):
+        raise _wrong_type(where, "an object", entry, MalformedManifestError)
+    path = _field(entry, "instance", where, MalformedManifestError)
+    algo, b = entry.get("algo"), entry.get("b")
+    if not isinstance(path, str):
+        raise _wrong_type(f"{where} field 'instance'", "a string", path, MalformedManifestError)
+    if algo is not None and not isinstance(algo, str):
+        raise _wrong_type(f"{where} field 'algo'", "a string", algo, MalformedManifestError)
+    if b is not None and type(b) is not int:
+        raise _wrong_type(f"{where} field 'b'", "an integer", b, MalformedManifestError)
+    return path, b
+
+
 def batch(manifest: dict, base_dir: str = ".") -> tuple[str, bool]:
     """Run every manifest entry; returns (csv_text, all_ok).
 
@@ -278,21 +326,27 @@ def batch(manifest: dict, base_dir: str = ".") -> tuple[str, bool]:
     and its offline optimum (one oracle.Optimum); only the last file loaded
     is kept.
     """
+    runs = _field(manifest, "runs", "manifest", MalformedManifestError)
+    if not isinstance(runs, list):
+        raise _wrong_type("manifest field 'runs'", "a list", runs, MalformedManifestError)
     buf = io.StringIO()
     writer = csv_writer(buf)
     all_ok = True
     loaded, instance, optimum = None, None, None  # the last file loaded, its instance and Optimum
-    for entry in _field(manifest, "runs", "manifest", MalformedManifestError):
-        algo = entry.get("algo", "?")
+    for i, entry in enumerate(runs, 1):
+        record = entry if isinstance(entry, dict) else {}
+        algo = record.get("algo", "?")
         try:
-            if entry["instance"] != loaded:
-                instance = load_instance(os.path.join(base_dir, entry["instance"]))
-                loaded, optimum = entry["instance"], oracle.Optimum(instance)
-            report = run(instance, algo, b=entry.get("b"), optimum=optimum)
+            path, b = _run_entry(entry, i)
+            if path != loaded:
+                instance = load_instance(os.path.join(base_dir, path))
+                loaded, optimum = path, oracle.Optimum(instance)
+            report = run(instance, algo, b=b, optimum=optimum)
             writer.writerow(report_row(report))
             all_ok = all_ok and report.ok
         except (MultiColorError, OSError, KeyError) as exc:
-            writer.writerow({"algorithm": algo, "instance": entry.get("instance", "?"),
+            writer.writerow({"algorithm": algo, "instance": record.get("instance", "?"),
                              "status": f"error: {exc}"})
             all_ok = False
     return buf.getvalue(), all_ok
+

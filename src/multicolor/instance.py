@@ -8,36 +8,39 @@ color of the same node (Algorithm-2 style 0-recoloring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .errors import MalformedInstanceError, MalformedLogError
 from .graph import Graph, maximal_cliques, clique_weight
+from .value import Value, setters
 
 
-@dataclass(frozen=True)
-class Request:
-    node: str
-    op: str  # "color" | "cancel"
-    cancel_color: int | None = None
+class Request(Value):
+    __slots__ = __match_args__ = ("node", "op", "cancel_color")
 
-    def __post_init__(self):
-        if self.op not in ("color", "cancel"):
-            raise MalformedInstanceError(f"unknown op {self.op!r}")
-        if self.op == "cancel" and (self.cancel_color is None or self.cancel_color < 1):
-            raise MalformedInstanceError("cancel request needs a color >= 1")
+    def __init__(self, node: str, op: str, cancel_color: int | None = None):
+        if op == "cancel":
+            if cancel_color is None or cancel_color < 1:
+                raise MalformedInstanceError("cancel request needs a color >= 1")
+        elif op != "color":
+            raise MalformedInstanceError(f"unknown op {op!r}")
+        _set_request_node(self, node)
+        _set_request_op(self, op)
+        _set_request_cancel_color(self, cancel_color)
 
 
-@dataclass(frozen=True)
-class Instance:
-    graph: Graph
-    requests: tuple[Request, ...]
-    name: str = "instance"
+_set_request_node, _set_request_op, _set_request_cancel_color = setters(Request)
 
-    def __post_init__(self):
-        node_set = set(self.graph.nodes)
-        for r in self.requests:
+
+class Instance(Value):
+    __slots__ = __match_args__ = ("graph", "requests", "name")
+
+    def __init__(self, graph: Graph, requests: tuple, name: str = "instance"):
+        node_set = set(graph.nodes)
+        for r in requests:
             if r.node not in node_set:
                 raise MalformedInstanceError(f"request to unknown node {r.node!r}")
+        _set_instance_graph(self, graph)
+        _set_instance_requests(self, requests)
+        _set_instance_name(self, name)
 
     @property
     def n(self) -> int:
@@ -47,37 +50,67 @@ class Instance:
         return any(r.op == "cancel" for r in self.requests)
 
 
-@dataclass(frozen=True)
-class ColorAction:
-    color: int
+_set_instance_graph, _set_instance_requests, _set_instance_name = setters(Instance)
 
 
-@dataclass(frozen=True)
-class CancelAction:
-    # recolor = (old_color, new_color) at the cancelled node, or None
-    recolor: tuple[int, int] | None = None
+class ColorAction(Value):
+    __slots__ = __match_args__ = ("color",)
+
+    def __init__(self, color: int):
+        _set_color_action_color(self, color)
 
 
-@dataclass(frozen=True)
-class Violation:
-    step: int
-    kind: str  # "edge-conflict" | "node-duplicate" | "bad-cancel" | "invalid-color"
-    node: str
-    color: int | None = None
-    other_node: str | None = None
+_set_color_action_color, = setters(ColorAction)
 
 
-@dataclass(frozen=True)
-class ColoringState:
-    graph: Graph
-    f: dict = field(default_factory=dict)  # node -> frozenset of live colors
-    step: int = 0
+class CancelAction(Value):
+    """recolor = (old_color, new_color) at the cancelled node, or None."""
+
+    __slots__ = __match_args__ = ("recolor",)
+
+    def __init__(self, recolor: tuple[int, int] | None = None):
+        _set_cancel_action_recolor(self, recolor)
+
+
+_set_cancel_action_recolor, = setters(CancelAction)
+
+
+class Violation(Value):
+    """kind is "edge-conflict" | "node-duplicate" | "bad-cancel" | "invalid-color"."""
+
+    __slots__ = __match_args__ = ("step", "kind", "node", "color", "other_node")
+
+    def __init__(self, step: int, kind: str, node: str, color: int | None = None,
+                 other_node: str | None = None):
+        _set_violation_step(self, step)
+        _set_violation_kind(self, kind)
+        _set_violation_node(self, node)
+        _set_violation_color(self, color)
+        _set_violation_other_node(self, other_node)
+
+
+(_set_violation_step, _set_violation_kind, _set_violation_node, _set_violation_color,
+ _set_violation_other_node) = setters(Violation)
+
+
+class ColoringState(Value):
+    """f maps node -> frozenset of live colors."""
+
+    __slots__ = __match_args__ = ("graph", "f", "step")
+
+    def __init__(self, graph: Graph, f: dict | None = None, step: int = 0):
+        _set_state_graph(self, graph)
+        _set_state_f(self, {} if f is None else f)
+        _set_state_step(self, step)
 
     def colors_at(self, v) -> frozenset:
         return self.f.get(v, frozenset())
 
     def max_color(self) -> int:
         return max((max(s) for s in self.f.values() if s), default=0)
+
+
+_set_state_graph, _set_state_f, _set_state_step = setters(ColoringState)
 
 
 def _serve(graph: Graph, f: dict, step: int, request: Request, action):
@@ -125,7 +158,7 @@ def apply_step(state: ColoringState, request: Request, action):
     if bad is not None:
         return bad
     f[v] = frozenset(f[v])
-    return replace(state, f=f, step=state.step + 1)
+    return ColoringState(state.graph, f, state.step + 1)
 
 
 def validate_full(instance: Instance, actions):
@@ -156,24 +189,34 @@ def demand(instance: Instance) -> dict:
 
 
 def peak_clique_load(instance: Instance) -> int:
-    """Maximum over time and maximal cliques of the live request count.  Only
-    a color request can raise it, and only in the cliques through its node."""
-    through = {v: [] for v in instance.graph.nodes}  # node -> the cliques containing it
-    for c in maximal_cliques(instance.graph):
+    """Maximum over time and maximal cliques of the live request count, kept
+    as one running load per clique: a request moves the loads of the
+    cliques through its node by one, and only a color request can raise
+    the peak."""
+    cliques = maximal_cliques(instance.graph)
+    through = {v: [] for v in instance.graph.nodes}  # node -> indices of the cliques containing it
+    for i, c in enumerate(cliques):
         for v in c:
-            through[v].append(c)
+            through[v].append(i)
+    load = [0] * len(cliques)
     live = {v: 0 for v in instance.graph.nodes}
     peak = 0
-    for i, r in enumerate(instance.requests):
+    for step, r in enumerate(instance.requests, 1):
+        v = r.node
         if r.op == "color":
-            live[r.node] += 1
-            peak = max(peak, *(sum(live[u] for u in c) for c in through[r.node]))
+            live[v] += 1
+            for i in through[v]:
+                load[i] += 1
+                if load[i] > peak:
+                    peak = load[i]
         else:
-            if live[r.node] == 0:
+            if live[v] == 0:
                 raise MalformedInstanceError(
-                    f"step {i + 1}: cancellation at {r.node!r} with no live request"
+                    f"step {step}: cancellation at {v!r} with no live request"
                 )
-            live[r.node] -= 1
+            live[v] -= 1
+            for i in through[v]:
+                load[i] -= 1
     return peak
 
 

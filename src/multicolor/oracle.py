@@ -4,7 +4,6 @@ advice-tape generators for every online player.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
@@ -24,15 +23,23 @@ from .instance import (
     peak_clique_load,
     validate_full,
 )
+from .value import Value, setters
 
 DEFAULT_MAX_NODES = 14
 DEFAULT_MAX_REQUESTS = 40
 
 
-@dataclass(frozen=True)
-class OptWitness:
-    opt_value: int
-    coloring: dict  # node -> frozenset of colors
+class OptWitness(Value):
+    """An optimal coloring: coloring maps node -> frozenset of colors."""
+
+    __slots__ = __match_args__ = ("opt_value", "coloring")
+
+    def __init__(self, opt_value: int, coloring: dict):
+        _set_witness_opt_value(self, opt_value)
+        _set_witness_coloring(self, coloring)
+
+
+_set_witness_opt_value, _set_witness_coloring = setters(OptWitness)
 
 
 def opt_exact(instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
@@ -274,16 +281,28 @@ def advice_fpa(instance: Instance, optimum: Optimum | None = None) -> AdviceTape
 # ---------------------------------------------------------------------------
 # the 4/3 plan and its bit stream
 
-@dataclass(frozen=True)
-class Plan43:
-    omega: int
-    q: int  # floor((omega+1)/3), the final private-palette size
-    phase1_count: dict  # node -> min(n_v, q)
-    borrow_count: dict  # node -> colors borrowed in phase 2
-    b_v: dict
-    n_prime: dict
-    in_g2: dict  # node -> bool
-    upper: dict  # node -> 0/1, defined for G2 nodes
+class Plan43(Value):
+    """q = floor((omega+1)/3) is the final private-palette size; per node:
+    phase1_count = min(n_v, q), borrow_count the colors borrowed in phase 2,
+    b_v, n_prime, in_g2 (a bool), and upper (0/1, defined for G2 nodes)."""
+
+    __slots__ = __match_args__ = ("omega", "q", "phase1_count", "borrow_count", "b_v",
+                                  "n_prime", "in_g2", "upper")
+
+    def __init__(self, omega: int, q: int, phase1_count: dict, borrow_count: dict, b_v: dict,
+                 n_prime: dict, in_g2: dict, upper: dict):
+        _set_plan_omega(self, omega)
+        _set_plan_q(self, q)
+        _set_plan_phase1_count(self, phase1_count)
+        _set_plan_borrow_count(self, borrow_count)
+        _set_plan_b_v(self, b_v)
+        _set_plan_n_prime(self, n_prime)
+        _set_plan_in_g2(self, in_g2)
+        _set_plan_upper(self, upper)
+
+
+(_set_plan_omega, _set_plan_q, _set_plan_phase1_count, _set_plan_borrow_count, _set_plan_b_v,
+ _set_plan_n_prime, _set_plan_in_g2, _set_plan_upper) = setters(Plan43)
 
 
 def plan_43(instance: Instance) -> Plan43:

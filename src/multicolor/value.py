@@ -1,0 +1,54 @@
+"""Base class of the package's immutable value types.
+
+A value type is a __slots__ class whose positional fields, in order, are its
+__match_args__.  Its __init__ checks the arguments and sets each field once
+through the slot's own setter, bound at module level by setters() (so
+`_set_cell_q` is `CellCoord.q.__set__`); that bypasses __setattr__, and costs
+about half of the object.__setattr__ call a frozen dataclass makes.  After
+__init__, assigning or deleting a field raises AttributeError.  Equality and
+hash go by _key() (every field, unless a type says otherwise), and repr lists
+the fields in order: `CellCoord(q=0, r=1)`.
+"""
+
+
+class Value:
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        """The field values, in constructor order."""
+        return tuple(getattr(self, f) for f in self.__match_args__)
+
+    def _key(self) -> tuple:
+        """What equality and hash compare."""
+        return self._fields()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return self.__class__, self._fields()
+
+    def asdict(self) -> dict:
+        """field name -> value, e.g. for a JSON report."""
+        return dict(zip(self.__match_args__, self._fields()))
+
+
+def setters(cls) -> tuple:
+    """The slot setters of cls's fields, in __match_args__ order."""
+    return tuple(getattr(cls, f).__set__ for f in cls.__match_args__)

@@ -262,6 +262,35 @@ class TestBatch:
         assert lines[1].startswith("greedy_opt,path_family_n40_i2,12,")
 
 
+    def test_golden_report(self, tmp_path):
+        # the CSV of `scripts/run_benchmarks.py --seeds 25`, byte for byte
+        manifest = _run_benchmarks().build_corpus(str(tmp_path), 25)
+        text, ok = batch(manifest, base_dir=str(tmp_path))
+        assert ok
+        with open(os.path.join(os.path.dirname(__file__), "data", "report_seeds25.csv")) as fh:
+            assert text == fh.read()
+
+    @pytest.mark.parametrize("entry, error", [
+        ("i2.json", "run 2 must be an object, got 'i2.json'"),
+        ({"algo": "fpa"}, "run 2 has no field 'instance'"),
+        ({"instance": 5, "algo": "fpa"}, "run 2 field 'instance' must be a string, got 5"),
+        ({"instance": "i2.json", "algo": ["fpa"]}, "run 2 field 'algo' must be a string"),
+        ({"instance": "i2.json", "algo": "greedy_truncated", "b": "3"},
+         "run 2 field 'b' must be an integer, got '3'"),
+        ({"instance": "i2.json", "algo": "greedy_truncated", "b": True},
+         "run 2 field 'b' must be an integer, got True"),
+    ])
+    def test_wrong_type_entry_is_an_error_row(self, tmp_path, entry, error):
+        manifest = self._manifest(tmp_path)
+        manifest["runs"].insert(1, entry)
+        text, ok = batch(manifest, base_dir=str(tmp_path))
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert not ok
+        assert len(rows) == 4
+        assert rows[1]["status"].startswith(f"error: {error}")
+        assert [r["status"] for r in rows[:1] + rows[2:]] == ["ok"] * 3  # the batch went on
+
+
 class TestCli:
     def test_gen_opt_run_verify(self, tmp_path, capsys):
         inst_path = str(tmp_path / "inst.json")
@@ -398,6 +427,51 @@ class TestCli:
         log_path.write_text(json.dumps({"actions": [{"op": "color"}]}))
         assert main(["verify", inst_path, str(log_path)]) == 2
         assert "'color'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action, field", [
+        ({"op": "color", "color": "x"}, "action 2 field 'color'"),
+        ({"op": "color", "color": True}, "action 2 field 'color'"),
+        ({"op": "paint", "color": 1}, "action 2 field 'op'"),
+        ({"op": "cancel", "recolor": 5}, "action 2 field 'recolor'"),
+        ({"op": "cancel", "recolor": [1]}, "action 2 field 'recolor'"),
+        ({"op": "cancel", "recolor": [1, "2"]}, "action 2 field 'recolor'"),
+        ({"op": "cancel", "recolor": [False, 2]}, "action 2 field 'recolor'"),
+    ])
+    def test_wrong_type_action_exits_2(self, tmp_path, capsys, action, field):
+        actions = [{"op": "color", "color": 1}, action]
+        with pytest.raises(MalformedLogError, match=f"{field} must be"):
+            actions_from_dicts(actions)
+        inst_path = str(tmp_path / "i0.json")
+        save_instance(path_family(40)[0], inst_path)
+        log_path = tmp_path / "log.json"
+        log_path.write_text(json.dumps({"actions": actions}))
+        assert main(["verify", inst_path, str(log_path)]) == 2
+        assert f"{field} must be" in capsys.readouterr().err
+
+    def test_log_actions_not_a_list_exits_2(self, tmp_path, capsys):
+        inst_path = str(tmp_path / "i0.json")
+        save_instance(path_family(40)[0], inst_path)
+        log_path = tmp_path / "log.json"
+        log_path.write_text(json.dumps({"actions": 5}))
+        assert main(["verify", inst_path, str(log_path)]) == 2
+        assert "log field 'actions' must be a list, got 5" in capsys.readouterr().err
+
+    def test_batch_wrong_type_entry_exits_1(self, tmp_path, capsys):
+        save_instance(path_family(40)[0], str(tmp_path / "i0.json"))
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps({"runs": [
+            "i0.json", {"instance": "i0.json", "algo": "greedy_opt"}]}))
+        out_path = tmp_path / "report.csv"
+        assert main(["batch", str(manifest_path), "--out", str(out_path)]) == 1
+        rows = list(csv.DictReader(io.StringIO(out_path.read_text())))
+        assert rows[0]["status"] == "error: run 1 must be an object, got 'i0.json'"
+        assert rows[1]["status"] == "ok"
+
+    def test_manifest_runs_not_a_list_exits_2(self, tmp_path, capsys):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps({"runs": 5}))
+        assert main(["batch", str(manifest_path)]) == 2
+        assert "manifest field 'runs' must be a list, got 5" in capsys.readouterr().err
 
     def test_non_json_instance_exits_2(self, tmp_path, capsys):
         junk = tmp_path / "junk.json"

@@ -103,9 +103,16 @@ def hex_54(p: int, branch: int) -> Instance:
     return Instance(graph=graph, requests=tuple(reqs), name=f"hex_54_p{p}_b{branch}")
 
 
+def _check_sizes(n_nodes, n_requests):
+    if n_nodes < 1 or n_requests < 0:
+        raise DomainError(f"a random instance needs at least 1 node and 0 requests, "
+                          f"got {n_nodes} and {n_requests}")
+
+
 def random_instance(kind: str, seed: int, n_nodes: int = 8, n_requests: int = 20,
                     edge_density: float = 0.5, grid_extent: int = 4) -> Instance:
     """Seeded random bipartite or hexagonal instance; identical for equal seeds."""
+    _check_sizes(n_nodes, n_requests)
     rng = random.Random(seed)
     if kind == "bipartite":
         nodes = [f"n{i}" for i in range(n_nodes)]
@@ -136,6 +143,7 @@ def random_cancel_instance(seed: int, n_nodes: int = 8, n_requests: int = 24,
     cancellation player maintains (L nodes hold {1..k}, U nodes hold
     {m-k+1..m} with m = the peak clique load), so the sequence is servable.
     """
+    _check_sizes(n_nodes, n_requests)
     rng = random.Random(seed)
     base = random_instance("bipartite", seed=seed ^ 0x5EED, n_nodes=n_nodes,
                            n_requests=0, edge_density=edge_density)

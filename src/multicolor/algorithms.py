@@ -96,13 +96,12 @@ def _private_palette(cls: str, size: int) -> set[int]:
     return set(range(PALETTE_START[cls], 3 * size + 1, 3))
 
 
-def fpa(graph: Graph, tape: AdviceTape, requests, strict_safety: bool = False) -> list:
+def fpa(graph: Graph, tape: AdviceTape, requests) -> list:
     """Fixed preference allocation with advice c = ceil(omega/2).
 
     Private palettes: R = 1..c, G = c+1..2c, B = 2c+1..3c.  Overflow borrows
     top-down from the next class.  The candidate set excludes only the node's
-    own colors, as the pseudocode states; strict_safety additionally excludes
-    neighbors' colors (and must never change the output on valid advice).
+    own colors, as the pseudocode states.
     """
     _require_kind(graph, ("hexagonal",), "fpa")
     c = dec(tape)
@@ -114,13 +113,9 @@ def fpa(graph: Graph, tape: AdviceTape, requests, strict_safety: bool = False) -
         v = r.node
         if r.op != "color":
             raise DomainError("fpa does not handle cancellations")
-        excluded = set(f[v])
-        if strict_safety:
-            for u in graph.neighbors(v):
-                excluded |= f[u]
         own = len(f[v]) < c
         cls = graph.class_of[v]
-        candidates = palette[cls if own else BORROW_FROM[cls]] - excluded
+        candidates = palette[cls if own else BORROW_FROM[cls]] - f[v]
         if not candidates:
             raise CapacityExceededError(
                 f"no {'private' if own else 'borrowable'} color left at {v!r}")
@@ -131,20 +126,25 @@ def fpa(graph: Graph, tape: AdviceTape, requests, strict_safety: bool = False) -
 
 
 def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
-    """4/3-competitive hexagonal player driven by the phase bit stream.
+    """4/3-competitive hexagonal player driven by the phase bit stream of
+    oracle.advice_43.
 
     Phase 1 uses interleaved private palettes that grow on demand; the first
-    stop bit anywhere freezes the palette size at q.  Phase 2 borrows the
-    highest borrow-class color free at the node and all its neighbors.
-    Phase 3 colors within [3q+1, 4q+1], top-down or bottom-up per the
-    partition bit.
+    stop bit anywhere freezes the palette size at q, and from then on a node
+    holding q private colors enters phase 2 without reading a bit.  Phase 2
+    borrows the highest borrow-class color free at the node and all its
+    neighbors.  Phase 3 colors above 3q: lower nodes bottom-up from 3q+1,
+    upper nodes top-down from omega+q, which the 2 bits d = omega-3q+1 after
+    the first upper partition bit give as 4q-1+d.  So no color exceeds
+    floor((4*omega+1)/3).
     """
     _require_kind(graph, ("hexagonal",), "hex43")
     size = 0          # current private palette size (per class)
     frozen = False    # set once any node leaves phase 1
+    top = None        # omega + q, known from the first upper node on
     phase = {v: 1 for v in graph.nodes}
-    window = {}       # node -> its phase-3 colors [3s+1, 4s+1]
     upper = {}
+    nxt = {}          # node -> its next phase-3 color
     f = {v: set() for v in graph.nodes}
     out = []
 
@@ -154,20 +154,16 @@ def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
             raise DomainError("hex43 does not handle cancellations")
         cls = graph.class_of[v]
         if phase[v] == 1:
-            if tape.read_bit() == 0:
+            if frozen and len(f[v]) == size:
+                phase[v] = 2
+            elif tape.read_bit() == 0:
                 own = _private_palette(cls, size) - f[v]
                 if not own:
-                    if frozen:
-                        raise AdviceError(
-                            f"{v!r} needs a private palette beyond the frozen size {size}"
-                        )
                     size += 1
                     own = _private_palette(cls, size) - f[v]
                 color = min(own)
             else:
-                s = len(f[v])
                 phase[v] = 2
-                window[v] = range(3 * s + 1, 4 * s + 2)
                 frozen = True
         if phase[v] == 2:
             if tape.read_bit() == 0:
@@ -179,12 +175,18 @@ def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
                 color = max(lender)
             else:
                 upper[v] = tape.read_bit()
+                if upper[v] and top is None:
+                    d = tape.read_fixed(2)
+                    if d == 3:
+                        raise AdviceError("hex43 header d must be 0, 1 or 2, got 3")
+                    top = 4 * size - 1 + d
+                nxt[v] = top if upper[v] else 3 * size + 1
                 phase[v] = 3
         if phase[v] == 3:
-            free = set(window[v]) - f[v]
-            if not free:
+            color = nxt[v]
+            if color <= 3 * size:
                 raise CapacityExceededError(f"phase-3 window exhausted at {v!r}")
-            color = max(free) if upper[v] == 1 else min(free)
+            nxt[v] += -1 if upper[v] else 1
         f[v].add(color)
         out.append(ColorAction(color))
     return out

@@ -96,6 +96,9 @@ def instance_from_dict(data: dict) -> Instance:
         nodes = _field(gd, "nodes", "graph")
         if not isinstance(nodes, list) or not all(isinstance(v, str) for v in nodes):
             raise _wrong_type("graph field 'nodes'", "a list of node names", nodes)
+        if len(set(nodes)) < len(nodes):
+            twice = next(v for i, v in enumerate(nodes) if v in nodes[:i])
+            raise MalformedInstanceError(f"graph field 'nodes' lists {twice!r} twice")
         if kind == "path":
             edges = gd.get("edges") or [[nodes[i], nodes[i + 1]] for i in range(len(nodes) - 1)]
             partition = gd.get("partition") or {
@@ -123,9 +126,10 @@ def instance_from_dict(data: dict) -> Instance:
 
 
 def save_instance(instance: Instance, path: str, tape: str | None = None) -> None:
+    # one write; json.dump would call fh.write once per encoder chunk
+    text = json.dumps(instance_to_dict(instance, tape=tape), indent=2, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(instance, tape=tape), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _load_json(path: str, error=MalformedInstanceError):

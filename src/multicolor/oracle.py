@@ -7,22 +7,10 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import islice
 
-from . import algorithms
 from .advice import AdviceTape, enc
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    InternalConsistencyError,
-    MultiColorError,
-)
-from .graph import BORROW_FROM, PALETTE_START, Graph, clique_weight, maximal_cliques
-from .instance import (
-    Instance,
-    demand,
-    demand_clique_weight,
-    peak_clique_load,
-    validate_full,
-)
+from .errors import BudgetExceededError, DomainError, InternalConsistencyError
+from .graph import BORROW_FROM, Graph, clique_weight, maximal_cliques
+from .instance import Instance, demand, demand_clique_weight, peak_clique_load
 from .value import Value, setters
 
 DEFAULT_MAX_NODES = 14
@@ -372,124 +360,36 @@ def _two_color(g: Graph, g2_nodes):
     return upper
 
 
-def _advice_43_standard(instance: Instance, plan: Plan43) -> AdviceTape:
-    tape = AdviceTape()
-    phase = {v: 1 for v in instance.graph.nodes}
-    used = {v: 0 for v in instance.graph.nodes}       # phase-1 colors given
-    borrowed = {v: 0 for v in instance.graph.nodes}   # phase-2 colors given
-    for r in instance.requests:
-        v = r.node
-        if phase[v] == 1:
-            if used[v] < plan.phase1_count[v]:
-                tape.write([0])
-                used[v] += 1
-                continue
-            tape.write([1])
-            phase[v] = 2
-        if phase[v] == 2:
-            if borrowed[v] < plan.borrow_count[v]:
-                tape.write([0])
-                borrowed[v] += 1
-                continue
-            tape.write([1, plan.upper[v]])
-            phase[v] = 3
-        # phase 3 requests consume no bits
-    return tape
-
-
-def _advice_43_with_quota(instance: Instance, palette_target: int) -> AdviceTape:
-    """Alternative tape: grow the private palettes to palette_target, cap each
-    node's private quota so no private color exceeds the 4/3 color bound, and
-    borrow greedily while the borrowed index stays above every lender-class
-    neighbor's quota.  The caller validates the resulting run."""
-    g = instance.graph
-    dem = demand(instance)
-    omega = clique_weight(g, dem)
-    bound = (4 * omega + 1) // 3
-    quota = {}
-    for v in g.nodes:
-        value_cap = max(0, (bound - PALETTE_START[g.class_of[v]]) // 3 + 1)
-        quota[v] = min(dem[v], palette_target, value_cap)
-    lender_cap = {}
-    for v in g.nodes:
-        lender = BORROW_FROM[g.class_of[v]]
-        lender_cap[v] = max(
-            (quota[u] for u in g.neighbors(v) if g.class_of[u] == lender), default=0
-        )
-
-    def simulate(upper):
-        tape = AdviceTape()
-        size = 0
-        frozen = False
-        phase = {v: 1 for v in g.nodes}
-        used = {v: 0 for v in g.nodes}
-        borrowed = {v: 0 for v in g.nodes}
-        p3 = []
-        for r in instance.requests:
-            v = r.node
-            if phase[v] == 1:
-                can_serve = used[v] < quota[v] and (used[v] < size or not frozen)
-                if can_serve:
-                    if used[v] == size:
-                        size += 1
-                    tape.write([0])
-                    used[v] += 1
-                    continue
-                tape.write([1])
-                frozen = True
-                phase[v] = 2
-            if phase[v] == 2:
-                if borrowed[v] < size - lender_cap[v]:
-                    tape.write([0])
-                    borrowed[v] += 1
-                    continue
-                if v not in upper:
-                    p3.append(v)
-                tape.write([1, upper.get(v, 0)])
-                phase[v] = 3
-        return tape, p3
-
-    _, p3 = simulate({})
-    upper = _two_color(g, sorted(p3))
-    tape, _ = simulate(upper)
-    return tape
-
-
-def _within_43_bound(instance: Instance, tape: AdviceTape, bound: int) -> bool:
-    """Run the phase-automaton player on a copy of the tape and check the
-    output is valid and the max color stays within bound."""
-    try:
-        copy = AdviceTape(bits=list(tape.bits))
-        actions = algorithms.hex43(instance.graph, copy, instance.requests)
-    except MultiColorError:
-        return False
-    if validate_full(instance, actions) is not None:
-        return False
-    return all(a.color <= bound for a in actions)
-
-
 def advice_43(instance: Instance) -> AdviceTape:
-    """Bit stream for the phase automaton: zeros for private/borrow steps,
-    stop bits at phase transitions, one partition bit per G2 node.
-    Total length is at most n + 2|V|.
+    """Bit stream for the phase automaton of algorithms.hex43, written from
+    plan_43: a 0 per private (phase-1) and per borrowed (phase-2) color, a 1
+    where a node leaves phase 2, then its partition bit (1 = upper).
 
-    The plan-derived tape can leave the max color at 4q+1, above the
-    floor((4*omega+1)/3) target, when omega is not 1 mod 3 and the leftover
-    bipartite part has an upper node.  In that case alternative tapes with a
-    larger private palette are tried; the first one whose simulated run is
-    valid and within the target wins, otherwise the standard tape is kept.
+    A 1 also ends phase 1 of the first node to leave it, which freezes the
+    palette at q; after that a node moves on silently once it holds q
+    private colors.  The first upper partition bit is followed by 2 bits
+    giving d = omega - 3q + 1, so upper nodes can color down from
+    omega + q = floor((4*omega+1)/3).  Total length is at most n + 2|V|.
     """
     plan = plan_43(instance)
-    tape = _advice_43_standard(instance, plan)
-    bound = (4 * plan.omega + 1) // 3
-    if _within_43_bound(instance, tape, bound):
-        return tape
-    for target in (plan.q + 1, plan.q + 2, plan.q + 3):
-        try:
-            candidate = _advice_43_with_quota(instance, target)
-        except (InternalConsistencyError, DomainError):
-            continue
-        if _within_43_bound(instance, candidate, bound):
-            return candidate
+    tape = AdviceTape()
+    frozen = header = False   # a stop bit has ended some phase 1; d is written
+    seen = {v: 0 for v in instance.graph.nodes}   # requests to each node so far
+    for r in instance.requests:
+        v = r.node
+        i, private = seen[v], plan.phase1_count[v]
+        end = private + plan.borrow_count[v]   # the request that ends phase 2
+        seen[v] += 1
+        if i == private and not frozen:
+            tape.write([1])
+            frozen = True
+        if i < end:
+            tape.write([0])
+        elif i == end:
+            tape.write([1, plan.upper[v]])
+            if plan.upper[v] and not header:
+                d = plan.omega - 3 * plan.q + 1
+                tape.write([d >> 1, d & 1])
+                header = True
+        # phase 3 requests consume no bits
     return tape
-

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,7 @@ from multicolor.algorithms import (
     run_player,
     trivial,
 )
-from multicolor.errors import CapacityExceededError, DomainError
+from multicolor.errors import AdviceError, CapacityExceededError, DomainError
 from multicolor.graph import build_bipartite, build_hexagonal, build_path
 from multicolor.harness import make_advice
 from multicolor.instance import (
@@ -185,11 +187,12 @@ class TestFpa:
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=50, deadline=None)
-    def test_strict_safety_flag_never_changes_output(self, seed):
+    def test_never_reuses_a_neighbor_color(self, seed):
+        # the candidate set excludes only the node's own colors, so validity
+        # shows that a neighbor's color is never picked
         inst = random_instance("hexagonal", seed=seed, n_nodes=9, n_requests=24)
-        plain = fpa(inst.graph, make_advice(inst, "fpa"), inst.requests)
-        strict = fpa(inst.graph, make_advice(inst, "fpa"), inst.requests, strict_safety=True)
-        assert plain == strict
+        acts = fpa(inst.graph, make_advice(inst, "fpa"), inst.requests)
+        assert validate_full(inst, acts) is None
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=50, deadline=None)
@@ -205,6 +208,44 @@ class TestFpa:
             own = range(base[cls] + 1, base[cls] + c + 1)
             lent = range(base[borrow[cls]] + 1, base[borrow[cls]] + c + 1)
             assert a.color in own or a.color in lent
+
+
+# cell shapes: an edge, three in a row, a triangle, four in a row, a diamond
+# (two triangles on an edge) and a bent row
+HEX_SHAPES = [
+    [(0, 0), (1, 0)],
+    [(0, 0), (1, 0), (2, 0)],
+    [(0, 0), (1, 0), (0, 1)],
+    [(0, 0), (1, 0), (2, 0), (3, 0)],
+    [(0, 0), (1, 0), (0, 1), (1, -1)],
+    [(0, 0), (1, 0), (2, 0), (2, -1)],
+]
+
+
+def row_instance(demands):
+    """Cells in a row, named a, b, c, ..., with the given demands, requests
+    issued node by node."""
+    g = build_hexagonal({chr(97 + i): (i, 0) for i in range(len(demands))})
+    reqs = tuple(Request(v, "color") for v, k in zip(g.nodes, demands) for _ in range(k))
+    return Instance(g, reqs, name="row_" + "_".join(map(str, demands)))
+
+
+def hex43_misses(inst):
+    """None if hex43 on its oracle tape is valid, stays within
+    floor((4*omega+1)/3) and n + 2|V| bits, and reads the whole tape; else
+    what went wrong."""
+    tape = make_advice(inst, "hex43")
+    acts = hex43(inst.graph, tape, inst.requests)
+    if validate_full(inst, acts) is not None:
+        return "invalid"
+    bound = (4 * demand_clique_weight(inst) + 1) // 3
+    if max(colors(acts), default=0) > bound:
+        return f"max color {max(colors(acts))} > {bound}"
+    if len(tape) > inst.n + 2 * len(inst.graph.nodes):
+        return f"{len(tape)} bits > n + 2|V|"
+    if not tape.exhausted():
+        return "tape not consumed"
+    return None
 
 
 class TestHex43:
@@ -226,17 +267,47 @@ class TestHex43:
     @settings(max_examples=60, deadline=None)
     def test_bounds_and_exact_consumption(self, seed):
         inst = random_instance("hexagonal", seed=seed, n_nodes=10, n_requests=30)
-        tape = make_advice(inst, "hex43")
-        acts = hex43(inst.graph, tape, inst.requests)
-        assert validate_full(inst, acts) is None
-        omega = demand_clique_weight(inst)
-        q = (omega + 1) // 3
-        if acts:
-            assert max(colors(acts)) <= max(4 * q + 1, 3 * max(
-                len([r for r in inst.requests if r.node == v]) for v in inst.graph.nodes
-            ))
+        assert hex43_misses(inst) is None
+
+    def test_skipped_stop_bit_and_header(self):
+        # a-b-c in a row (R, G, B), demands 2, 2, 1: omega = 4, q = 1, d = 2.
+        # a: 0 (color 1), then stop 1, leave phase 2 with 1, lower 0 (color 4).
+        # b: 0 (color 2); the palette is frozen and b holds q colors, so no
+        # stop bit: leave phase 2 with 1, upper 1, header d = 10 (color 5).
+        # c: 0 (color 3).
+        inst = row_instance((2, 2, 1))
+        assert make_advice(inst, "hex43").to_string() == "0110" "0" "11" "10" "0"
+        tape = AdviceTape.from_string("0110011100")
+        assert colors(hex43(inst.graph, tape, inst.requests)) == [1, 4, 2, 5, 3]
         assert tape.exhausted()
-        assert tape.high_water <= inst.n + 2 * len(inst.graph.nodes)
+        with pytest.raises(AdviceError):
+            hex43(inst.graph, AdviceTape.from_string("0110011110"), inst.requests)
+
+    @pytest.mark.parametrize("inst", [
+        *(random_instance("hexagonal", seed=s, n_nodes=10, n_requests=30, grid_extent=4)
+          for s in (39, 87, 318)),
+        random_instance("hexagonal", seed=391, n_nodes=16, n_requests=60, grid_extent=5),
+        row_instance((4, 5, 4)),
+        row_instance((3, 3, 3)),
+    ], ids=lambda inst: inst.name)
+    def test_former_misses(self, inst):
+        assert hex43_misses(inst) is None
+
+    def test_exhaustive_small_shapes(self):
+        # every demand vector in 0..7 on six shapes of 2-4 cells, requests
+        # issued node by node: 64 + 2 * 512 + 3 * 4096 = 13,376 instances
+        checked, misses = 0, []
+        for cells in HEX_SHAPES:
+            g = build_hexagonal({f"c{i}": cell for i, cell in enumerate(cells)})
+            for demands in product(range(8), repeat=len(cells)):
+                reqs = tuple(Request(v, "color") for v, k in zip(g.nodes, demands)
+                             for _ in range(k))
+                miss = hex43_misses(Instance(g, reqs))
+                checked += 1
+                if miss:
+                    misses.append((cells, demands, miss))
+        assert checked == 13376
+        assert misses == []
 
 
 PLAYERS = [

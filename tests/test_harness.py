@@ -512,6 +512,33 @@ class TestCli:
         assert main(argv) == 2
         assert "--budget must be NODES,REQUESTS, got '14'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, error", [
+        (["random", "--nodes", "-3"], "got -3 and 20"),
+        (["random", "--kind", "hexagonal", "--nodes", "0"], "got 0 and 20"),
+        (["random", "--requests", "-5"], "got 8 and -5"),
+        (["random_cancel", "--requests", "-5"], "got 8 and -5"),
+    ])
+    def test_gen_random_bad_size_exits_2(self, tmp_path, capsys, args, error):
+        out = tmp_path / "i.json"
+        assert main(["gen", *args, "--out", str(out)]) == 2
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_node_listed_twice_exits_2(self, tmp_path, capsys):
+        data = {"graph": {"kind": "bipartite", "nodes": ["n0", "n1", "n0"],
+                          "edges": [["n0", "n1"]], "partition": {"n0": "L", "n1": "U"}},
+                "requests": [{"node": "n0", "op": "color"}]}
+        error = "graph field 'nodes' lists 'n0' twice"
+        with pytest.raises(MalformedInstanceError, match=error):
+            instance_from_dict(data)
+        (tmp_path / "dup.json").write_text(json.dumps(data))
+        assert main(["run", str(tmp_path / "dup.json"), "--algo", "greedy_opt"]) == 2
+        assert error in capsys.readouterr().err
+        text, ok = batch({"runs": [{"instance": "dup.json", "algo": "greedy_opt"}]},
+                         base_dir=str(tmp_path))
+        assert not ok
+        assert next(csv.DictReader(io.StringIO(text)))["status"] == f"error: {error}"
+
     def test_bad_branch_exits_2(self, capsys):
         assert main(["gen", "hex_chain", "--branch", "1x"]) == 2
         assert "--branch must be digits, got '1x'" in capsys.readouterr().err

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -220,6 +223,22 @@ class TestPlan43:
         assert plan.omega == 4 and plan.q == 1
         assert plan.n_prime["a"] == 1 and plan.b_v["a"] == 0
         assert plan.in_g2["a"]
+
+
+def test_oracle_does_not_import_algorithms():
+    # load multicolor.oracle with an empty package, so that the package's
+    # own __init__ (which imports everything) does not hide what oracle loads
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, types; pkg = types.ModuleType('multicolor'); "
+            f"pkg.__path__ = [{os.path.join(src, 'multicolor')!r}]; "
+            "sys.modules['multicolor'] = pkg; import multicolor.oracle; "
+            "print(*sorted(m for m in sys.modules if m.startswith('multicolor.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "multicolor.oracle" in loaded
+    assert "multicolor.algorithms" not in loaded
 
 
 class TestAdvice43:

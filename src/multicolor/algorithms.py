@@ -10,7 +10,7 @@ from .advice import AdviceTape, dec, enc_len
 from .errors import AdviceError, CapacityExceededError, DomainError
 from .graph import BORROW_FROM, PALETTE_START, Graph
 from .instance import CancelAction, ColorAction
-from .value import Value, setters
+from .value import Value
 
 
 def _require_kind(graph: Graph, kinds, algo):
@@ -201,12 +201,7 @@ class Algorithm(Value):
     __slots__ = __match_args__ = ("play", "advise", "bound")
 
     def __init__(self, play, advise, bound):
-        _set_algorithm_play(self, play)
-        _set_algorithm_advise(self, advise)
-        _set_algorithm_bound(self, bound)
-
-
-_set_algorithm_play, _set_algorithm_advise, _set_algorithm_bound = setters(Algorithm)
+        self._init(play, advise, bound)
 
 
 def _width(b):

@@ -17,7 +17,7 @@ from .errors import (
     NotBipartiteError,
     UnknownNodeError,
 )
-from .value import Value, setters
+from .value import Value
 
 HEX_OFFSETS = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)})
 
@@ -33,14 +33,10 @@ class CellCoord(Value):
     __slots__ = __match_args__ = ("q", "r")
 
     def __init__(self, q: int, r: int):
-        _set_cell_q(self, q)
-        _set_cell_r(self, r)
+        self._init(q, r)
 
     def is_adjacent(self, other: "CellCoord") -> bool:
         return (other.q - self.q, other.r - self.r) in HEX_OFFSETS
-
-
-_set_cell_q, _set_cell_r = setters(CellCoord)
 
 
 class Graph(Value):
@@ -57,12 +53,8 @@ class Graph(Value):
 
     def __init__(self, kind: str, nodes: tuple, edges: frozenset, partition: dict | None = None,
                  cell_of: dict | None = None, class_of: dict | None = None):
-        _set_graph_kind(self, kind)
-        _set_graph_nodes(self, nodes)
-        _set_graph_edges(self, edges)
-        _set_graph_partition(self, {} if partition is None else partition)
-        _set_graph_cell_of(self, {} if cell_of is None else cell_of)
-        _set_graph_class_of(self, {} if class_of is None else class_of)
+        self._init(kind, nodes, edges, {} if partition is None else partition,
+                   {} if cell_of is None else cell_of, {} if class_of is None else class_of)
 
     @cached_property
     def adjacency(self) -> dict:
@@ -102,10 +94,6 @@ class Graph(Value):
 
     def edge_list(self) -> list[tuple[str, str]]:
         return sorted(tuple(sorted(e)) for e in self.edges)
-
-
-(_set_graph_kind, _set_graph_nodes, _set_graph_edges, _set_graph_partition, _set_graph_cell_of,
- _set_graph_class_of) = setters(Graph)
 
 
 def build_path(k: int) -> Graph:

@@ -23,7 +23,7 @@ from .errors import (MalformedInstanceError, MalformedLogError, MalformedManifes
                      MultiColorError)
 from .graph import Graph, build_bipartite, build_hexagonal
 from .instance import CancelAction, ColorAction, Instance, Request, validate_full
-from .value import Value, setters
+from .value import Value
 from . import oracle
 
 
@@ -51,8 +51,11 @@ def instance_to_dict(instance: Instance, tape: str | None = None) -> dict:
 
 
 def _field(record, key, where, error=MalformedInstanceError):
-    """record[key], or an `error` naming the missing field."""
-    if not isinstance(record, dict) or key not in record:
+    """record[key], or an `error` saying that `where` must be an object or
+    naming the missing field."""
+    if not isinstance(record, dict):
+        raise _wrong_type(where, "an object", record, error)
+    if key not in record:
         raise error(f"{where} has no field {key!r}")
     return record[key]
 
@@ -70,13 +73,25 @@ def _is_pair(value, item_type):
 
 def _request(r, i):
     """Request i (from 1) of an instance file, its field types checked."""
-    node, op = _field(r, "node", "request"), _field(r, "op", "request")
+    where = f"request {i}"
+    node, op = _field(r, "node", where), _field(r, "op", where)
     color = r.get("color")
     if not isinstance(node, str):
-        raise _wrong_type(f"request {i} field 'node'", "a string", node)
+        raise _wrong_type(f"{where} field 'node'", "a string", node)
     if op == "cancel" and type(color) is not int:
-        raise _wrong_type(f"request {i} field 'color'", "an integer", color)
+        raise _wrong_type(f"{where} field 'color'", "an integer", color)
     return Request(node=node, op=op, cancel_color=color)  # checks op
+
+
+def _node_names(gd):
+    """The graph's field 'nodes': node names, none listed twice."""
+    nodes = _field(gd, "nodes", "graph")
+    if not isinstance(nodes, list) or not all(isinstance(v, str) for v in nodes):
+        raise _wrong_type("graph field 'nodes'", "a list of node names", nodes)
+    if len(set(nodes)) < len(nodes):
+        twice = next(v for i, v in enumerate(nodes) if v in nodes[:i])
+        raise MalformedInstanceError(f"graph field 'nodes' lists {twice!r} twice")
+    return nodes
 
 
 def instance_from_dict(data: dict) -> Instance:
@@ -91,14 +106,18 @@ def instance_from_dict(data: dict) -> Instance:
         for v, c in cells.items():
             if not isinstance(v, str) or not _is_pair(c, int):
                 raise _wrong_type(f"cell {v!r}", "a pair of integers under a node name", c)
+        if "nodes" in gd:  # optional here; when given, it names each cell's node once
+            listed = set(_node_names(gd))
+            for v in cells:
+                if v not in listed:
+                    raise MalformedInstanceError(f"graph field 'nodes' does not list cell {v!r}")
+            extra = sorted(listed - cells.keys())
+            if extra:
+                raise MalformedInstanceError(f"graph field 'nodes' lists {extra[0]!r}, "
+                                             "which has no cell")
         graph = build_hexagonal({v: tuple(c) for v, c in cells.items()})
     elif kind in ("path", "bipartite"):
-        nodes = _field(gd, "nodes", "graph")
-        if not isinstance(nodes, list) or not all(isinstance(v, str) for v in nodes):
-            raise _wrong_type("graph field 'nodes'", "a list of node names", nodes)
-        if len(set(nodes)) < len(nodes):
-            twice = next(v for i, v in enumerate(nodes) if v in nodes[:i])
-            raise MalformedInstanceError(f"graph field 'nodes' lists {twice!r} twice")
+        nodes = _node_names(gd)
         if kind == "path":
             edges = gd.get("edges") or [[nodes[i], nodes[i + 1]] for i in range(len(nodes) - 1)]
             partition = gd.get("partition") or {
@@ -201,16 +220,8 @@ class RunReport(Value):
     def __init__(self, algorithm: str, instance: str, max_color: int, distinct_colors: int,
                  advice_bits_read: int, opt_value: int | None, strict_ratio: float | None,
                  valid: bool, advice_bound: int | None, runtime_millis: float = 0.0):
-        _set_report_algorithm(self, algorithm)
-        _set_report_instance(self, instance)
-        _set_report_max_color(self, max_color)
-        _set_report_distinct_colors(self, distinct_colors)
-        _set_report_advice_bits_read(self, advice_bits_read)
-        _set_report_opt_value(self, opt_value)
-        _set_report_strict_ratio(self, strict_ratio)
-        _set_report_valid(self, valid)
-        _set_report_advice_bound(self, advice_bound)
-        _set_report_runtime_millis(self, runtime_millis)
+        self._init(algorithm, instance, max_color, distinct_colors, advice_bits_read, opt_value,
+                   strict_ratio, valid, advice_bound, runtime_millis)
 
     def _key(self) -> tuple:
         return self._fields()[:-1]  # all but runtime_millis
@@ -220,11 +231,6 @@ class RunReport(Value):
         """Valid, and within the declared advice bound when there is one."""
         return self.valid and (self.advice_bound is None
                                or self.advice_bits_read <= self.advice_bound)
-
-
-(_set_report_algorithm, _set_report_instance, _set_report_max_color, _set_report_distinct_colors,
- _set_report_advice_bits_read, _set_report_opt_value, _set_report_strict_ratio,
- _set_report_valid, _set_report_advice_bound, _set_report_runtime_millis) = setters(RunReport)
 
 
 def make_advice(instance: Instance, algo: str, b: int | None = None,
@@ -308,8 +314,6 @@ def csv_writer(out) -> csv.DictWriter:
 def _run_entry(entry, i):
     """(instance file, b) of manifest run i (from 1), its field types checked."""
     where = f"run {i}"
-    if not isinstance(entry, dict):
-        raise _wrong_type(where, "an object", entry, MalformedManifestError)
     path = _field(entry, "instance", where, MalformedManifestError)
     algo, b = entry.get("algo"), entry.get("b")
     if not isinstance(path, str):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import MalformedInstanceError, MalformedLogError
 from .graph import Graph, maximal_cliques, clique_weight
-from .value import Value, setters
+from .value import Value
 
 
 class Request(Value):
@@ -22,12 +22,7 @@ class Request(Value):
                 raise MalformedInstanceError("cancel request needs a color >= 1")
         elif op != "color":
             raise MalformedInstanceError(f"unknown op {op!r}")
-        _set_request_node(self, node)
-        _set_request_op(self, op)
-        _set_request_cancel_color(self, cancel_color)
-
-
-_set_request_node, _set_request_op, _set_request_cancel_color = setters(Request)
+        self._init(node, op, cancel_color)
 
 
 class Instance(Value):
@@ -38,9 +33,7 @@ class Instance(Value):
         for r in requests:
             if r.node not in node_set:
                 raise MalformedInstanceError(f"request to unknown node {r.node!r}")
-        _set_instance_graph(self, graph)
-        _set_instance_requests(self, requests)
-        _set_instance_name(self, name)
+        self._init(graph, requests, name)
 
     @property
     def n(self) -> int:
@@ -50,17 +43,11 @@ class Instance(Value):
         return any(r.op == "cancel" for r in self.requests)
 
 
-_set_instance_graph, _set_instance_requests, _set_instance_name = setters(Instance)
-
-
 class ColorAction(Value):
     __slots__ = __match_args__ = ("color",)
 
     def __init__(self, color: int):
-        _set_color_action_color(self, color)
-
-
-_set_color_action_color, = setters(ColorAction)
+        self._init(color)
 
 
 class CancelAction(Value):
@@ -69,10 +56,7 @@ class CancelAction(Value):
     __slots__ = __match_args__ = ("recolor",)
 
     def __init__(self, recolor: tuple[int, int] | None = None):
-        _set_cancel_action_recolor(self, recolor)
-
-
-_set_cancel_action_recolor, = setters(CancelAction)
+        self._init(recolor)
 
 
 class Violation(Value):
@@ -82,15 +66,7 @@ class Violation(Value):
 
     def __init__(self, step: int, kind: str, node: str, color: int | None = None,
                  other_node: str | None = None):
-        _set_violation_step(self, step)
-        _set_violation_kind(self, kind)
-        _set_violation_node(self, node)
-        _set_violation_color(self, color)
-        _set_violation_other_node(self, other_node)
-
-
-(_set_violation_step, _set_violation_kind, _set_violation_node, _set_violation_color,
- _set_violation_other_node) = setters(Violation)
+        self._init(step, kind, node, color, other_node)
 
 
 class ColoringState(Value):
@@ -99,18 +75,13 @@ class ColoringState(Value):
     __slots__ = __match_args__ = ("graph", "f", "step")
 
     def __init__(self, graph: Graph, f: dict | None = None, step: int = 0):
-        _set_state_graph(self, graph)
-        _set_state_f(self, {} if f is None else f)
-        _set_state_step(self, step)
+        self._init(graph, {} if f is None else f, step)
 
     def colors_at(self, v) -> frozenset:
         return self.f.get(v, frozenset())
 
     def max_color(self) -> int:
         return max((max(s) for s in self.f.values() if s), default=0)
-
-
-_set_state_graph, _set_state_f, _set_state_step = setters(ColoringState)
 
 
 def _serve(graph: Graph, f: dict, step: int, request: Request, action):

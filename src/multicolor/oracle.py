@@ -11,7 +11,7 @@ from .advice import AdviceTape, enc
 from .errors import BudgetExceededError, DomainError, InternalConsistencyError
 from .graph import BORROW_FROM, Graph, clique_weight, maximal_cliques
 from .instance import Instance, demand, demand_clique_weight, peak_clique_load
-from .value import Value, setters
+from .value import Value
 
 DEFAULT_MAX_NODES = 14
 DEFAULT_MAX_REQUESTS = 40
@@ -23,11 +23,7 @@ class OptWitness(Value):
     __slots__ = __match_args__ = ("opt_value", "coloring")
 
     def __init__(self, opt_value: int, coloring: dict):
-        _set_witness_opt_value(self, opt_value)
-        _set_witness_coloring(self, coloring)
-
-
-_set_witness_opt_value, _set_witness_coloring = setters(OptWitness)
+        self._init(opt_value, coloring)
 
 
 def opt_exact(instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
@@ -279,18 +275,7 @@ class Plan43(Value):
 
     def __init__(self, omega: int, q: int, phase1_count: dict, borrow_count: dict, b_v: dict,
                  n_prime: dict, in_g2: dict, upper: dict):
-        _set_plan_omega(self, omega)
-        _set_plan_q(self, q)
-        _set_plan_phase1_count(self, phase1_count)
-        _set_plan_borrow_count(self, borrow_count)
-        _set_plan_b_v(self, b_v)
-        _set_plan_n_prime(self, n_prime)
-        _set_plan_in_g2(self, in_g2)
-        _set_plan_upper(self, upper)
-
-
-(_set_plan_omega, _set_plan_q, _set_plan_phase1_count, _set_plan_borrow_count, _set_plan_b_v,
- _set_plan_n_prime, _set_plan_in_g2, _set_plan_upper) = setters(Plan43)
+        self._init(omega, q, phase1_count, borrow_count, b_v, n_prime, in_g2, upper)
 
 
 def plan_43(instance: Instance) -> Plan43:

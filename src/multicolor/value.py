@@ -1,19 +1,26 @@
 """Base class of the package's immutable value types.
 
 A value type is a __slots__ class whose positional fields, in order, are its
-__match_args__.  Its __init__ checks the arguments and sets each field once
-through the slot's own setter, bound at module level by setters() (so
-`_set_cell_q` is `CellCoord.q.__set__`); that bypasses __setattr__, and costs
-about half of the object.__setattr__ call a frozen dataclass makes.  After
-__init__, assigning or deleting a field raises AttributeError.  Equality and
-hash go by _key() (every field, unless a type says otherwise), and repr lists
-the fields in order: `CellCoord(q=0, r=1)`.
+__match_args__; Value gives each subclass its slot setters, in that order, as
+`_setters`.  An __init__ checks its arguments and ends in one `self._init(...)`
+call, which sets each field once through its setter, bypassing __setattr__.
+After __init__, assigning or deleting a field raises AttributeError.  Equality
+and hash go by _key() (every field, unless a type says otherwise), and repr
+lists the fields in order: `CellCoord(q=0, r=1)`.
 """
 
 
 class Value:
     __slots__ = ()
     __match_args__ = ()
+
+    def __init_subclass__(cls):
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__match_args__)
+
+    def _init(self, *values):
+        """Set the fields, in __match_args__ order."""
+        for set_field, value in zip(self._setters, values, strict=True):
+            set_field(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -47,8 +54,3 @@ class Value:
     def asdict(self) -> dict:
         """field name -> value, e.g. for a JSON report."""
         return dict(zip(self.__match_args__, self._fields()))
-
-
-def setters(cls) -> tuple:
-    """The slot setters of cls's fields, in __match_args__ order."""
-    return tuple(getattr(cls, f).__set__ for f in cls.__match_args__)

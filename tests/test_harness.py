@@ -388,6 +388,9 @@ class TestCli:
         (("graph", "cells", "u"), [0], "cell 'u'"),
         (("graph", "cells", "u"), ["0", 0], "cell 'u'"),
         (("graph", "cells", "u"), [0, False], "cell 'u'"),
+        (("requests", 1), "u", "request 2"),
+        (("requests", 0), ["u", "color"], "request 1"),
+        (("graph",), ["u", "w"], "graph"),
     ])
     def test_wrong_type_field_exits_2(self, tmp_path, capsys, path, value, field):
         graph = ({"kind": "hexagonal", "cells": {"u": [0, 0], "w": [1, 0]}}
@@ -418,6 +421,19 @@ class TestCli:
         assert row["algorithm"] == "trivial" and row["instance"] == "bad.json"
         assert row["status"].startswith(f"error: {field} must be")
 
+    @pytest.mark.parametrize("request_, error", [
+        ({"op": "color"}, "request 3 has no field 'node'"),
+        ({"node": "v1"}, "request 3 has no field 'op'"),
+    ])
+    def test_missing_request_field_names_the_request(self, tmp_path, capsys, request_, error):
+        data = instance_to_dict(path_family(40)[0])
+        data["requests"][2] = request_
+        with pytest.raises(MalformedInstanceError, match=error):
+            instance_from_dict(data)
+        (tmp_path / "bad.json").write_text(json.dumps(data))
+        assert main(["run", str(tmp_path / "bad.json"), "--algo", "greedy_opt"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_verify_log_missing_color_exits_2(self, tmp_path, capsys):
         inst_path = str(tmp_path / "i0.json")
         save_instance(path_family(40)[0], inst_path)
@@ -436,6 +452,8 @@ class TestCli:
         ({"op": "cancel", "recolor": [1]}, "action 2 field 'recolor'"),
         ({"op": "cancel", "recolor": [1, "2"]}, "action 2 field 'recolor'"),
         ({"op": "cancel", "recolor": [False, 2]}, "action 2 field 'recolor'"),
+        (5, "action 2"),
+        (["color", 1], "action 2"),
     ])
     def test_wrong_type_action_exits_2(self, tmp_path, capsys, action, field):
         actions = [{"op": "color", "color": 1}, action]
@@ -538,6 +556,34 @@ class TestCli:
                          base_dir=str(tmp_path))
         assert not ok
         assert next(csv.DictReader(io.StringIO(text)))["status"] == f"error: {error}"
+
+    @pytest.mark.parametrize("nodes, error", [
+        (["a", "zz", "a"], "graph field 'nodes' lists 'a' twice"),
+        (["b"], "graph field 'nodes' does not list cell 'a'"),
+        (["b", "zz", "a"], "graph field 'nodes' lists 'zz', which has no cell"),
+        ("a", "graph field 'nodes' must be a list of node names, got 'a'"),
+    ])
+    def test_hexagonal_nodes_name_each_cell_once(self, tmp_path, capsys, nodes, error):
+        data = {"graph": {"kind": "hexagonal", "nodes": nodes,
+                          "cells": {"a": [0, 0], "b": [1, 0]}},
+                "requests": [{"node": "a", "op": "color"}]}
+        with pytest.raises(MalformedInstanceError, match=error):
+            instance_from_dict(data)
+        (tmp_path / "bad.json").write_text(json.dumps(data))
+        assert main(["run", str(tmp_path / "bad.json"), "--algo", "fpa"]) == 2
+        assert error in capsys.readouterr().err
+        text, ok = batch({"runs": [{"instance": "bad.json", "algo": "fpa"}]},
+                         base_dir=str(tmp_path))
+        assert not ok
+        assert next(csv.DictReader(io.StringIO(text)))["status"] == f"error: {error}"
+
+    def test_hexagonal_nodes_are_optional_and_in_any_order(self):
+        data = {"graph": {"kind": "hexagonal", "cells": {"a": [0, 0], "b": [1, 0]}},
+                "requests": [{"node": "a", "op": "color"}]}
+        expected = instance_from_dict(data)
+        data["graph"]["nodes"] = ["b", "a"]
+        assert instance_from_dict(data) == expected
+        assert expected.graph.nodes == ("a", "b")
 
     def test_bad_branch_exits_2(self, capsys):
         assert main(["gen", "hex_chain", "--branch", "1x"]) == 2

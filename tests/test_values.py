@@ -3,13 +3,16 @@ the reprs and constructor signatures they always had, and an import of the
 CLI that loads neither `dataclasses` nor `inspect`."""
 
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import multicolor
 from multicolor.advice import AdviceTape
 from multicolor.algorithms import Algorithm
 from multicolor.graph import CellCoord, Graph, build_hexagonal, build_path
@@ -23,6 +26,7 @@ from multicolor.instance import (
     Violation,
 )
 from multicolor.oracle import OptWitness, Plan43
+from multicolor.value import Value
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -58,6 +62,19 @@ MAKERS = {
 }
 HASHABLE = {"CellCoord", "Request", "ColorAction", "CancelAction", "Violation", "RunReport",
             "Algorithm"}
+
+
+def test_every_value_type_is_checked():
+    """Each Value subclass of the package has a maker, so the tests below cover it."""
+    for module in pkgutil.iter_modules(multicolor.__path__):
+        importlib.import_module(f"multicolor.{module.name}")
+    types, todo = set(), [Value]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("multicolor."):
+                types.add(cls.__name__)
+            todo.append(cls)
+    assert types == set(MAKERS)
 
 
 @pytest.mark.parametrize("name", MAKERS)
@@ -144,6 +161,19 @@ def test_constructor_defaults():
     tape1, tape2 = AdviceTape(), AdviceTape()
     tape1.write([1])
     assert tape2.bits == [] and tape2.cursor == 0  # each tape gets its own list
+
+
+def test_init_needs_one_value_per_field():
+    class Pair(Value):
+        __slots__ = __match_args__ = ("a", "b")
+
+        def __init__(self, *values):
+            self._init(*values)
+
+    assert Pair(1, 2).asdict() == {"a": 1, "b": 2}
+    for values in [(1,), (1, 2, 3)]:
+        with pytest.raises(ValueError):
+            Pair(*values)
 
 
 def test_run_report_equality_ignores_runtime():

@@ -93,14 +93,9 @@ def hex_54(p: int, branch: int) -> Instance:
         raise DomainError(f"p must be a positive multiple of 4, got {p}")
     if branch not in (0, 1):
         raise DomainError("branch must be 0 or 1")
-    graph = build_hexagonal(_chain_cells(1))
-    m = p // 4
-    reqs = _color_requests("O0", m) + _color_requests("O1", m)
-    if branch == 1:
-        reqs += _color_requests("D1", m) + _color_requests("D2", m)
-    else:
-        reqs += _color_requests("S1", m) + _color_requests("S2", m)
-    return Instance(graph=graph, requests=tuple(reqs), name=f"hex_54_p{p}_b{branch}")
+    chain = hex_chain(1, (branch,))
+    reqs = tuple(r for r in chain.requests for _ in range(p // 4))
+    return Instance(graph=chain.graph, requests=reqs, name=f"hex_54_p{p}_b{branch}")
 
 
 def _check_sizes(n_nodes, n_requests):
@@ -126,7 +121,9 @@ def random_instance(kind: str, seed: int, n_nodes: int = 8, n_requests: int = 20
         graph = build_bipartite(nodes, edges, partition)
     elif kind == "hexagonal":
         all_cells = [(q, r) for q in range(grid_extent) for r in range(grid_extent)]
-        chosen = rng.sample(all_cells, min(n_nodes, len(all_cells)))
+        if n_nodes > len(all_cells):
+            raise DomainError(f"grid_extent {grid_extent} has fewer than {n_nodes} cells")
+        chosen = rng.sample(all_cells, n_nodes)
         graph = build_hexagonal({f"n{i}": CellCoord(q, r) for i, (q, r) in enumerate(chosen)})
     else:
         raise DomainError(f"random_instance supports bipartite/hexagonal, got {kind!r}")

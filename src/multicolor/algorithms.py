@@ -5,12 +5,17 @@ action per request (a ColorAction, or a CancelAction for cancellations).
 
 from __future__ import annotations
 
+from functools import cache
+
 from . import oracle
 from .advice import AdviceTape, dec, enc_len
 from .errors import AdviceError, CapacityExceededError, DomainError
 from .graph import BORROW_FROM, PALETTE_START, Graph
 from .instance import CancelAction, ColorAction
 from .value import Value
+
+
+_color = cache(ColorAction)  # one shared action per color: a run has many colors, few distinct
 
 
 def _require_kind(graph: Graph, kinds, algo):
@@ -22,35 +27,37 @@ def _greedy(algo, graph: Graph, tape: AdviceTape, requests, read_m, cancels=Fals
     """GreedyOptAdvice with m = read_m(tape): bottom-up for L nodes, top-down
     for U.  A cancellation recolors at most the request holding the node's
     extreme color, so an L node with k live colors holds exactly {1..k} and
-    a U node {m-k+1..m}."""
+    a U node {m-k+1..m}; the player keeps only k = live[v]."""
     _require_kind(graph, ("path", "bipartite"), algo)
     m = read_m(tape)
-    f = {v: set() for v in graph.nodes}
+    live = dict.fromkeys(graph.nodes, 0)
     out = []
     for r in requests:
         v = r.node
         upper = graph.partition[v] == "U"
+        k = live[v]
         if r.op == "color":
-            color = min(f[v], default=m + 1) - 1 if upper else max(f[v], default=0) + 1
+            color = m - k if upper else k + 1
             if color < 1 or color > m:
                 raise CapacityExceededError(
                     f"node {v!r} needs color {color} outside 1..{m}; advice value too small"
                 )
-            f[v].add(color)
-            out.append(ColorAction(color))
+            live[v] = k + 1
+            out.append(_color(color))
             continue
         if not cancels:
             raise DomainError(f"{algo} does not handle cancellations")
         c = r.cancel_color
-        if c not in f[v]:
+        lowest, highest = (m - k + 1, m) if upper else (1, k)
+        if not lowest <= c <= highest:
             raise DomainError(f"cancel of absent color {c} at {v!r}")
-        extreme = min(f[v]) if upper else max(f[v])
+        extreme = lowest if upper else highest
         if c == extreme:
             out.append(CancelAction())
         else:
             # the request holding the extreme color takes the freed color
             out.append(CancelAction(recolor=(extreme, c)))
-        f[v].discard(extreme)
+        live[v] = k - 1
     return out
 
 
@@ -87,7 +94,7 @@ def trivial(graph: Graph, tape: AdviceTape, requests) -> list:
     for r in requests:
         if r.op != "color":
             raise DomainError("trivial does not handle cancellations")
-        out.append(ColorAction(tape.read_fixed(w) + 1))
+        out.append(_color(tape.read_fixed(w) + 1))
     return out
 
 
@@ -99,29 +106,30 @@ def _private_palette(cls: str, size: int) -> set[int]:
 def fpa(graph: Graph, tape: AdviceTape, requests) -> list:
     """Fixed preference allocation with advice c = ceil(omega/2).
 
-    Private palettes: R = 1..c, G = c+1..2c, B = 2c+1..3c.  Overflow borrows
-    top-down from the next class.  The candidate set excludes only the node's
-    own colors, as the pseudocode states.
+    Private palettes: R = 1..c, G = c+1..2c, B = 2c+1..3c.  A node holding
+    k = held[v] colors takes base + k + 1 from its own block while k < c, then
+    borrows the next class's block top-down, base' + 2c - k, while k < 2c.
+    Neighbors' colors are not consulted, as the pseudocode states.
     """
     _require_kind(graph, ("hexagonal",), "fpa")
     c = dec(tape)
     base = {"R": 0, "G": c, "B": 2 * c}
-    palette = {cls: set(range(base[cls] + 1, base[cls] + c + 1)) for cls in base}
-    f = {v: set() for v in graph.nodes}
+    held = dict.fromkeys(graph.nodes, 0)
     out = []
     for r in requests:
         v = r.node
         if r.op != "color":
             raise DomainError("fpa does not handle cancellations")
-        own = len(f[v]) < c
+        k = held[v]
         cls = graph.class_of[v]
-        candidates = palette[cls if own else BORROW_FROM[cls]] - f[v]
-        if not candidates:
-            raise CapacityExceededError(
-                f"no {'private' if own else 'borrowable'} color left at {v!r}")
-        color = min(candidates) if own else max(candidates)
-        f[v].add(color)
-        out.append(ColorAction(color))
+        if k < c:
+            color = base[cls] + k + 1
+        elif k < 2 * c:
+            color = base[BORROW_FROM[cls]] + 2 * c - k
+        else:
+            raise CapacityExceededError(f"no borrowable color left at {v!r}")
+        held[v] = k + 1
+        out.append(_color(color))
     return out
 
 
@@ -157,11 +165,9 @@ def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
             if frozen and len(f[v]) == size:
                 phase[v] = 2
             elif tape.read_bit() == 0:
-                own = _private_palette(cls, size) - f[v]
-                if not own:
-                    size += 1
-                    own = _private_palette(cls, size) - f[v]
-                color = min(own)
+                # f[v] holds the first len(f[v]) colors of the private palette
+                color = PALETTE_START[cls] + 3 * len(f[v])
+                size = max(size, len(f[v]) + 1)
             else:
                 phase[v] = 2
                 frozen = True
@@ -188,7 +194,7 @@ def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
                 raise CapacityExceededError(f"phase-3 window exhausted at {v!r}")
             nxt[v] += -1 if upper[v] else 1
         f[v].add(color)
-        out.append(ColorAction(color))
+        out.append(_color(color))
     return out
 
 

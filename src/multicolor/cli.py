@@ -82,8 +82,8 @@ def cmd_opt(args):
 def cmd_run(args):
     instance = harness.load_instance(args.instance)
     max_nodes, max_requests = _parse_budget(args.budget)
-    report = harness.run(instance, args.algo, b=args.b,
-                         max_nodes=max_nodes, max_requests=max_requests)
+    optimum = oracle.Optimum(instance, max_nodes=max_nodes, max_requests=max_requests)
+    report = harness.run(instance, args.algo, b=args.b, optimum=optimum)
     if args.format == "json":
         text = json.dumps(report.asdict(), indent=2, sort_keys=True) + "\n"
     else:

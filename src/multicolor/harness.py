@@ -5,8 +5,7 @@ Instance files are JSON:
   { "graph": { "kind": ..., "nodes": [...], "edges": [["u","w"], ...],
                "partition": {"u": "L", ...}, "cells": {"u": [q, r], ...} },
     "requests": [ {"node": "u", "op": "color"}
-                | {"node": "u", "op": "cancel", "color": 3} ],
-    "tape": "0110..."   (optional, for golden tests) }
+                | {"node": "u", "op": "cancel", "color": 3} ] }
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from . import oracle
 # ---------------------------------------------------------------------------
 # serialization
 
-def instance_to_dict(instance: Instance, tape: str | None = None) -> dict:
+def instance_to_dict(instance: Instance) -> dict:
     g = instance.graph
     gd = {"kind": g.kind, "nodes": list(g.nodes)}
     if g.kind in ("path", "bipartite"):
@@ -44,10 +43,7 @@ def instance_to_dict(instance: Instance, tape: str | None = None) -> dict:
             reqs.append({"node": r.node, "op": "color"})
         else:
             reqs.append({"node": r.node, "op": "cancel", "color": r.cancel_color})
-    out = {"graph": gd, "requests": reqs, "name": instance.name}
-    if tape is not None:
-        out["tape"] = tape
-    return out
+    return {"graph": gd, "requests": reqs, "name": instance.name}
 
 
 def _field(record, key, where, error=MalformedInstanceError):
@@ -80,7 +76,7 @@ def _request(r, i):
         raise _wrong_type(f"{where} field 'node'", "a string", node)
     if op == "cancel" and type(color) is not int:
         raise _wrong_type(f"{where} field 'color'", "an integer", color)
-    return Request(node=node, op=op, cancel_color=color)  # checks op
+    return Request(node=node, op=op, cancel_color=color)  # checks op; a color op has no color
 
 
 def _node_names(gd):
@@ -144,9 +140,9 @@ def instance_from_dict(data: dict) -> Instance:
                     name=name)
 
 
-def save_instance(instance: Instance, path: str, tape: str | None = None) -> None:
+def save_instance(instance: Instance, path: str) -> None:
     # one write; json.dump would call fh.write once per encoder chunk
-    text = json.dumps(instance_to_dict(instance, tape=tape), indent=2, sort_keys=True)
+    text = json.dumps(instance_to_dict(instance), indent=2, sort_keys=True)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -253,15 +249,13 @@ def _metrics(actions):
 
 
 def run(instance: Instance, algo: str, b: int | None = None,
-        max_nodes: int = oracle.DEFAULT_MAX_NODES,
-        max_requests: int = oracle.DEFAULT_MAX_REQUESTS,
         optimum: oracle.Optimum | None = None) -> RunReport:
     """Generate the tape, run the player, validate, and measure.  The tape,
     the advice bound and the reported Opt share one oracle.Optimum of the
-    instance: optimum when given (its budget then replaces max_nodes and
-    max_requests), else a fresh one."""
+    instance: optimum when given (its budget bounds the exact search), else
+    a fresh one with the default budget."""
     start = time.perf_counter()
-    optimum = optimum or oracle.Optimum(instance, max_nodes=max_nodes, max_requests=max_requests)
+    optimum = optimum or oracle.Optimum(instance)
     tape = make_advice(instance, algo, b=b, optimum=optimum)
     actions = run_player(algo, instance.graph, tape, instance.requests, b=b)
     violation = validate_full(instance, actions)

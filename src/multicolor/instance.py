@@ -18,10 +18,12 @@ class Request(Value):
 
     def __init__(self, node: str, op: str, cancel_color: int | None = None):
         if op == "cancel":
-            if cancel_color is None or cancel_color < 1:
-                raise MalformedInstanceError("cancel request needs a color >= 1")
+            if type(cancel_color) is not int or cancel_color < 1:
+                raise MalformedInstanceError("cancel request needs an integer color >= 1")
         elif op != "color":
             raise MalformedInstanceError(f"unknown op {op!r}")
+        elif cancel_color is not None:
+            raise MalformedInstanceError(f"color request takes no color, got {cancel_color!r}")
         self._init(node, op, cancel_color)
 
 

@@ -89,6 +89,14 @@ class TestHex54:
         with pytest.raises(DomainError):
             hex_54(6, 0)
 
+    @pytest.mark.parametrize("branch, pair", [(0, ("S1", "S2")), (1, ("D1", "D2"))])
+    def test_p_over_4_requests_per_node_in_chain_order(self, branch, pair):
+        inst = hex_54(8, branch)
+        assert inst.name == f"hex_54_p8_b{branch}"
+        assert inst.graph == hex_chain(1, (branch,)).graph
+        assert [(r.node, r.op) for r in inst.requests] == [
+            (v, "color") for v in ("O0", "O1", *pair) for _ in range(2)]
+
 
 class TestRandomInstances:
     def test_deterministic(self):
@@ -104,6 +112,12 @@ class TestRandomInstances:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             random_instance("path", seed=0)
+
+    @pytest.mark.parametrize("n_nodes, grid_extent", [(17, 4), (1, 0)])
+    def test_hexagonal_needs_a_cell_per_node(self, n_nodes, grid_extent):
+        with pytest.raises(DomainError, match=f"fewer than {n_nodes} cells"):
+            random_instance("hexagonal", seed=0, n_nodes=n_nodes, grid_extent=grid_extent)
+        assert len(random_instance("hexagonal", seed=0, n_nodes=16).graph.nodes) == 16
 
     def test_cancel_instances_servable_and_deterministic(self):
         a = random_cancel_instance(seed=11)

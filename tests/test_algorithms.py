@@ -123,6 +123,16 @@ class TestGreedyCancel:
         acts = greedy_cancel(g, tape_for(3), reqs)
         assert acts[3] == CancelAction()
 
+    @pytest.mark.parametrize("node, m, held, cancel", [
+        ("v1", 3, 0, 1), ("v1", 3, 2, 3),  # L holds {1..held}
+        ("v2", 5, 0, 5), ("v2", 5, 2, 3),  # U holds {m-held+1..m}
+    ])
+    def test_cancel_of_absent_color_errors(self, node, m, held, cancel):
+        reqs = tuple(Request(node, "color") for _ in range(held))
+        reqs += (Request(node, "cancel", cancel_color=cancel),)
+        with pytest.raises(DomainError, match=f"^cancel of absent color {cancel} at '{node}'$"):
+            greedy_cancel(build_path(2), tape_for(m), reqs)
+
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=50, deadline=None)
     def test_interval_invariant_every_step(self, seed):
@@ -185,11 +195,20 @@ class TestFpa:
         acts = fpa(g, AdviceTape(bits=enc(2)), reqs)
         assert colors(acts) == [1, 2, 4]
 
+    @pytest.mark.parametrize("c, served", [(0, []), (1, [1, 2]), (2, [1, 2, 4, 3])])
+    def test_out_of_borrowable_colors_errors(self, c, served):
+        # an R node takes its own c colors, then the c of G, then has none left
+        g = build_hexagonal({"r": (0, 0)})
+        reqs = tuple(Request("r", "color") for _ in range(2 * c))
+        assert colors(fpa(g, tape_for(c), reqs)) == served
+        with pytest.raises(CapacityExceededError, match="^no borrowable color left at 'r'$"):
+            fpa(g, tape_for(c), reqs + (Request("r", "color"),))
+
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=50, deadline=None)
     def test_never_reuses_a_neighbor_color(self, seed):
-        # the candidate set excludes only the node's own colors, so validity
-        # shows that a neighbor's color is never picked
+        # fpa does not consult the neighbors' colors, so validity shows that
+        # a neighbor's color is never picked
         inst = random_instance("hexagonal", seed=seed, n_nodes=9, n_requests=24)
         acts = fpa(inst.graph, make_advice(inst, "fpa"), inst.requests)
         assert validate_full(inst, acts) is None
@@ -262,6 +281,19 @@ class TestHex43:
         reqs = (Request("a", "color"), Request("b", "color"))
         acts = hex43(g, AdviceTape.from_string("00"), reqs)
         assert colors(acts) == [1, 2]
+
+    @pytest.mark.parametrize("bits, demand, error", [
+        # stop at once: the palette freezes at size 0, so nothing to borrow
+        ("10", 1, "no borrowable color left at 'a'"),
+        # color 1 grows the palette to 1; stop, leave phase 2, upper, d = 0:
+        # the window starts at 4*1 - 1 + 0 = 3, which is not above 3*1
+        ("011100", 2, "phase-3 window exhausted at 'a'"),
+    ])
+    def test_capacity_errors(self, bits, demand, error):
+        g = build_hexagonal({"a": (0, 0)})
+        reqs = tuple(Request("a", "color") for _ in range(demand))
+        with pytest.raises(CapacityExceededError, match=f"^{error}$"):
+            hex43(g, AdviceTape.from_string(bits), reqs)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -29,6 +30,7 @@ from multicolor.harness import (
     save_instance,
 )
 from multicolor.instance import CancelAction, ColorAction, Instance, Request
+from multicolor.oracle import Optimum
 
 
 def hex_edge_21():
@@ -95,7 +97,7 @@ class TestRun:
 
     def test_budget_exceeded_reports_no_opt(self):
         inst = random_instance("hexagonal", seed=1, n_nodes=8, n_requests=20)
-        report = run(inst, "hex43", max_nodes=2, max_requests=2)
+        report = run(inst, "hex43", optimum=Optimum(inst, max_nodes=2, max_requests=2))
         assert report.opt_value is None and report.strict_ratio is None
         assert report.valid
 
@@ -434,6 +436,22 @@ class TestCli:
         assert main(["run", str(tmp_path / "bad.json"), "--algo", "greedy_opt"]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
 
+    def test_color_request_with_a_color_exits_2(self, tmp_path, capsys):
+        data = instance_to_dict(path_family(40)[0])
+        data["requests"][2]["color"] = None  # null is no color
+        assert instance_from_dict(data) == path_family(40)[0]
+        data["requests"][2]["color"] = [1]
+        error = "color request takes no color, got [1]"
+        with pytest.raises(MalformedInstanceError, match=re.escape(error)):
+            instance_from_dict(data)
+        (tmp_path / "bad.json").write_text(json.dumps(data))
+        assert main(["run", str(tmp_path / "bad.json"), "--algo", "greedy_opt"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        text, ok = batch({"runs": [{"instance": "bad.json", "algo": "greedy_opt"}]},
+                         base_dir=str(tmp_path))
+        assert not ok
+        assert next(csv.DictReader(io.StringIO(text)))["status"] == f"error: {error}"
+
     def test_verify_log_missing_color_exits_2(self, tmp_path, capsys):
         inst_path = str(tmp_path / "i0.json")
         save_instance(path_family(40)[0], inst_path)
@@ -535,6 +553,7 @@ class TestCli:
         (["random", "--kind", "hexagonal", "--nodes", "0"], "got 0 and 20"),
         (["random", "--requests", "-5"], "got 8 and -5"),
         (["random_cancel", "--requests", "-5"], "got 8 and -5"),
+        (["random", "--kind", "hexagonal", "--nodes", "30"], "fewer than 30 cells"),
     ])
     def test_gen_random_bad_size_exits_2(self, tmp_path, capsys, args, error):
         out = tmp_path / "i.json"

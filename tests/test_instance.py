@@ -22,6 +22,18 @@ def edge_graph():
     return build_bipartite(["u", "w"], [("u", "w")], {"u": "L", "w": "U"})
 
 
+@pytest.mark.parametrize("op, color, error", [
+    ("cancel", None, "needs an integer color"), ("cancel", 0, "needs an integer color"),
+    ("cancel", 2.5, "needs an integer color"), ("cancel", True, "needs an integer color"),
+    ("cancel", "1", "needs an integer color"), ("color", 1, "takes no color, got 1"),
+    ("color", [1], r"takes no color, got \[1\]"),
+])
+def test_request_color_checked(op, color, error):
+    with pytest.raises(MalformedInstanceError, match=error):
+        Request("u", op, cancel_color=color)
+    assert Request("u", op, cancel_color=1 if op == "cancel" else None).op == op
+
+
 class TestApply:
     def test_edge_conflict(self):
         g = edge_graph()

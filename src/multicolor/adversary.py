@@ -12,7 +12,16 @@ from .instance import Instance, Request, peak_clique_load
 
 
 def _color_requests(node, count):
-    return [Request(node=node, op="color") for _ in range(count)]
+    return [Request(node=node, op="color")] * count
+
+
+class _ColorRequests(dict):
+    """node -> its one color Request, built on first use and shared by all
+    its color requests (a Request is an immutable value)."""
+
+    def __missing__(self, node):
+        request = self[node] = Request(node=node, op="color")
+        return request
 
 
 def path_family(n: int) -> list[Instance]:
@@ -127,7 +136,8 @@ def random_instance(kind: str, seed: int, n_nodes: int = 8, n_requests: int = 20
         graph = build_hexagonal({f"n{i}": CellCoord(q, r) for i, (q, r) in enumerate(chosen)})
     else:
         raise DomainError(f"random_instance supports bipartite/hexagonal, got {kind!r}")
-    reqs = [Request(node=rng.choice(graph.nodes), op="color") for _ in range(n_requests)]
+    color = _ColorRequests()
+    reqs = [color[rng.choice(graph.nodes)] for _ in range(n_requests)]
     return Instance(graph=graph, requests=tuple(reqs),
                     name=f"random_{kind}_s{seed}")
 
@@ -159,14 +169,10 @@ def random_cancel_instance(seed: int, n_nodes: int = 8, n_requests: int = 24,
             ops.append((v, "color"))
             live[v] += 1
 
-    pattern = Instance(
-        graph=graph,
-        requests=tuple(
-            Request(node=v, op=op, cancel_color=1 if op == "cancel" else None)
-            for v, op in ops
-        ),
-        name="pattern",
-    )
+    color = _ColorRequests()
+    pattern = Instance(graph=graph, name="pattern", requests=tuple(
+        color[v] if op == "color" else Request(node=v, op="cancel", cancel_color=1)
+        for v, op in ops))
     m = peak_clique_load(pattern)
 
     # replay the interval invariant to pick concrete live colors to cancel
@@ -175,7 +181,7 @@ def random_cancel_instance(seed: int, n_nodes: int = 8, n_requests: int = 24,
     for v, op in ops:
         if op == "color":
             counts[v] += 1
-            reqs.append(Request(node=v, op="color"))
+            reqs.append(color[v])
         else:
             k = counts[v]
             interval = range(1, k + 1) if graph.partition[v] == "L" else range(m - k + 1, m + 1)

@@ -60,10 +60,7 @@ def cmd_gen(args):
             seed=args.seed, n_nodes=args.nodes, n_requests=args.requests)
     else:
         raise MultiColorError(f"unknown family {args.family!r}")
-    if args.out:
-        harness.save_instance(instance, args.out)
-    else:
-        print(json.dumps(harness.instance_to_dict(instance), indent=2, sort_keys=True))
+    _write_out(harness.instance_text(instance), args.out)
     return 0
 
 

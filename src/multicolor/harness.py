@@ -6,6 +6,9 @@ Instance files are JSON:
                "partition": {"u": "L", ...}, "cells": {"u": [q, r], ...} },
     "requests": [ {"node": "u", "op": "color"}
                 | {"node": "u", "op": "cancel", "color": 3} ] }
+instance_text writes that layout, the text json.dumps(..., indent=2,
+sort_keys=True) gives, without the pure-Python encoder; save_instance and
+`multicolor gen` write its text.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import io
 import json
 import os
 import time
+from json.encoder import encode_basestring_ascii
 
 from .advice import AdviceTape
 from .algorithms import ALGORITHMS, run_player
@@ -140,11 +144,56 @@ def instance_from_dict(data: dict) -> Instance:
                     name=name)
 
 
+def _block(brackets, items, pad):
+    """A JSON list or object of rendered items, laid out as json.dumps(indent=2)
+    lays it out with its items at indent pad."""
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + pad + (",\n" + pad).join(items) + "\n" + pad[2:] + brackets[1]
+
+
+def instance_text(instance: Instance) -> str:
+    """The text of the instance's file: json.dumps(instance_to_dict(instance),
+    indent=2, sort_keys=True) and a newline, written field by field with the C
+    string encoder, each distinct request rendered once.  A node, name or cell
+    that the file could not hold raises MalformedInstanceError naming it."""
+    g, name, enc = instance.graph, instance.name, encode_basestring_ascii
+    for v in g.nodes:
+        if not isinstance(v, str):
+            raise MalformedInstanceError(f"node {v!r} is not named by a string")
+    if not isinstance(name, str):
+        raise _wrong_type("instance field 'name'", "a string", name)
+    node = {v: enc(v) for v in g.nodes}
+    if g.kind in ("path", "bipartite"):
+        edges = [_block("[]", (node[u], node[w]), " " * 8) for u, w in g.edge_list()]
+        sides = [node[v] + ": " + enc(g.partition[v]) for v in sorted(g.nodes)]
+        fields = {"edges": _block("[]", edges, " " * 6), "partition": _block("{}", sides, " " * 6)}
+    else:
+        cells = []
+        for v in sorted(g.nodes):
+            c = g.cell_of[v]
+            if not _is_pair((c.q, c.r), int):
+                raise _wrong_type(f"cell {v!r}", "a pair of integers under a node name", c)
+            cells.append(node[v] + ": " + _block("[]", (str(c.q), str(c.r)), " " * 8))
+        fields = {"cells": _block("{}", cells, " " * 6)}
+    fields["kind"] = enc(g.kind)
+    fields["nodes"] = _block("[]", [node[v] for v in g.nodes], " " * 6)
+    graph = _block("{}", ['"%s": %s' % (k, fields[k]) for k in sorted(fields)], " " * 4)
+    rendered = {}  # (node, cancel color) -> its request's text; a Request hashes slowly
+    for r in instance.requests:
+        key = (r.node, r.cancel_color)
+        if key not in rendered:
+            color = [] if r.cancel_color is None else ['"color": %d' % r.cancel_color]
+            rendered[key] = _block("{}", color + ['"node": ' + node[r.node], '"op": "%s"' % r.op],
+                                   " " * 6)
+    requests = _block("[]", [rendered[r.node, r.cancel_color] for r in instance.requests], " " * 4)
+    return '{\n  "graph": %s,\n  "name": %s,\n  "requests": %s\n}\n' % (graph, enc(name), requests)
+
+
 def save_instance(instance: Instance, path: str) -> None:
-    # one write; json.dump would call fh.write once per encoder chunk
-    text = json.dumps(instance_to_dict(instance), indent=2, sort_keys=True)
+    text = instance_text(instance)  # checked before the file is opened
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
 def _load_json(path: str, error=MalformedInstanceError):

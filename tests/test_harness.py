@@ -9,13 +9,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multicolor import harness
-from multicolor.adversary import hex_chain, path_family, random_cancel_instance, random_instance
+from multicolor.adversary import (hex_54, hex_chain, path_family, random_cancel_instance,
+                                  random_instance)
 from multicolor.algorithms import ALGORITHMS
 from multicolor.cli import build_parser, main
 from multicolor.errors import MalformedInstanceError, MalformedLogError
-from multicolor.graph import build_hexagonal, build_path
+from multicolor.graph import CellCoord, Graph, build_bipartite, build_hexagonal, build_path
 from multicolor.harness import (
     actions_from_dicts,
     actions_to_dicts,
@@ -23,6 +25,7 @@ from multicolor.harness import (
     batch,
     csv_writer,
     instance_from_dict,
+    instance_text,
     instance_to_dict,
     load_instance,
     report_row,
@@ -37,6 +40,37 @@ def hex_edge_21():
     g = build_hexagonal({"u": (0, 0), "v": (1, 0)})
     reqs = (Request("u", "color"), Request("v", "color"), Request("u", "color"))
     return Instance(g, reqs, name="hex_edge_21")
+
+
+# names with non-ASCII, quote, backslash and control characters
+NAMES = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7fé€\U0001f600'),
+                          st.characters()), max_size=5)
+
+
+@st.composite
+def instances(draw):
+    """Path, bipartite and hexagonal instances, isolated nodes and empty
+    request lists included, with cancellations of any color."""
+    kind = draw(st.sampled_from(["path", "bipartite", "hexagonal"]))
+    if kind == "path":
+        graph = build_path(draw(st.integers(1, 12)))
+    else:
+        nodes = draw(st.lists(NAMES, min_size=1, max_size=8, unique=True))
+        if kind == "bipartite":
+            side = {v: draw(st.sampled_from("LU")) for v in nodes}
+            pairs = [(u, w) for u in nodes for w in nodes if side[u] == "L" and side[w] == "U"]
+            edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+            graph = build_bipartite(nodes, edges, side)
+        else:
+            cells = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                                  min_size=len(nodes), max_size=len(nodes), unique=True))
+            graph = build_hexagonal(dict(zip(nodes, cells)))
+    if draw(st.booleans()):  # Graph() takes its nodes in any order
+        graph = Graph(graph.kind, graph.nodes[::-1], *graph._fields()[2:])
+    requests = draw(st.lists(st.builds(
+        lambda v, color: Request(v, "color") if color is None else Request(v, "cancel", color),
+        st.sampled_from(graph.nodes), st.none() | st.integers(1, 10**12)), max_size=12))
+    return Instance(graph, tuple(requests), name=draw(NAMES))
 
 
 class TestSerialization:
@@ -68,6 +102,45 @@ class TestSerialization:
         d = instance_to_dict(inst)
         assert d["requests"][1] == {"node": "v1", "op": "cancel", "color": 1}
         assert instance_from_dict(d).requests == inst.requests
+
+    @settings(max_examples=300, deadline=None)
+    @given(instances())
+    def test_text_is_the_dict_dumped(self, inst):
+        assert instance_text(inst) == json.dumps(instance_to_dict(inst), indent=2,
+                                                 sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("inst", [
+        *path_family(57), hex_chain(3, (1, 0, 1)), hex_54(8, 1),
+        random_instance("hexagonal", seed=1, n_nodes=200, n_requests=2000, grid_extent=17),
+        random_cancel_instance(seed=1, n_nodes=200, n_requests=2000, edge_density=0.06),
+    ], ids=lambda inst: inst.name)
+    def test_family_text_is_the_dict_dumped(self, inst):
+        assert instance_text(inst) == json.dumps(instance_to_dict(inst), indent=2,
+                                                 sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda: Instance(build_bipartite([1, 2], [(1, 2)], {1: "L", 2: "U"}), ()),
+         "node 1 is not named by a string"),
+        (lambda: Instance(build_path(2), (), name=7),
+         "instance field 'name' must be a string, got 7"),
+        (lambda: Instance(build_hexagonal({"a": (0, 0), "b": (1, True)}), ()),
+         "cell 'b' must be a pair of integers under a node name, got CellCoord(q=1, r=True)"),
+        (lambda: Instance(Graph("hexagonal", ("a",), frozenset(), cell_of={"a": CellCoord(0.5, 0)}),
+                          ()),
+         "cell 'a' must be a pair of integers under a node name, got CellCoord(q=0.5, r=0)"),
+    ])
+    def test_save_refuses_what_load_refuses(self, tmp_path, make, error):
+        path = tmp_path / "inst.json"
+        with pytest.raises(MalformedInstanceError, match=re.escape(error)):
+            save_instance(make(), str(path))
+        assert not path.exists()
+
+    def test_generated_color_requests_are_shared(self):
+        for inst in (random_instance("bipartite", seed=2, n_requests=50),
+                     random_instance("hexagonal", seed=2, n_requests=50),
+                     random_cancel_instance(seed=2, n_requests=80), path_family(40)[3]):
+            colors = [r for r in inst.requests if r.op == "color"]
+            assert len({id(r) for r in colors}) == len({r.node for r in colors})
 
     def test_actions_round_trip(self):
         acts = [ColorAction(3), CancelAction(), CancelAction(recolor=(5, 2))]
@@ -362,6 +435,18 @@ class TestCli:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         algo = next(a for a in sub.choices["run"]._actions if a.dest == "algo")
         assert list(algo.choices) == list(ALGORITHMS)
+
+    @pytest.mark.parametrize("args", [
+        ["path_family", "--n", "41", "--i", "3"], ["hex_chain", "--branch", "101", "--pad", "2"],
+        ["hex_54", "--p", "8", "--i", "1"], ["random", "--kind", "bipartite", "--seed", "3"],
+        ["random", "--kind", "hexagonal", "--seed", "3"], ["random_cancel", "--seed", "3"],
+    ])
+    def test_gen_stdout_equals_gen_out(self, tmp_path, capsys, args):
+        out = tmp_path / "i.json"
+        assert main(["gen", *args]) == 0
+        printed = capsys.readouterr().out
+        assert main(["gen", *args, "--out", str(out)]) == 0
+        assert printed.encode() == out.read_bytes()
 
     def test_gen_index_out_of_range_exits_2(self, capsys):
         assert main(["gen", "path_family", "--n", "40", "--i", "99"]) == 2

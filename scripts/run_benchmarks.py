@@ -59,7 +59,7 @@ def main():
     with open(report_path, "w") as fh:
         fh.write(csv_text)
     print(f"{len(manifest['runs'])} runs -> {report_path} "
-          f"({'all valid and within advice bounds' if all_ok else 'FAILURES present'})")
+          f"({'all valid and within advice and color bounds' if all_ok else 'FAILURES present'})")
     return 0 if all_ok else 1
 
 

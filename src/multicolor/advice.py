@@ -93,9 +93,14 @@ class AdviceTape:
     def read_fixed(self, width: int) -> int:
         if width < 0:
             raise ValueError("width must be >= 0")
+        end = self.cursor + width
+        if width and end > len(self.bits):  # stop and fail where read_bit would
+            self.cursor = max(self.cursor, len(self.bits))
+            raise TapeUnderrunError(f"read past written prefix at index {self.cursor}")
         value = 0
-        for _ in range(width):
-            value = (value << 1) | self.read_bit()
+        for b in self.bits[self.cursor:end]:
+            value = value << 1 | b
+        self.cursor = end
         return value
 
     def exhausted(self) -> bool:

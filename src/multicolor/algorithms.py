@@ -201,13 +201,14 @@ def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
 class Algorithm(Value):
     """An online player and its advice: play(graph, tape, requests, b) runs the
     player, advise(instance, optimum, b) writes its tape from the run's shared
-    oracle.Optimum, and bound(instance, optimum, b) is the declared worst-case
-    tape length, None if unknown.  b is greedy_truncated's width."""
+    oracle.Optimum, bound(instance, optimum, b) is the declared worst-case
+    tape length and color_bound(instance, optimum, b) the guaranteed largest
+    color, each None if unknown.  b is greedy_truncated's width."""
 
-    __slots__ = __match_args__ = ("play", "advise", "bound")
+    __slots__ = __match_args__ = ("play", "advise", "bound", "color_bound")
 
-    def __init__(self, play, advise, bound):
-        self._init(play, advise, bound)
+    def __init__(self, play, advise, bound, color_bound):
+        self._init(play, advise, bound, color_bound)
 
 
 def _width(b):
@@ -229,33 +230,41 @@ class _Registry(dict):
 
 
 # The lambdas look the players and oracles up when called, so whatever
-# rebinds a module-level name (a tracer, a monkeypatch) sees every call.
+# rebinds a module-level name (a tracer, a monkeypatch) sees every call.  The
+# color bounds are the guarantees of the README player table; greedy_truncated's
+# is floor((1 + 2^(1-b)) * Opt), computed in integers.
 ALGORITHMS: dict[str, Algorithm] = _Registry({
     "greedy_opt": Algorithm(
         lambda g, tape, reqs, b: greedy_opt(g, tape, reqs),
         lambda inst, optimum, b: oracle.advice_greedyopt(inst, optimum),
-        lambda inst, optimum, b: enc_len(optimum.closed_form)),
+        lambda inst, optimum, b: enc_len(optimum.closed_form),
+        lambda inst, optimum, b: optimum.closed_form),
     "greedy_truncated": Algorithm(
         lambda g, tape, reqs, b: greedy_truncated(g, tape, reqs, _width(b)),
         lambda inst, optimum, b: oracle.advice_truncated(inst, _width(b), optimum),
         lambda inst, optimum, b: _width(b) + enc_len(
-            max(0, optimum.closed_form.bit_length() - b))),
+            max(0, optimum.closed_form.bit_length() - b)),
+        lambda inst, optimum, b: ((1 << _width(b) - 1) + 1) * optimum.closed_form >> b - 1),
     "greedy_cancel": Algorithm(
         lambda g, tape, reqs, b: greedy_cancel(g, tape, reqs),
         lambda inst, optimum, b: oracle.advice_cancel(inst, optimum),
-        lambda inst, optimum, b: enc_len(optimum.peak_load)),
+        lambda inst, optimum, b: enc_len(optimum.peak_load),
+        lambda inst, optimum, b: optimum.peak_load),
     "trivial": Algorithm(
         lambda g, tape, reqs, b: trivial(g, tape, reqs),
         lambda inst, optimum, b: oracle.advice_trivial(inst, optimum),
-        lambda inst, optimum, b: _trivial_bound(inst, optimum)),
+        lambda inst, optimum, b: _trivial_bound(inst, optimum),
+        lambda inst, optimum, b: optimum.value),
     "fpa": Algorithm(
         lambda g, tape, reqs, b: fpa(g, tape, reqs),
         lambda inst, optimum, b: oracle.advice_fpa(inst, optimum),
-        lambda inst, optimum, b: enc_len((optimum.omega + 1) // 2)),
+        lambda inst, optimum, b: enc_len((optimum.omega + 1) // 2),
+        lambda inst, optimum, b: 3 * ((optimum.omega + 1) // 2)),
     "hex43": Algorithm(
         lambda g, tape, reqs, b: hex43(g, tape, reqs),
         lambda inst, optimum, b: oracle.advice_43(inst),
-        lambda inst, optimum, b: inst.n + 2 * len(inst.graph.nodes)),
+        lambda inst, optimum, b: inst.n + 2 * len(inst.graph.nodes),
+        lambda inst, optimum, b: (4 * optimum.omega + 1) // 3),
 })
 
 

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from . import adversary, harness, oracle
+from . import harness, oracle
 from .algorithms import ALGORITHMS
 from .errors import DomainError, MalformedManifestError, MultiColorError
 
@@ -38,6 +38,8 @@ def _write_out(text, out):
 
 
 def cmd_gen(args):
+    from . import adversary  # only gen needs it; other commands skip its compile
+
     if args.family == "path_family":
         instances = adversary.path_family(args.n)
         if not 0 <= args.i < len(instances):

@@ -260,22 +260,25 @@ class RunReport(Value):
 
     __slots__ = __match_args__ = (
         "algorithm", "instance", "max_color", "distinct_colors", "advice_bits_read",
-        "opt_value", "strict_ratio", "valid", "advice_bound", "runtime_millis")
+        "opt_value", "strict_ratio", "valid", "advice_bound", "color_bound", "runtime_millis")
 
     def __init__(self, algorithm: str, instance: str, max_color: int, distinct_colors: int,
                  advice_bits_read: int, opt_value: int | None, strict_ratio: float | None,
-                 valid: bool, advice_bound: int | None, runtime_millis: float = 0.0):
+                 valid: bool, advice_bound: int | None, color_bound: int | None = None,
+                 runtime_millis: float = 0.0):
         self._init(algorithm, instance, max_color, distinct_colors, advice_bits_read, opt_value,
-                   strict_ratio, valid, advice_bound, runtime_millis)
+                   strict_ratio, valid, advice_bound, color_bound, runtime_millis)
 
     def _key(self) -> tuple:
         return self._fields()[:-1]  # all but runtime_millis
 
     @property
     def ok(self) -> bool:
-        """Valid, and within the declared advice bound when there is one."""
-        return self.valid and (self.advice_bound is None
-                               or self.advice_bits_read <= self.advice_bound)
+        """Valid, and within the declared advice bound and the guaranteed
+        color bound, each when there is one."""
+        return (self.valid
+                and (self.advice_bound is None or self.advice_bits_read <= self.advice_bound)
+                and (self.color_bound is None or self.max_color <= self.color_bound))
 
 
 def make_advice(instance: Instance, algo: str, b: int | None = None,
@@ -312,6 +315,7 @@ def run(instance: Instance, algo: str, b: int | None = None,
     opt = optimum.value
     ratio = (max_color / opt) if opt else None
     bound = advice_bound(instance, algo, b=b, optimum=optimum)
+    color_bound = ALGORITHMS[algo].color_bound(instance, optimum, b)
     elapsed = (time.perf_counter() - start) * 1000.0
     return RunReport(
         algorithm=algo,
@@ -323,6 +327,7 @@ def run(instance: Instance, algo: str, b: int | None = None,
         strict_ratio=ratio,
         valid=violation is None,
         advice_bound=bound,
+        color_bound=color_bound,
         runtime_millis=elapsed,
     )
 

@@ -164,7 +164,7 @@ def opt_bipartite(instance: Instance) -> int:
 
 class Optimum:
     """The offline facts about one instance's optimum: the bipartite closed
-    form, the peak clique load, omega and the exact witness.  Each is computed
+    form, the peak clique load, omega and an optimal witness.  Each is computed
     at most once, on first use, so a run's tape, advice bound and report
     share them."""
 
@@ -187,7 +187,18 @@ class Optimum:
 
     @cached_property
     def witness(self) -> OptWitness:
-        return opt_exact(self.instance, **self.budget)
+        """An optimal coloring.  On a cancellation-free path or bipartite
+        instance it is built in closed form, without search, at any size: with
+        m = Opt, an L node gets 1..n_v and a U node m-n_v+1..m, disjoint on
+        every edge since each joins L to U and n_L + n_U <= m.  Otherwise
+        opt_exact finds it, within the budget."""
+        inst = self.instance
+        if inst.graph.kind not in ("path", "bipartite") or inst.has_cancellations():
+            return opt_exact(inst, **self.budget)
+        m, side = self.closed_form, inst.graph.partition
+        return OptWitness(opt_value=m, coloring={
+            v: frozenset(range(1, k + 1) if side[v] == "L" else range(m - k + 1, m + 1))
+            for v, k in demand(inst).items()})
 
     @cached_property
     def value(self) -> int | None:
@@ -242,17 +253,18 @@ def advice_cancel(instance: Instance, optimum: Optimum | None = None) -> AdviceT
 def advice_trivial(instance: Instance, optimum: Optimum | None = None) -> AdviceTape:
     """enc(w) plus one w-bit field per request, w = ceil(log2(Opt+1)).
 
-    Each field is (color - 1) of the request under the exact witness,
-    replayed per node in increasing color order.
+    Each field is (color - 1) of the request under the optimal witness,
+    replayed per node in increasing color order.  Each color's field is
+    rendered once.
     """
     witness = (optimum or Optimum(instance)).witness
     w = witness.opt_value.bit_length()
-    tape = AdviceTape(bits=enc(w))
+    field = [[c >> i & 1 for i in reversed(range(w))] for c in range(witness.opt_value)]
+    bits = enc(w)
     pending = {v: iter(sorted(witness.coloring[v])) for v in instance.graph.nodes}
     for r in instance.requests:
-        color = next(pending[r.node])
-        tape.write((color - 1 >> (w - 1 - i)) & 1 for i in range(w))
-    return tape
+        bits += field[next(pending[r.node]) - 1]
+    return AdviceTape(bits=bits)
 
 
 def advice_fpa(instance: Instance, optimum: Optimum | None = None) -> AdviceTape:

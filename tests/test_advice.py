@@ -58,6 +58,41 @@ def test_read_fixed_zero_width():
     assert tape.cursor == 0
 
 
+def read_bit_by_bit(tape, width):
+    """read_fixed as a fold of read_bit: the value, or the underrun message."""
+    value = 0
+    try:
+        for _ in range(width):
+            value = value << 1 | tape.read_bit()
+    except TapeUnderrunError as exc:
+        return str(exc)
+    return value
+
+
+@given(st.lists(st.integers(0, 1), max_size=40), st.data())
+def test_read_fixed_is_the_bit_by_bit_fold(bits, data):
+    """Same value, same cursor, and past the end the same error, as reading
+    one bit at a time."""
+    start = data.draw(st.integers(0, len(bits) + 2))
+    width = data.draw(st.integers(0, len(bits) + 3))
+    tape, fold = AdviceTape(list(bits), start), AdviceTape(list(bits), start)
+    try:
+        got = tape.read_fixed(width)
+    except TapeUnderrunError as exc:
+        got = str(exc)
+    assert got == read_bit_by_bit(fold, width)
+    assert tape.cursor == fold.cursor
+
+
+@pytest.mark.parametrize("start", [0, 2, 5])
+def test_read_fixed_underrun_stops_at_the_written_prefix(start):
+    tape = AdviceTape.from_string("10110")
+    tape.cursor = start
+    with pytest.raises(TapeUnderrunError, match="read past written prefix at index 5$"):
+        tape.read_fixed(6 - start)
+    assert tape.high_water == len(tape.bits) == 5
+
+
 def test_tape_string_round_trip():
     tape = AdviceTape()
     tape.write_int(42)

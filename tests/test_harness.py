@@ -174,6 +174,35 @@ class TestRun:
         assert report.opt_value is None and report.strict_ratio is None
         assert report.valid
 
+    def test_trivial_bipartite_beyond_the_exact_budget(self):
+        inst = random_instance("bipartite", seed=3, n_nodes=60, n_requests=300)
+        report = run(inst, "trivial")
+        assert report.valid and report.ok
+        assert report.max_color == report.opt_value == report.distinct_colors
+        assert report.advice_bits_read == report.advice_bound
+
+    def test_color_bounds_are_the_player_table(self):
+        path, odd = path_family(40)[2], path_family(40)[3]  # Opt 12 and 13
+        hexagonal = random_instance("hexagonal", seed=7, n_nodes=10, n_requests=30)
+        omega = Optimum(hexagonal).omega
+        cancels = random_cancel_instance(seed=3)
+        for inst, algo, b, bound in [
+            (path, "greedy_opt", None, 12),
+            (path, "greedy_truncated", 1, 24),
+            (path, "greedy_truncated", 2, 18),
+            (path, "greedy_truncated", 3, 15),
+            (odd, "greedy_truncated", 2, 19),  # floor(13 * 3/2)
+            (odd, "greedy_truncated", 3, 16),  # floor(13 * 5/4)
+            (path, "trivial", None, 12),
+            (cancels, "greedy_cancel", None, Optimum(cancels).peak_load),
+            (hexagonal, "trivial", None, Optimum(hexagonal).value),
+            (hexagonal, "fpa", None, 3 * -(-omega // 2)),
+            (hexagonal, "hex43", None, (4 * omega + 1) // 3),
+        ]:
+            report = run(inst, algo, b=b)
+            assert report.color_bound == bound, algo
+            assert report.max_color <= bound and report.ok
+
     def test_bits_read_within_declared_bound(self):
         for algo, inst in [
             ("greedy_opt", path_family(40)[0]),
@@ -219,6 +248,15 @@ class TestWorkCounts:
         assert report.opt_value == report.max_color
         assert report.advice_bound is not None
 
+    def test_trivial_bipartite_runs_no_exact_search(self, monkeypatch):
+        from multicolor.oracle import opt_exact
+
+        calls = count_calls(monkeypatch, opt_exact)
+        for inst in (path_family(40)[2], random_instance("bipartite", seed=3)):
+            report = run(inst, "trivial")
+            assert report.ok and report.max_color == report.opt_value
+        assert calls == []
+
     def test_greedy_cancel_computes_one_peak_load(self, monkeypatch):
         from multicolor.instance import peak_clique_load
 
@@ -251,6 +289,42 @@ class TestWorkCounts:
         assert ok and len(text.splitlines()) == 4
         assert len(loads) == 1
         assert len(searches) == 1
+
+
+class TestColorBoundMiss:
+    """A valid run above its guaranteed color bound is not ok: `run` and
+    `batch` exit 1, and the CSV row is the same as for any valid run."""
+
+    @pytest.fixture(autouse=True)
+    def overshooting_greedy_opt(self, monkeypatch):
+        from multicolor import algorithms
+
+        play = algorithms.greedy_opt
+        # every color one higher: still a valid coloring, one color above Opt
+        monkeypatch.setattr(algorithms, "greedy_opt", lambda g, tape, reqs: [
+            ColorAction(a.color + 1) for a in play(g, tape, reqs)])
+
+    def test_report_is_not_ok(self):
+        report = run(path_family(40)[2], "greedy_opt")
+        assert report.valid and report.advice_bits_read <= report.advice_bound
+        assert (report.max_color, report.color_bound) == (13, 12)
+        assert not report.ok
+
+    def test_run_exits_1(self, tmp_path, capsys):
+        inst_path = str(tmp_path / "i2.json")
+        save_instance(path_family(40)[2], inst_path)
+        assert main(["run", inst_path, "--algo", "greedy_opt"]) == 1
+        assert json.loads(capsys.readouterr().out)["color_bound"] == 12
+
+    def test_batch_exits_1(self, tmp_path):
+        save_instance(path_family(40)[2], str(tmp_path / "i2.json"))
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps({"runs": [{"instance": "i2.json",
+                                                       "algo": "greedy_opt"}]}))
+        out_path = tmp_path / "report.csv"
+        assert main(["batch", str(manifest_path), "--out", str(out_path)]) == 1
+        row = out_path.read_text().splitlines()[1]
+        assert row == "greedy_opt,path_family_n40_i2,13,12,11,12,1.083333,true,ok"
 
 
 def _run_benchmarks():
@@ -692,6 +766,21 @@ class TestCli:
     def test_bad_branch_exits_2(self, capsys):
         assert main(["gen", "hex_chain", "--branch", "1x"]) == 2
         assert "--branch must be digits, got '1x'" in capsys.readouterr().err
+
+    def test_batch_does_not_import_adversary(self, tmp_path):
+        save_instance(path_family(40)[2], str(tmp_path / "i2.json"))
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps({"runs": [{"instance": "i2.json",
+                                                       "algo": "greedy_opt"}]}))
+        code = ("import sys; from multicolor.cli import main; "
+                f"status = main(['batch', {str(manifest_path)!r}, '--out', "
+                f"{str(tmp_path / 'report.csv')!r}]); "
+                "print(status, 'multicolor.adversary' in sys.modules)")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
 
     def test_verify_output_independent_of_hash_seed(self, tmp_path):
         leaves = ["a", "b", "d", "e"]

@@ -19,6 +19,7 @@ from multicolor.oracle import (
     advice_greedyopt,
     advice_trivial,
     advice_truncated,
+    Optimum,
     opt_bipartite,
     opt_exact,
     plan_43,
@@ -104,6 +105,38 @@ class TestOptBipartite:
 def test_closed_form_matches_exact_search(seed):
     inst = random_instance("bipartite", seed=seed, n_nodes=8, n_requests=24)
     assert opt_bipartite(inst) == opt_exact(inst).opt_value
+
+
+class TestClosedFormWitness:
+    """Optimum.witness on a cancellation-free path or bipartite instance is
+    the closed form: valid, and using exactly Opt colors."""
+
+    @staticmethod
+    def check(inst):
+        witness, opt = Optimum(inst).witness, opt_bipartite(inst)
+        assert witness.opt_value == opt
+        assert validate_full(inst, witness_actions(inst, witness.coloring)) is None
+        assert set().union(*witness.coloring.values()) == set(range(1, opt + 1))
+
+    def test_acceptance_bipartite_corpus(self):
+        for seed in range(500):
+            self.check(random_instance("bipartite", seed=seed,
+                                       n_nodes=3 + seed % 8, n_requests=6 + seed % 25))
+
+    def test_path_family(self):
+        for inst in path_family(40):
+            self.check(inst)
+
+    def test_empty_and_isolated(self):
+        self.check(Instance(build_path(3), ()))
+        self.check(single_node(4))
+
+    def test_hexagonal_and_cancellations_still_search(self):
+        assert Optimum(hex_triangle_211()).witness == opt_exact(hex_triangle_211())
+        g = build_path(1)
+        inst = Instance(g, (Request("v1", "color"), Request("v1", "cancel", cancel_color=1)))
+        with pytest.raises(DomainError):
+            Optimum(inst).witness
 
 
 class TestAdviceGreedyOpt:

@@ -58,7 +58,7 @@ MAKERS = {
     "RunReport": lambda x: RunReport("fpa", "i", 3 + x, 3, 5, 3, 1.0, True, 9, runtime_millis=2.0),
     "OptWitness": lambda x: OptWitness(1 + x, {"v1": frozenset({1})}),
     "Plan43": lambda x: _plan({"a": x}),
-    "Algorithm": lambda x: Algorithm(len, sum, (repr, ascii)[x]),
+    "Algorithm": lambda x: Algorithm(len, sum, (repr, ascii)[x], max),
 }
 HASHABLE = {"CellCoord", "Request", "ColorAction", "CancelAction", "Violation", "RunReport",
             "Algorithm"}
@@ -139,7 +139,7 @@ def test_reprs():
     assert repr(RunReport("fpa", "i", 3, 3, 5, None, None, True, None)) == (
         "RunReport(algorithm='fpa', instance='i', max_color=3, distinct_colors=3, "
         "advice_bits_read=5, opt_value=None, strict_ratio=None, valid=True, "
-        "advice_bound=None, runtime_millis=0.0)")
+        "advice_bound=None, color_bound=None, runtime_millis=0.0)")
     assert repr(OptWitness(0, {})) == "OptWitness(opt_value=0, coloring={})"
     assert repr(_plan({})) == (
         "Plan43(omega=3, q=1, phase1_count={'a': 1}, borrow_count={'a': 0}, b_v={'a': 0}, "

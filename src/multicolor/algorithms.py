@@ -98,11 +98,6 @@ def trivial(graph: Graph, tape: AdviceTape, requests) -> list:
     return out
 
 
-def _private_palette(cls: str, size: int) -> set[int]:
-    """First `size` colors of the class's interleaved private palette."""
-    return set(range(PALETTE_START[cls], 3 * size + 1, 3))
-
-
 def fpa(graph: Graph, tape: AdviceTape, requests) -> list:
     """Fixed preference allocation with advice c = ceil(omega/2).
 
@@ -173,7 +168,8 @@ def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
                 frozen = True
         if phase[v] == 2:
             if tape.read_bit() == 0:
-                lender = _private_palette(BORROW_FROM[cls], size) - f[v]
+                # the first `size` colors of the lender's interleaved private palette
+                lender = set(range(PALETTE_START[BORROW_FROM[cls]], 3 * size + 1, 3)) - f[v]
                 for u in graph.neighbors(v):
                     lender -= f[u]
                 if not lender:

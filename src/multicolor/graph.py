@@ -35,9 +35,6 @@ class CellCoord(Value):
     def __init__(self, q: int, r: int):
         self._init(q, r)
 
-    def is_adjacent(self, other: "CellCoord") -> bool:
-        return (other.q - self.q, other.r - self.r) in HEX_OFFSETS
-
 
 class Graph(Value):
     """Immutable graph with a kind tag ("path" | "bipartite" | "hexagonal"),
@@ -110,7 +107,7 @@ def build_bipartite(nodes, edges, partition) -> Graph:
     """Bipartite graph from an explicit L/U partition; rejects same-side edges."""
     nodes = tuple(sorted(nodes))
     node_set = set(nodes)
-    for v in node_set:
+    for v in nodes:  # in sorted order: the smallest node without a side is named
         if partition.get(v) not in ("L", "U"):
             raise NotBipartiteError(f"node {v!r} has no L/U side")
     edge_set = set()

@@ -118,11 +118,11 @@ def instance_from_dict(data: dict) -> Instance:
         graph = build_hexagonal({v: tuple(c) for v, c in cells.items()})
     elif kind in ("path", "bipartite"):
         nodes = _node_names(gd)
-        if kind == "path":
-            edges = gd.get("edges") or [[nodes[i], nodes[i + 1]] for i in range(len(nodes) - 1)]
-            partition = gd.get("partition") or {
-                v: ("L" if i % 2 == 0 else "U") for i, v in enumerate(nodes)
-            }
+        if kind == "path":  # an absent field, and only that, takes the path's default
+            edges = gd["edges"] if "edges" in gd else [
+                [nodes[i], nodes[i + 1]] for i in range(len(nodes) - 1)]
+            partition = gd["partition"] if "partition" in gd else {
+                v: ("L" if i % 2 == 0 else "U") for i, v in enumerate(nodes)}
         else:
             edges, partition = _field(gd, "edges", "graph"), _field(gd, "partition", "graph")
         if not isinstance(edges, list) or not all(_is_pair(e, str) for e in edges):

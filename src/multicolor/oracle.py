@@ -5,11 +5,11 @@ advice-tape generators for every online player.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import islice
+from itertools import islice, permutations
 
 from .advice import AdviceTape, enc
 from .errors import BudgetExceededError, DomainError, InternalConsistencyError
-from .graph import BORROW_FROM, Graph, clique_weight, maximal_cliques
+from .graph import BORROW_FROM, CLASS_NAMES, Graph, clique_weight, maximal_cliques
 from .instance import Instance, demand, demand_clique_weight, peak_clique_load
 from .value import Value
 
@@ -190,21 +190,34 @@ class Optimum:
         """An optimal coloring.  On a cancellation-free path or bipartite
         instance it is built in closed form, without search, at any size: with
         m = Opt, an L node gets 1..n_v and a U node m-n_v+1..m, disjoint on
-        every edge since each joins L to U and n_L + n_U <= m.  Otherwise
-        opt_exact finds it, within the budget."""
-        inst = self.instance
-        if inst.graph.kind not in ("path", "bipartite") or inst.has_cancellations():
+        every edge since each joins L to U and n_L + n_U <= m.  On a
+        cancellation-free hexagonal instance within the budget it is an
+        omega-coloring from _omega_coloring when one of the six class orders
+        gives one, which proves Opt = omega.  Otherwise opt_exact finds it,
+        within the budget."""
+        inst, g = self.instance, self.instance.graph
+        if inst.has_cancellations():
             return opt_exact(inst, **self.budget)
-        m, side = self.closed_form, inst.graph.partition
-        return OptWitness(opt_value=m, coloring={
-            v: frozenset(range(1, k + 1) if side[v] == "L" else range(m - k + 1, m + 1))
-            for v, k in demand(inst).items()})
+        dem = demand(inst)
+        if g.kind != "hexagonal":
+            m, side = self.closed_form, g.partition
+            return OptWitness(opt_value=m, coloring={
+                v: frozenset(range(1, k + 1) if side[v] == "L" else range(m - k + 1, m + 1))
+                for v, k in dem.items()})
+        active = [k for k in dem.values() if k]
+        if len(active) <= self.budget["max_nodes"] and sum(active) <= self.budget["max_requests"]:
+            masks = _omega_coloring(g, dem, self.omega)
+            if masks is not None:
+                return OptWitness(opt_value=self.omega, coloring={
+                    v: frozenset(_colors(masks.get(v, 0))) for v in g.nodes})
+        return opt_exact(inst, **self.budget)
 
     @cached_property
     def value(self) -> int | None:
         """Best available exact optimum: closed form for path/bipartite, the
-        peak load for cancellation sequences, exact search otherwise.
-        None when the search budget is exceeded."""
+        peak load for cancellation sequences, and otherwise the opt_value of
+        the witness: omega when an omega-coloring certifies it, else the
+        exact search's.  None when the instance exceeds the search budget."""
         bipartite = self.instance.graph.kind in ("path", "bipartite")
         if self.instance.has_cancellations():
             return self.peak_load if bipartite else None
@@ -214,6 +227,39 @@ class Optimum:
             return self.witness.opt_value
         except BudgetExceededError:
             return None
+
+
+def _omega_coloring(g: Graph, dem: dict, omega: int) -> dict | None:
+    """node -> color mask of an omega-coloring of a hexagonal graph, or None.
+
+    Each R/G/B class is an independent set, so the classes are colored one
+    at a time: each node takes the dem[v] lowest colors in 1..omega that its
+    neighbours do not hold.  The six class orders are tried in turn; the
+    first that serves every node is checked and returned.  omega is a lower
+    bound on Opt, so such a coloring is optimal.
+    """
+    full = (1 << omega + 1) - 2  # the colors 1..omega
+    members = {cls: [v for v in g.nodes if dem[v] and g.class_of[v] == cls] for cls in CLASS_NAMES}
+    for order in permutations(CLASS_NAMES):
+        masks = {}
+        for v in (v for cls in order for v in members[cls]):
+            free = full
+            for u in g.neighbors(v):
+                free &= ~masks.get(u, 0)
+            if free.bit_count() < dem[v]:
+                break
+            take = 0
+            for _ in range(dem[v]):
+                take |= free & -free  # the lowest free color
+                free &= free - 1
+            masks[v] = take
+        else:
+            for v, k in dem.items():
+                m = masks.get(v, 0)
+                if m.bit_count() != k or m & ~full or any(m & masks.get(u, 0) for u in g.neighbors(v)):
+                    raise InternalConsistencyError(f"omega-coloring fails at {v!r}")
+            return masks
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from multicolor.errors import (
     UnknownNodeError,
 )
 from multicolor.graph import (
+    HEX_OFFSETS,
     CellCoord,
     build_bipartite,
     build_hexagonal,
@@ -236,7 +237,7 @@ def test_hex_edges_match_all_pairs_reference(cells):
     g = build_hexagonal(coords)
     assert g.edges == frozenset(
         frozenset((u, w)) for u in coords for w in coords
-        if u != w and coords[u].is_adjacent(coords[w])
+        if (coords[w].q - coords[u].q, coords[w].r - coords[u].r) in HEX_OFFSETS
     )
 
 

@@ -16,7 +16,7 @@ from multicolor.adversary import (hex_54, hex_chain, path_family, random_cancel_
                                   random_instance)
 from multicolor.algorithms import ALGORITHMS
 from multicolor.cli import build_parser, main
-from multicolor.errors import MalformedInstanceError, MalformedLogError
+from multicolor.errors import MalformedInstanceError, MalformedLogError, NotBipartiteError
 from multicolor.graph import CellCoord, Graph, build_bipartite, build_hexagonal, build_path
 from multicolor.harness import (
     actions_from_dicts,
@@ -95,6 +95,27 @@ class TestSerialization:
         back = load_instance(str(path))
         assert back.requests == inst.requests
         assert back.graph.cell_of == inst.graph.cell_of
+
+    @settings(max_examples=200, deadline=None)
+    @given(instances())
+    def test_written_text_loads_to_the_same_instance(self, inst):
+        back = instance_from_dict(json.loads(instance_text(inst)))
+        g, h = inst.graph, back.graph
+        assert (h.kind, sorted(h.nodes), h.edges, h.partition, h.cell_of) == (
+            g.kind, sorted(g.nodes), g.edges, g.partition, g.cell_of)
+        assert (back.requests, back.name) == (inst.requests, inst.name)
+
+    def test_path_fields_present_but_empty_are_kept(self):
+        def load(**fields):
+            graph = {"kind": "path", "nodes": ["v1", "v2", "v3"], **fields}
+            return instance_from_dict({"graph": graph, "requests": []}).graph
+
+        sides = {"v1": "L", "v2": "U", "v3": "L"}
+        assert load(edges=[], partition=sides).edges == frozenset()
+        assert load(partition=sides).edges == build_path(3).edges
+        assert load(edges=[["v1", "v2"]]).partition == build_path(3).partition
+        with pytest.raises(NotBipartiteError, match="node 'v1' has no L/U side"):
+            load(edges=[], partition={})
 
     def test_cancel_request_format(self):
         g = build_path(1)
@@ -218,33 +239,43 @@ class TestRun:
             assert report.advice_bound == advice_bound(inst, algo, b=b)
 
 
-def count_calls(monkeypatch, fn):
-    """Rebind fn in every multicolor module that binds it to a counting
-    wrapper; returns the list that collects one entry per call."""
+def count_calls(monkeypatch, *fns):
+    """Rebind each of fns in every multicolor module that binds it to a
+    counting wrapper; returns the list that collects one entry per call to
+    any of them."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return counted
 
     for name, mod in list(sys.modules.items()):
         if name == "multicolor" or name.startswith("multicolor."):
             for attr, obj in list(vars(mod).items()):
-                if obj is fn:
-                    monkeypatch.setattr(mod, attr, counted)
+                if any(obj is fn for fn in fns):
+                    monkeypatch.setattr(mod, attr, counting(obj))
     return calls
+
+
+def count_witness_builds(monkeypatch):
+    """One entry per attempt to build a hexagonal witness: by the
+    omega-coloring certificate, or by the exact search behind it.  A
+    certified instance takes one certificate call and no search."""
+    from multicolor import oracle
+
+    return count_calls(monkeypatch, oracle._omega_coloring, oracle.opt_exact)
 
 
 class TestWorkCounts:
     """One run computes each offline quantity once, shared by the tape, the
     advice bound and the reported Opt."""
 
-    def test_trivial_hexagonal_runs_one_exact_search(self, monkeypatch):
-        from multicolor.oracle import opt_exact
-
-        calls = count_calls(monkeypatch, opt_exact)
+    def test_trivial_hexagonal_builds_one_witness(self, monkeypatch):
+        builds = count_witness_builds(monkeypatch)
         report = run(hex_edge_21(), "trivial")
-        assert len(calls) == 1
+        assert len(builds) == 1
         assert report.opt_value == report.max_color
         assert report.advice_bound is not None
 
@@ -276,19 +307,17 @@ class TestWorkCounts:
         assert lines[0].startswith("algorithm,")
         assert lines[1].startswith("greedy_opt,path_family_n40_i2,12,")
 
-    def test_batch_shares_one_load_and_one_search_per_file(self, tmp_path, monkeypatch):
-        from multicolor.oracle import opt_exact
-
+    def test_batch_shares_one_load_and_one_witness_per_file(self, tmp_path, monkeypatch):
         save_instance(random_instance("hexagonal", seed=7, n_nodes=10, n_requests=30),
                       str(tmp_path / "hex.json"))
         manifest = {"runs": [{"instance": "hex.json", "algo": algo}
                              for algo in ("fpa", "hex43", "trivial")]}
         loads = count_calls(monkeypatch, harness.load_instance)
-        searches = count_calls(monkeypatch, opt_exact)
+        builds = count_witness_builds(monkeypatch)
         text, ok = batch(manifest, base_dir=str(tmp_path))
         assert ok and len(text.splitlines()) == 4
         assert len(loads) == 1
-        assert len(searches) == 1
+        assert len(builds) == 1
 
 
 class TestColorBoundMiss:

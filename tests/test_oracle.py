@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multicolor.adversary import path_family, random_instance
+from multicolor import oracle
+from multicolor.adversary import hex_chain, path_family, random_instance
 from multicolor.advice import enc, enc_len
 from multicolor.errors import BudgetExceededError, DomainError
 from multicolor.graph import (HEX_OFFSETS, build_bipartite, build_hexagonal, build_path,
@@ -456,3 +457,86 @@ def test_opt_exact_matches_milp_and_reference(inst):
     assert validate_full(inst, witness_actions(inst, witness.coloring)) is None
     assert max(max(s) for s in witness.coloring.values() if s) == witness.opt_value
     assert (witness.opt_value, witness.coloring) == reference_opt_exact(inst)
+
+
+# the hexagonal instances of acceptance criteria 6, 7 and 8
+ACCEPTANCE_HEX_CORPUS = (
+    [random_instance("hexagonal", seed=s, n_nodes=12, n_requests=36) for s in range(200)]
+    + [random_instance("hexagonal", seed=2000 + s, n_nodes=4 + s % 7, n_requests=6 + s % 25)
+       for s in range(44)]
+)
+
+
+def hex_shapes(max_cells):
+    """Every connected set of at most max_cells hexagonal cells, once up to
+    translation: grown a cell at a time, shifted so its least cell is (0, 0)."""
+    def shifted(cells):
+        q0, r0 = min(cells)
+        return frozenset((q - q0, r - r0) for q, r in cells)
+
+    level = {frozenset({(0, 0)})}
+    shapes = set(level)
+    for _ in range(max_cells - 1):
+        level = {shifted(cells | {(q + dq, r + dr)})
+                 for cells in level for q, r in cells for dq, dr in HEX_OFFSETS
+                 if (q + dq, r + dr) not in cells}
+        shapes |= level
+    return sorted(sorted(cells) for cells in shapes)
+
+
+class TestHexagonalWitness:
+    """Optimum.witness on a cancellation-free hexagonal instance within the
+    budget: an omega-coloring when a class order gives one, else the exact
+    search's witness.  Either way it is a proper coloring with exact demands
+    that uses exactly the colors 1..Opt."""
+
+    @staticmethod
+    def check(inst):
+        optimum = Optimum(inst)
+        witness, dem = optimum.witness, demand(inst)
+        assert optimum.value == witness.opt_value
+        assert all(len(witness.coloring[v]) == dem[v] for v in inst.graph.nodes)
+        assert validate_full(inst, witness_actions(inst, witness.coloring)) is None
+        assert set().union(*witness.coloring.values()) == set(range(1, witness.opt_value + 1))
+        return witness
+
+    @pytest.mark.parametrize("inst", SMALL_EXACT_INSTANCES + ACCEPTANCE_HEX_CORPUS,
+                             ids=lambda inst: f"{inst.name}_v{len(inst.graph.nodes)}")
+    def test_value_matches_milp(self, inst):
+        assert self.check(inst).opt_value == milp_opt(inst)
+
+    def test_hex_shapes_counts(self):
+        # fixed polyhexes of 1..4 cells: 1, 3, 11 and 44 (OEIS A001207)
+        assert [sum(len(c) == k for c in hex_shapes(4)) for k in (1, 2, 3, 4)] == [1, 3, 11, 44]
+
+    def test_every_shape_of_up_to_4_cells_is_certified(self):
+        for cells in hex_shapes(4):
+            g = build_hexagonal({f"c{i}": cell for i, cell in enumerate(cells)})
+            for dem in product((1, 2, 3), repeat=len(cells)):
+                inst = Instance(g, tuple(Request(v, "color")
+                                         for v, k in zip(g.nodes, dem) for _ in range(k)))
+                omega = demand_clique_weight(inst)
+                assert oracle._omega_coloring(g, demand(inst), omega) is not None
+                assert self.check(inst).opt_value == omega == opt_exact(inst).opt_value
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_opt_above_omega_falls_back_to_the_search(self, d):
+        inst = hex_ring_9(d)
+        witness = self.check(inst)
+        assert witness == opt_exact(inst)
+        assert witness.opt_value == -(-9 * d // 4) > demand_clique_weight(inst)
+
+    def test_no_class_order_falls_back_to_the_search(self):
+        inst = hex_chain(4, (1, 1, 1, 1))
+        assert oracle._omega_coloring(inst.graph, demand(inst), 2) is None
+        witness = self.check(inst)
+        assert witness == opt_exact(inst)
+        assert witness.opt_value == 2
+
+    def test_beyond_the_budget_nothing_changes(self):
+        inst = random_instance("hexagonal", seed=1, n_nodes=200, n_requests=2000, grid_extent=17)
+        optimum = Optimum(inst)
+        assert optimum.value is None
+        with pytest.raises(BudgetExceededError) as exc:
+            optimum.witness
+        assert exc.value.lower_bound == optimum.omega

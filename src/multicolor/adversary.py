@@ -78,6 +78,8 @@ def hex_chain(k: int, branch, pad_requests: int = 0) -> Instance:
     S pair, per the branch tuple.  Opt = 2 for every branch choice."""
     if k < 1:
         raise DomainError(f"hex_chain needs k >= 1, got {k}")
+    if pad_requests < 0:
+        raise DomainError(f"hex_chain needs pad_requests >= 0, got {pad_requests}")
     branch = tuple(branch)
     if len(branch) != k or any(b not in (0, 1) for b in branch):
         raise DomainError(f"branch must be a {{0,1}}-tuple of length {k}")

@@ -170,7 +170,7 @@ def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
             if tape.read_bit() == 0:
                 # the first `size` colors of the lender's interleaved private palette
                 lender = set(range(PALETTE_START[BORROW_FROM[cls]], 3 * size + 1, 3)) - f[v]
-                for u in graph.neighbors(v):
+                for u in graph.adjacency[v]:
                     lender -= f[u]
                 if not lender:
                     raise CapacityExceededError(f"no borrowable color left at {v!r}")

@@ -55,11 +55,8 @@ class Graph(Value):
 
     @cached_property
     def adjacency(self) -> dict:
-        """node -> {neighbour: None}, its neighbours as an ordered set; built once."""
-        adj = {v: {} for v in self.nodes}
-        for u, w in self.edge_list():  # sorted, so each adj[v] fills in sorted order
-            adj[u][w] = adj[w][u] = None
-        return adj
+        """node -> {neighbour: None}, in sorted order: from a builder, else from the edges."""
+        return _adjacency(self.nodes, self.edges)
 
     @cached_property
     def cliques(self) -> list[frozenset]:
@@ -68,19 +65,20 @@ class Graph(Value):
         For the three supported kinds, every clique has size at most 3
         (paths and bipartite graphs are triangle-free; hexagonal grids have
         no K4), so isolated nodes, edges, and triangles are the only
-        candidates.  Triangles are listed through each edge u < w: every
-        common neighbour x > w gives {u, w, x} once (Chiba & Nishizeki), in
-        O(|E| * max degree) time.  An edge with no common neighbour is a
-        maximal clique itself.
+        candidates.  Each edge u < w of the adjacency gives the triangle
+        (u, w, x) once per common neighbour x > w (Chiba & Nishizeki), in
+        O(|E| * max degree) time, and is a maximal clique itself when u and
+        w have none.  As tuples of sorted members they sort as the cliques do.
         """
-        cliques = []
-        for u, w in self.edge_list():
-            common = self.neighbors(u) & self.neighbors(w)
-            cliques += [frozenset((u, w, x)) for x in common if x > w]
-            if not common:
-                cliques.append(frozenset((u, w)))
-        cliques += [frozenset((v,)) for v in self.nodes if not self.neighbors(v)]
-        return sorted(cliques, key=lambda c: sorted(c))
+        adj, found = self.adjacency, []
+        for u, nbrs in adj.items():
+            if not nbrs:
+                found.append((u,))
+            for w in nbrs:
+                if w > u:
+                    common = nbrs.keys() & adj[w].keys()
+                    found += [(u, w, x) for x in common if x > w] if common else [(u, w)]
+        return [frozenset(c) for c in sorted(found)]
 
     def neighbors(self, v: str):
         """The neighbours of v: a set-like view that iterates in sorted order."""
@@ -90,7 +88,26 @@ class Graph(Value):
         return v in self.adjacency.get(u, ())
 
     def edge_list(self) -> list[tuple[str, str]]:
-        return sorted(tuple(sorted(e)) for e in self.edges)
+        return sorted((u, w) for u, nbrs in self.adjacency.items() for w in nbrs if u < w)
+
+
+def _adjacency(nodes, pairs) -> dict:
+    """node -> {neighbour: None} for the node pairs: filled with the pairs
+    ordered and sorted, so each neighbour dict is in sorted order."""
+    adj = {v: {} for v in nodes}
+    for u, w in sorted((u, w) if u < w else (w, u) for u, w in pairs):
+        adj[u][w] = adj[w][u] = None
+    return adj
+
+
+def _built(kind: str, nodes: tuple, adj: dict, edges=None, **annotations) -> Graph:
+    """The graph on nodes whose adjacency is adj, made by a builder with each
+    neighbour dict in sorted order; its edges, unless given, come from adj."""
+    if edges is None:
+        edges = frozenset(frozenset((u, w)) for u, nbrs in adj.items() for w in nbrs if u < w)
+    graph = Graph(kind, nodes, edges, **annotations)
+    graph.__dict__["adjacency"] = adj  # where the cached_property keeps it
+    return graph
 
 
 def build_path(k: int) -> Graph:
@@ -98,9 +115,8 @@ def build_path(k: int) -> Graph:
     if k < 1:
         raise InvalidSizeError(f"path needs at least one node, got k={k}")
     nodes = tuple(f"v{i}" for i in range(1, k + 1))
-    edges = frozenset(frozenset((nodes[i], nodes[i + 1])) for i in range(k - 1))
     partition = {v: ("L" if i % 2 == 0 else "U") for i, v in enumerate(nodes)}
-    return Graph(kind="path", nodes=nodes, edges=edges, partition=partition)
+    return _built("path", nodes, _adjacency(nodes, zip(nodes, nodes[1:])), partition=partition)
 
 
 def build_bipartite(nodes, edges, partition) -> Graph:
@@ -110,7 +126,7 @@ def build_bipartite(nodes, edges, partition) -> Graph:
     for v in nodes:  # in sorted order: the smallest node without a side is named
         if partition.get(v) not in ("L", "U"):
             raise NotBipartiteError(f"node {v!r} has no L/U side")
-    edge_set = set()
+    pairs = []
     for u, w in edges:
         if u not in node_set or w not in node_set:
             raise UnknownNodeError(f"edge ({u!r}, {w!r}) has an endpoint outside the node set")
@@ -118,13 +134,9 @@ def build_bipartite(nodes, edges, partition) -> Graph:
             raise NotBipartiteError(f"self-loop at {u!r}")
         if partition[u] == partition[w]:
             raise NotBipartiteError(f"edge ({u!r}, {w!r}) joins two {partition[u]} nodes")
-        edge_set.add(frozenset((u, w)))
-    return Graph(
-        kind="bipartite",
-        nodes=nodes,
-        edges=frozenset(edge_set),
-        partition={v: partition[v] for v in nodes},
-    )
+        pairs.append((u, w))
+    return _built("bipartite", nodes, _adjacency(nodes, pairs), frozenset(map(frozenset, pairs)),
+                  partition={v: partition[v] for v in nodes})
 
 
 def build_hexagonal(cells: dict) -> Graph:
@@ -141,20 +153,14 @@ def build_hexagonal(cells: dict) -> Graph:
             raise InvalidEmbeddingError(f"duplicate cell {c} (node {v!r})")
         coords[v] = c
     nodes = tuple(sorted(coords))
-    edges = frozenset(
-        frozenset((v, node_at[c.q + dq, c.r + dr]))
-        for v, c in coords.items()
-        for dq, dr in HEX_OFFSETS
-        if (c.q + dq, c.r + dr) in node_at
-    )
+    adj = {v: {} for v in nodes}
+    for v in nodes:  # in sorted order, so each adj[u] fills in sorted order
+        c = coords[v]
+        for dq, dr in HEX_OFFSETS:
+            if (c.q + dq, c.r + dr) in node_at:
+                adj[node_at[c.q + dq, c.r + dr]][v] = None
     class_of = {v: CLASS_NAMES[(coords[v].q - coords[v].r) % 3] for v in nodes}
-    return Graph(
-        kind="hexagonal",
-        nodes=nodes,
-        edges=edges,
-        cell_of=coords,
-        class_of=class_of,
-    )
+    return _built("hexagonal", nodes, adj, cell_of=coords, class_of=class_of)
 
 
 def maximal_cliques(g: Graph) -> list[frozenset]:

@@ -24,7 +24,7 @@ from .advice import AdviceTape
 from .algorithms import ALGORITHMS, run_player
 from .errors import (MalformedInstanceError, MalformedLogError, MalformedManifestError,
                      MultiColorError)
-from .graph import Graph, build_bipartite, build_hexagonal
+from .graph import _built, build_bipartite, build_hexagonal
 from .instance import CancelAction, ColorAction, Instance, Request, validate_full
 from .value import Value
 from . import oracle
@@ -41,12 +41,8 @@ def instance_to_dict(instance: Instance) -> dict:
         gd["partition"] = {v: g.partition[v] for v in g.nodes}
     else:
         gd["cells"] = {v: [g.cell_of[v].q, g.cell_of[v].r] for v in g.nodes}
-    reqs = []
-    for r in instance.requests:
-        if r.op == "color":
-            reqs.append({"node": r.node, "op": "color"})
-        else:
-            reqs.append({"node": r.node, "op": "cancel", "color": r.cancel_color})
+    reqs = [{"node": r.node, "op": "color"} if r.op == "color" else
+            {"node": r.node, "op": "cancel", "color": r.cancel_color} for r in instance.requests]
     return {"graph": gd, "requests": reqs, "name": instance.name}
 
 
@@ -81,6 +77,21 @@ def _request(r, i):
     if op == "cancel" and type(color) is not int:
         raise _wrong_type(f"{where} field 'color'", "an integer", color)
     return Request(node=node, op=op, cancel_color=color)  # checks op; a color op has no color
+
+
+def _requests(items):
+    """The requests of an instance file, one Request per distinct (node, op,
+    color).  Only fields of exact types are looked up: True and 2.0 equal
+    the ints 1 and 2, so they go through _request and its checks."""
+    made, out = {}, []
+    for i, r in enumerate(items, 1):
+        if type(r) is dict:
+            key = node, op, color = r.get("node"), r.get("op"), r.get("color")
+            if type(node) is type(op) is str and (color is None or type(color) is int):
+                out.append(made[key] if key in made else made.setdefault(key, _request(r, i)))
+                continue
+        out.append(_request(r, i))
+    return tuple(out)
 
 
 def _node_names(gd):
@@ -130,8 +141,9 @@ def instance_from_dict(data: dict) -> Instance:
         if not isinstance(partition, dict):
             raise _wrong_type("graph field 'partition'", "an object", partition)
         graph = build_bipartite(nodes, edges, partition)
-        if kind == "path":
-            graph = Graph("path", tuple(nodes), graph.edges, graph.partition)
+        if kind == "path":  # the file's node order, the bipartite graph's neighbour dicts
+            graph = _built("path", tuple(nodes), {v: graph.adjacency[v] for v in nodes},
+                           graph.edges, partition=graph.partition)
     else:
         raise MalformedInstanceError(f"unknown graph kind {kind!r}")
     requests = _field(data, "requests", "instance")
@@ -140,8 +152,7 @@ def instance_from_dict(data: dict) -> Instance:
     name = data.get("name", "instance")
     if not isinstance(name, str):
         raise _wrong_type("instance field 'name'", "a string", name)
-    return Instance(graph=graph, requests=tuple(_request(r, i) for i, r in enumerate(requests, 1)),
-                    name=name)
+    return Instance(graph=graph, requests=_requests(requests), name=name)
 
 
 def _block(brackets, items, pad):

@@ -112,7 +112,7 @@ def _serve(graph: Graph, f: dict, step: int, request: Request, action):
         return Violation(step=step, kind="invalid-color", node=v, color=new)
     if new in live:
         return Violation(step=step, kind="node-duplicate", node=v, color=new)
-    for u in graph.neighbors(v):  # in sorted order: the smallest conflict is named
+    for u in graph.adjacency.get(v, ()):  # in sorted order: the smallest conflict is named
         if new in f.get(u, ()):
             return Violation(step=step, kind="edge-conflict", node=v, color=new, other_node=u)
     live.add(new)

@@ -192,7 +192,7 @@ class Optimum:
         m = Opt, an L node gets 1..n_v and a U node m-n_v+1..m, disjoint on
         every edge since each joins L to U and n_L + n_U <= m.  On a
         cancellation-free hexagonal instance within the budget it is an
-        omega-coloring from _omega_coloring when one of the six class orders
+        omega-coloring from omega_coloring when one of the six class orders
         gives one, which proves Opt = omega.  Otherwise opt_exact finds it,
         within the budget."""
         inst, g = self.instance, self.instance.graph
@@ -206,7 +206,7 @@ class Optimum:
                 for v, k in dem.items()})
         active = [k for k in dem.values() if k]
         if len(active) <= self.budget["max_nodes"] and sum(active) <= self.budget["max_requests"]:
-            masks = _omega_coloring(g, dem, self.omega)
+            masks = omega_coloring(g, dem, self.omega)
             if masks is not None:
                 return OptWitness(opt_value=self.omega, coloring={
                     v: frozenset(_colors(masks.get(v, 0))) for v in g.nodes})
@@ -229,7 +229,7 @@ class Optimum:
             return None
 
 
-def _omega_coloring(g: Graph, dem: dict, omega: int) -> dict | None:
+def omega_coloring(g: Graph, dem: dict, omega: int) -> dict | None:
     """node -> color mask of an omega-coloring of a hexagonal graph, or None.
 
     Each R/G/B class is an independent set, so the classes are colored one
@@ -238,13 +238,13 @@ def _omega_coloring(g: Graph, dem: dict, omega: int) -> dict | None:
     first that serves every node is checked and returned.  omega is a lower
     bound on Opt, so such a coloring is optimal.
     """
-    full = (1 << omega + 1) - 2  # the colors 1..omega
+    full, adj = (1 << omega + 1) - 2, g.adjacency  # full: the colors 1..omega
     members = {cls: [v for v in g.nodes if dem[v] and g.class_of[v] == cls] for cls in CLASS_NAMES}
     for order in permutations(CLASS_NAMES):
         masks = {}
         for v in (v for cls in order for v in members[cls]):
             free = full
-            for u in g.neighbors(v):
+            for u in adj[v]:
                 free &= ~masks.get(u, 0)
             if free.bit_count() < dem[v]:
                 break
@@ -256,7 +256,7 @@ def _omega_coloring(g: Graph, dem: dict, omega: int) -> dict | None:
         else:
             for v, k in dem.items():
                 m = masks.get(v, 0)
-                if m.bit_count() != k or m & ~full or any(m & masks.get(u, 0) for u in g.neighbors(v)):
+                if m.bit_count() != k or m & ~full or any(m & masks.get(u, 0) for u in adj[v]):
                     raise InternalConsistencyError(f"omega-coloring fails at {v!r}")
             return masks
     return None
@@ -347,7 +347,7 @@ def plan_43(instance: Instance) -> Plan43:
         raise DomainError("plan_43 needs a hexagonal graph")
     if instance.has_cancellations():
         raise DomainError("plan_43 handles cancellation-free instances only")
-    g = instance.graph
+    g, adj = instance.graph, instance.graph.adjacency
     dem = demand(instance)
     omega = clique_weight(g, dem)
     q = (omega + 1) // 3
@@ -355,7 +355,7 @@ def plan_43(instance: Instance) -> Plan43:
     n_prime, b_v, phase1, borrow, in_g2 = {}, {}, {}, {}, {}
     for v in g.nodes:
         lender = BORROW_FROM[g.class_of[v]]
-        lender_demands = [dem[u] for u in g.neighbors(v) if g.class_of[u] == lender]
+        lender_demands = [dem[u] for u in adj[v] if g.class_of[u] == lender]
         n_prime[v] = max(lender_demands, default=0)
         b_v[v] = max(0, q - n_prime[v])
         phase1[v] = min(dem[v], q)
@@ -365,10 +365,10 @@ def plan_43(instance: Instance) -> Plan43:
     g2_nodes = sorted(v for v in g.nodes if in_g2[v])
     pending = {v: dem[v] - phase1[v] - borrow[v] for v in g2_nodes}
     for u in g2_nodes:
-        for w in g.neighbors(u):
+        for w in adj[u]:
             if w <= u or w not in pending:
                 continue
-            if any(x in pending for x in g.neighbors(u) & g.neighbors(w)):
+            if any(x in pending for x in adj[u].keys() & adj[w].keys()):
                 raise InternalConsistencyError("triangle in G2")
             if pending[u] + pending[w] > omega - 2 * q:
                 raise InternalConsistencyError("G2 edge exceeds the pending-pair bound")

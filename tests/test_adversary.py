@@ -72,6 +72,10 @@ class TestHexChain:
         assert inst.n == 8
         assert opt_exact(inst).opt_value == 4  # R alone needs 4 colors
 
+    def test_negative_padding_rejected(self):
+        with pytest.raises(DomainError, match="pad_requests >= 0, got -3"):
+            hex_chain(1, (1,), pad_requests=-3)
+
     def test_bad_branch_rejected(self):
         with pytest.raises(DomainError):
             hex_chain(2, (0, 2))

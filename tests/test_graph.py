@@ -1,3 +1,7 @@
+import copy
+import json
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,12 +14,15 @@ from multicolor.errors import (
 from multicolor.graph import (
     HEX_OFFSETS,
     CellCoord,
+    Graph,
     build_bipartite,
     build_hexagonal,
     build_path,
     clique_weight,
     maximal_cliques,
 )
+from multicolor.adversary import (hex_54, hex_chain, path_family, random_cancel_instance,
+                                  random_instance)
 from conftest import brute_force_maximal_cliques
 
 
@@ -257,3 +264,90 @@ def test_adjacency_index_sorted_and_symmetric():
         assert all(g.adjacent(v, w) and g.adjacent(w, v) for w in nbrs)
     assert not g.adjacent("n0", "n0") and not g.adjacent("n0", "missing")
     assert list(g.neighbors("missing")) == []
+
+
+# -- the adjacency the builders make ----------------------------------------
+
+def derived(g):
+    """The same fields in a fresh Graph, which derives its adjacency from the edges."""
+    fresh = Graph(g.kind, g.nodes, g.edges, g.partition, g.cell_of, g.class_of)
+    assert "adjacency" not in fresh.__dict__  # not derived until first asked for
+    return fresh
+
+
+def assert_adjacency_as_derived(g):
+    """g's adjacency equals the derived one in key order and neighbour order,
+    and so do the edge list and the cliques built on it."""
+    ref = derived(g)
+    assert [(v, list(nbrs)) for v, nbrs in g.adjacency.items()] == [
+        (v, list(nbrs)) for v, nbrs in ref.adjacency.items()]
+    assert all(list(nbrs) == sorted(nbrs) for nbrs in g.adjacency.values())
+    assert g.edge_list() == ref.edge_list() == sorted(tuple(sorted(e)) for e in g.edges)
+    assert g.cliques == ref.cliques
+
+
+def reloaded(inst):
+    from multicolor.harness import instance_from_dict, instance_text
+
+    return instance_from_dict(json.loads(instance_text(inst))).graph
+
+
+@pytest.mark.parametrize("g", CROSS_CHECK_GRAPHS, ids=lambda g: f"{g.kind}-{len(g.nodes)}")
+def test_builder_adjacency_is_the_derived_one(g):
+    assert_adjacency_as_derived(g)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_path(3), lambda: random_bipartite_graph(1, 12, 0.3),
+    lambda: random_hex_graph(1, 10, 4), lambda: reloaded(path_family(40)[0]),
+    lambda: reloaded(random_instance("bipartite", seed=1)),
+    lambda: reloaded(random_instance("hexagonal", seed=1)),
+], ids=["path", "bipartite", "hexagonal", "path-file", "bipartite-file", "hexagonal-file"])
+def test_builders_hand_over_the_adjacency(make):
+    assert "adjacency" in make().__dict__  # made with the graph, not derived later
+
+
+def test_path_adjacency_in_node_order_with_names_out_of_sorted_order():
+    g = build_path(12)
+    assert "v10" < "v2" and list(g.adjacency) == list(g.nodes)
+    assert list(g.neighbors("v9")) == ["v10", "v8"]
+    assert_adjacency_as_derived(g)
+
+
+def test_bipartite_file_with_an_edge_in_both_orientations():
+    from multicolor.harness import instance_from_dict
+
+    data = {"graph": {"kind": "bipartite", "nodes": ["c", "b", "a"],
+                      "edges": [["a", "b"], ["b", "a"], ["c", "b"]],
+                      "partition": {"a": "L", "b": "U", "c": "L"}}, "requests": []}
+    g = instance_from_dict(data).graph
+    assert g.edges == {frozenset("ab"), frozenset("bc")}
+    assert dict(g.adjacency) == {"a": {"b": None}, "b": {"a": None, "c": None}, "c": {"b": None}}
+    assert_adjacency_as_derived(g)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: path_family(40)[2], lambda: hex_chain(3, (1, 0, 1)), lambda: hex_54(8, 1),
+    lambda: random_instance("bipartite", seed=4), lambda: random_cancel_instance(seed=4),
+    *(lambda s=s: random_instance("hexagonal", seed=s, n_nodes=10) for s in range(5)),
+    lambda: random_instance("hexagonal", seed=1, n_nodes=200, n_requests=0, grid_extent=17),
+])
+def test_reloaded_graph_adjacency_is_the_derived_one(make):
+    inst = make()
+    g = reloaded(inst)
+    assert list(g.adjacency) == list(g.nodes)  # a path file keeps its node order
+    assert_adjacency_as_derived(g)
+    assert_adjacency_as_derived(inst.graph)
+
+
+@pytest.mark.parametrize("g", [build_path(11), CROSS_CHECK_GRAPHS[6], CROSS_CHECK_GRAPHS[-1]],
+                         ids=lambda g: g.kind)
+@pytest.mark.parametrize("copy_of", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_copied_graph_derives_the_builder_adjacency(g, copy_of):
+    twin = copy_of(g)
+    assert twin == g
+    assert "adjacency" not in twin.__dict__  # rebuilt through __init__, derived on first use
+    assert [(v, list(n)) for v, n in twin.adjacency.items()] == [
+        (v, list(n)) for v, n in g.adjacency.items()]
+    assert twin.cliques == g.cliques

@@ -16,7 +16,8 @@ from multicolor.adversary import (hex_54, hex_chain, path_family, random_cancel_
                                   random_instance)
 from multicolor.algorithms import ALGORITHMS
 from multicolor.cli import build_parser, main
-from multicolor.errors import MalformedInstanceError, MalformedLogError, NotBipartiteError
+from multicolor.errors import (MalformedInstanceError, MalformedLogError, MultiColorError,
+                               NotBipartiteError)
 from multicolor.graph import CellCoord, Graph, build_bipartite, build_hexagonal, build_path
 from multicolor.harness import (
     actions_from_dicts,
@@ -168,6 +169,72 @@ class TestSerialization:
         assert actions_from_dicts(actions_to_dicts(acts)) == acts
 
 
+@st.composite
+def request_dicts(draw):
+    """A valid decoded instance file whose requests name few nodes and the
+    colors 1 and 2 only, so equal color requests and equal cancels repeat."""
+    graph = draw(instances()).graph
+    data = instance_to_dict(Instance(graph, (), name=draw(NAMES)))
+    data["requests"] = [{"node": v, "op": "color"} if c is None else
+                        {"node": v, "op": "cancel", "color": c}
+                        for v, c in draw(st.lists(st.tuples(st.sampled_from(graph.nodes[:3]),
+                                                            st.sampled_from([None, 1, 2])),
+                                                  max_size=30))]
+    return data
+
+
+def reference_requests(data):
+    """The requests of a decoded instance file, built one by one."""
+    return tuple(harness._request(r, i) for i, r in enumerate(data["requests"], 1))
+
+
+# corruptions of a request; True and 2.0 equal the valid colors 1 and 2
+CORRUPTIONS = {
+    "color true": lambda r: {**r, "color": True},
+    "color 2.0": lambda r: {**r, "color": 2.0},
+    "color '1'": lambda r: {**r, "color": "1"},
+    "node a list": lambda r: {**r, "node": [r["node"]]},
+    "op bogus": lambda r: {**r, "op": "bogus"},
+    "color on a color request": lambda r: {**r, "op": "color", "color": r.get("color", 1)},
+}
+
+
+class TestLoadRequests:
+    @settings(max_examples=300, deadline=None)
+    @given(request_dicts())
+    def test_requests_equal_the_reference_and_are_shared(self, data):
+        loaded = instance_from_dict(data)
+        assert loaded == Instance(loaded.graph, reference_requests(data), data["name"])
+        shared = {}
+        for r in loaded.requests:
+            assert shared.setdefault((r.node, r.op, r.cancel_color), r) is r
+
+    @settings(max_examples=300, deadline=None)
+    @given(request_dicts(), st.sampled_from(sorted(CORRUPTIONS)), st.data())
+    def test_corrupted_later_duplicate_fails_as_the_reference(self, data, corruption, draw):
+        requests = data["requests"]
+        if not requests:
+            requests.append({"node": data["graph"]["nodes"][0], "op": "cancel", "color": 1})
+        i = draw.draw(st.integers(0, len(requests) - 1))
+        j = draw.draw(st.integers(i + 1, len(requests)))
+        requests.insert(j, CORRUPTIONS[corruption](requests[i]))  # request j + 1 copies request i + 1
+        with pytest.raises(MultiColorError) as expected:
+            reference_requests(data)
+        with pytest.raises(type(expected.value)) as got:
+            instance_from_dict(data)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("color, corrupt", [(1, True), (2, 2.0)])
+    def test_color_equal_to_an_earlier_int_is_refused(self, color, corrupt):
+        cancel = {"node": "v1", "op": "cancel", "color": color}
+        colors = [{"node": "v1", "op": "color"}] * 2
+        data = {"graph": {"kind": "path", "nodes": ["v1"]},
+                "requests": colors + [cancel, {**cancel, "color": corrupt}]}
+        error = f"request 4 field 'color' must be an integer, got {corrupt!r}"
+        with pytest.raises(MalformedInstanceError, match=re.escape(error)):
+            instance_from_dict(data)
+
+
 class TestRun:
     def test_path_family_greedy_opt(self):
         report = run(path_family(40)[2], "greedy_opt")
@@ -265,7 +332,7 @@ def count_witness_builds(monkeypatch):
     certified instance takes one certificate call and no search."""
     from multicolor import oracle
 
-    return count_calls(monkeypatch, oracle._omega_coloring, oracle.opt_exact)
+    return count_calls(monkeypatch, oracle.omega_coloring, oracle.opt_exact)
 
 
 class TestWorkCounts:
@@ -550,6 +617,12 @@ class TestCli:
         printed = capsys.readouterr().out
         assert main(["gen", *args, "--out", str(out)]) == 0
         assert printed.encode() == out.read_bytes()
+
+    def test_gen_negative_padding_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "i.json"
+        assert main(["gen", "hex_chain", "--branch", "1", "--pad", "-3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: hex_chain needs pad_requests >= 0, got -3\n"
+        assert not out.exists()
 
     def test_gen_index_out_of_range_exits_2(self, capsys):
         assert main(["gen", "path_family", "--n", "40", "--i", "99"]) == 2

@@ -516,7 +516,7 @@ class TestHexagonalWitness:
                 inst = Instance(g, tuple(Request(v, "color")
                                          for v, k in zip(g.nodes, dem) for _ in range(k)))
                 omega = demand_clique_weight(inst)
-                assert oracle._omega_coloring(g, demand(inst), omega) is not None
+                assert oracle.omega_coloring(g, demand(inst), omega) is not None
                 assert self.check(inst).opt_value == omega == opt_exact(inst).opt_value
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -528,7 +528,7 @@ class TestHexagonalWitness:
 
     def test_no_class_order_falls_back_to_the_search(self):
         inst = hex_chain(4, (1, 1, 1, 1))
-        assert oracle._omega_coloring(inst.graph, demand(inst), 2) is None
+        assert oracle.omega_coloring(inst.graph, demand(inst), 2) is None
         witness = self.check(inst)
         assert witness == opt_exact(inst)
         assert witness.opt_value == 2

@@ -10,9 +10,8 @@ from .errors import DomainError
 from .graph import CellCoord, build_bipartite, build_hexagonal, build_path
 from .instance import Instance, Request, peak_clique_load
 
-
-def _color_requests(node, count):
-    return [Request(node=node, op="color")] * count
+# chance that a request to a node with a live color cancels one (random_cancel_instance)
+CANCEL_PROB = 0.3
 
 
 class _ColorRequests(dict):
@@ -35,15 +34,15 @@ def path_family(n: int) -> list[Instance]:
         raise DomainError(f"path_family needs n >= 40, got {n}")
     m = n // 4
     graph = build_path(10)
+    color = _ColorRequests()
     instances = []
     for i in range(m + 1):
-        reqs = _color_requests("v1", m) + _color_requests("v4", m)
-        reqs += _color_requests("v2", i) + _color_requests("v3", i)
+        reqs = [color["v1"]] * m + [color["v4"]] * m + [color["v2"]] * i + [color["v3"]] * i
         t = n - 2 * m - 2 * i
         c6 = -(-t // 3)
         c8 = -(-(t - c6) // 2)
         c10 = t - c6 - c8
-        reqs += _color_requests("v6", c6) + _color_requests("v8", c8) + _color_requests("v10", c10)
+        reqs += [color["v6"]] * c6 + [color["v8"]] * c8 + [color["v10"]] * c10
         instances.append(Instance(graph=graph, requests=tuple(reqs), name=f"path_family_n{n}_i{i}"))
     return instances
 
@@ -84,15 +83,12 @@ def hex_chain(k: int, branch, pad_requests: int = 0) -> Instance:
     if len(branch) != k or any(b not in (0, 1) for b in branch):
         raise DomainError(f"branch must be a {{0,1}}-tuple of length {k}")
     graph = build_hexagonal(_chain_cells(k))
-    reqs = []
-    for j in range(k + 1):
-        reqs += _color_requests(f"O{j}", 1)
+    color = _ColorRequests()
+    reqs = [color[f"O{j}"] for j in range(k + 1)]
     for j in range(1, k + 1):
-        if branch[j - 1] == 1:
-            reqs += _color_requests(f"D{2 * j - 1}", 1) + _color_requests(f"D{2 * j}", 1)
-        else:
-            reqs += _color_requests(f"S{2 * j - 1}", 1) + _color_requests(f"S{2 * j}", 1)
-    reqs += _color_requests("R", pad_requests)
+        pair = "D" if branch[j - 1] == 1 else "S"
+        reqs += [color[f"{pair}{2 * j - 1}"], color[f"{pair}{2 * j}"]]
+    reqs += [color["R"]] * pad_requests
     name = f"hex_chain_k{k}_b{''.join(map(str, branch))}"
     return Instance(graph=graph, requests=tuple(reqs), name=name)
 
@@ -145,7 +141,7 @@ def random_instance(kind: str, seed: int, n_nodes: int = 8, n_requests: int = 20
 
 
 def random_cancel_instance(seed: int, n_nodes: int = 8, n_requests: int = 24,
-                           cancel_prob: float = 0.3, edge_density: float = 0.5) -> Instance:
+                           edge_density: float = 0.5) -> Instance:
     """Random bipartite instance with interleaved cancellations.
 
     Cancelled colors are chosen to be live under the interval invariant the
@@ -164,7 +160,7 @@ def random_cancel_instance(seed: int, n_nodes: int = 8, n_requests: int = 24,
     live = {v: 0 for v in graph.nodes}
     for _ in range(n_requests):
         v = rng.choice(graph.nodes)
-        if live[v] > 0 and rng.random() < cancel_prob:
+        if live[v] > 0 and rng.random() < CANCEL_PROB:
             ops.append((v, "cancel"))
             live[v] -= 1
         else:

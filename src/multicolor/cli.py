@@ -20,6 +20,8 @@ from . import harness, oracle
 from .algorithms import ALGORITHMS
 from .errors import DomainError, MalformedManifestError, MultiColorError
 
+_DEFAULT_BUDGET = f"{oracle.DEFAULT_MAX_NODES},{oracle.DEFAULT_MAX_REQUESTS}"
+
 
 def _parse_budget(text):
     try:
@@ -134,7 +136,7 @@ def build_parser():
 
     o = sub.add_parser("opt", help="exact optimum with witness")
     o.add_argument("instance")
-    o.add_argument("--budget", default="14,40", help="node,request caps for exact search")
+    o.add_argument("--budget", default=_DEFAULT_BUDGET, help="node,request caps for exact search")
     o.add_argument("--out")
     o.set_defaults(func=cmd_opt)
 
@@ -142,7 +144,7 @@ def build_parser():
     r.add_argument("instance")
     r.add_argument("--algo", required=True, choices=list(ALGORITHMS))
     r.add_argument("--b", type=int, help="truncation width (greedy_truncated)")
-    r.add_argument("--budget", default="14,40")
+    r.add_argument("--budget", default=_DEFAULT_BUDGET)
     r.add_argument("--format", default="json", choices=["json", "csv"])
     r.add_argument("--out")
     r.set_defaults(func=cmd_run)

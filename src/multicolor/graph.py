@@ -38,25 +38,21 @@ class CellCoord(Value):
 
 class Graph(Value):
     """Immutable graph with a kind tag ("path" | "bipartite" | "hexagonal"),
-    its nodes (a tuple), its edges (a frozenset of frozenset pairs) and
-    kind-specific annotations.
+    its nodes (a tuple), its adjacency and kind-specific annotations.
 
-    partition maps node -> "L"/"U" for path and bipartite graphs;
-    cell_of and class_of are populated for hexagonal graphs only.
+    adjacency maps node -> {neighbour: None}, keyed in node order, each
+    neighbour dict in sorted order, as the builders make it.  partition maps
+    node -> "L"/"U" for path and bipartite graphs; cell_of and class_of are
+    populated for hexagonal graphs only.
     """
 
-    __match_args__ = ("kind", "nodes", "edges", "partition", "cell_of", "class_of")
-    __slots__ = __match_args__ + ("__dict__",)  # __dict__ holds the cached properties
+    __match_args__ = ("kind", "nodes", "adjacency", "partition", "cell_of", "class_of")
+    __slots__ = __match_args__ + ("__dict__",)  # __dict__ holds the cached cliques
 
-    def __init__(self, kind: str, nodes: tuple, edges: frozenset, partition: dict | None = None,
+    def __init__(self, kind: str, nodes: tuple, adjacency: dict, partition: dict | None = None,
                  cell_of: dict | None = None, class_of: dict | None = None):
-        self._init(kind, nodes, edges, {} if partition is None else partition,
+        self._init(kind, nodes, adjacency, {} if partition is None else partition,
                    {} if cell_of is None else cell_of, {} if class_of is None else class_of)
-
-    @cached_property
-    def adjacency(self) -> dict:
-        """node -> {neighbour: None}, in sorted order: from a builder, else from the edges."""
-        return _adjacency(self.nodes, self.edges)
 
     @cached_property
     def cliques(self) -> list[frozenset]:
@@ -80,13 +76,6 @@ class Graph(Value):
                     found += [(u, w, x) for x in common if x > w] if common else [(u, w)]
         return [frozenset(c) for c in sorted(found)]
 
-    def neighbors(self, v: str):
-        """The neighbours of v: a set-like view that iterates in sorted order."""
-        return self.adjacency.get(v, {}).keys()
-
-    def adjacent(self, u: str, v: str) -> bool:
-        return v in self.adjacency.get(u, ())
-
     def edge_list(self) -> list[tuple[str, str]]:
         return sorted((u, w) for u, nbrs in self.adjacency.items() for w in nbrs if u < w)
 
@@ -100,23 +89,13 @@ def _adjacency(nodes, pairs) -> dict:
     return adj
 
 
-def _built(kind: str, nodes: tuple, adj: dict, edges=None, **annotations) -> Graph:
-    """The graph on nodes whose adjacency is adj, made by a builder with each
-    neighbour dict in sorted order; its edges, unless given, come from adj."""
-    if edges is None:
-        edges = frozenset(frozenset((u, w)) for u, nbrs in adj.items() for w in nbrs if u < w)
-    graph = Graph(kind, nodes, edges, **annotations)
-    graph.__dict__["adjacency"] = adj  # where the cached_property keeps it
-    return graph
-
-
 def build_path(k: int) -> Graph:
     """Path v1..vk with partition alternating L, U, L, ... from v1."""
     if k < 1:
         raise InvalidSizeError(f"path needs at least one node, got k={k}")
     nodes = tuple(f"v{i}" for i in range(1, k + 1))
     partition = {v: ("L" if i % 2 == 0 else "U") for i, v in enumerate(nodes)}
-    return _built("path", nodes, _adjacency(nodes, zip(nodes, nodes[1:])), partition=partition)
+    return Graph("path", nodes, _adjacency(nodes, zip(nodes, nodes[1:])), partition)
 
 
 def build_bipartite(nodes, edges, partition) -> Graph:
@@ -135,8 +114,7 @@ def build_bipartite(nodes, edges, partition) -> Graph:
         if partition[u] == partition[w]:
             raise NotBipartiteError(f"edge ({u!r}, {w!r}) joins two {partition[u]} nodes")
         pairs.append((u, w))
-    return _built("bipartite", nodes, _adjacency(nodes, pairs), frozenset(map(frozenset, pairs)),
-                  partition={v: partition[v] for v in nodes})
+    return Graph("bipartite", nodes, _adjacency(nodes, pairs), {v: partition[v] for v in nodes})
 
 
 def build_hexagonal(cells: dict) -> Graph:
@@ -160,7 +138,7 @@ def build_hexagonal(cells: dict) -> Graph:
             if (c.q + dq, c.r + dr) in node_at:
                 adj[node_at[c.q + dq, c.r + dr]][v] = None
     class_of = {v: CLASS_NAMES[(coords[v].q - coords[v].r) % 3] for v in nodes}
-    return _built("hexagonal", nodes, adj, cell_of=coords, class_of=class_of)
+    return Graph("hexagonal", nodes, adj, cell_of=coords, class_of=class_of)
 
 
 def maximal_cliques(g: Graph) -> list[frozenset]:

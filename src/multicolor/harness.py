@@ -24,7 +24,7 @@ from .advice import AdviceTape
 from .algorithms import ALGORITHMS, run_player
 from .errors import (MalformedInstanceError, MalformedLogError, MalformedManifestError,
                      MultiColorError)
-from .graph import _built, build_bipartite, build_hexagonal
+from .graph import Graph, build_bipartite, build_hexagonal
 from .instance import CancelAction, ColorAction, Instance, Request, validate_full
 from .value import Value
 from . import oracle
@@ -142,8 +142,8 @@ def instance_from_dict(data: dict) -> Instance:
             raise _wrong_type("graph field 'partition'", "an object", partition)
         graph = build_bipartite(nodes, edges, partition)
         if kind == "path":  # the file's node order, the bipartite graph's neighbour dicts
-            graph = _built("path", tuple(nodes), {v: graph.adjacency[v] for v in nodes},
-                           graph.edges, partition=graph.partition)
+            graph = Graph("path", tuple(nodes), {v: graph.adjacency[v] for v in nodes},
+                          graph.partition)
     else:
         raise MalformedInstanceError(f"unknown graph kind {kind!r}")
     requests = _field(data, "requests", "instance")

@@ -31,9 +31,8 @@ class Instance(Value):
     __slots__ = __match_args__ = ("graph", "requests", "name")
 
     def __init__(self, graph: Graph, requests: tuple, name: str = "instance"):
-        node_set = set(graph.nodes)
         for r in requests:
-            if r.node not in node_set:
+            if r.node not in graph.adjacency:
                 raise MalformedInstanceError(f"request to unknown node {r.node!r}")
         self._init(graph, requests, name)
 
@@ -82,9 +81,6 @@ class ColoringState(Value):
     def colors_at(self, v) -> frozenset:
         return self.f.get(v, frozenset())
 
-    def max_color(self) -> int:
-        return max((max(s) for s in self.f.values() if s), default=0)
-
 
 def _serve(graph: Graph, f: dict, step: int, request: Request, action):
     """Apply one request's rules to f (node -> set of live colors), changing
@@ -112,7 +108,7 @@ def _serve(graph: Graph, f: dict, step: int, request: Request, action):
         return Violation(step=step, kind="invalid-color", node=v, color=new)
     if new in live:
         return Violation(step=step, kind="node-duplicate", node=v, color=new)
-    for u in graph.adjacency.get(v, ()):  # in sorted order: the smallest conflict is named
+    for u in graph.adjacency[v]:  # in sorted order: the smallest conflict is named
         if new in f.get(u, ()):
             return Violation(step=step, kind="edge-conflict", node=v, color=new, other_node=u)
     live.add(new)
@@ -123,9 +119,12 @@ def apply_step(state: ColoringState, request: Request, action):
     """Advance the state by one served request.
 
     Returns the new ColoringState, or a Violation if the action is illegal.
-    The input state is never mutated.
+    The input state is never mutated.  A request to a node the graph does not
+    have raises MalformedInstanceError, as Instance does.
     """
     v = request.node
+    if v not in state.graph.adjacency:
+        raise MalformedInstanceError(f"request to unknown node {v!r}")
     f = {**state.f, v: set(state.colors_at(v))}
     bad = _serve(state.graph, f, state.step + 1, request, action)
     if bad is not None:

@@ -55,7 +55,7 @@ def opt_exact(instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
     order = sorted(active, key=lambda v: (-dem[v], v))
     position = {v: i for i, v in enumerate(order)}
     need = [dem[v] for v in order]
-    neighbors = [[position[u] for u in g.neighbors(v) if u in position] for v in order]
+    neighbors = [[position[u] for u in g.adjacency[v] if u in position] for v in order]
     cliques = [[position[v] for v in c if v in position] for c in all_cliques]
     palette_size, masks = _search(need, neighbors, cliques, omega)
     coloring = {v: frozenset() for v in g.nodes}
@@ -391,7 +391,7 @@ def _two_color(g: Graph, g2_nodes):
         while frontier:
             nxt = []
             for v in frontier:
-                for u in g.neighbors(v):
+                for u in g.adjacency[v]:
                     if u not in g2:
                         continue
                     if u not in upper:

@@ -15,7 +15,7 @@ def brute_force_maximal_cliques(g: Graph):
     cliques = []
     for size in range(1, len(nodes) + 1):
         for subset in combinations(nodes, size):
-            if all(g.adjacent(u, w) for u, w in combinations(subset, 2)):
+            if all(w in g.adjacency[u] for u, w in combinations(subset, 2)):
                 cliques.append(frozenset(subset))
     return {c for c in cliques if not any(c < d for d in cliques)}
 
@@ -42,7 +42,7 @@ def all_two_colorings(instance: Instance):
         if all(
             coloring[u] != coloring[w]
             for u, w in combinations(dem_nodes, 2)
-            if g.adjacent(u, w)
+            if w in g.adjacency[u]
         ):
             out.append(coloring)
     return out

@@ -106,7 +106,7 @@ class TestRandomInstances:
     def test_deterministic(self):
         a = random_instance("bipartite", seed=7)
         b = random_instance("bipartite", seed=7)
-        assert a.requests == b.requests and a.graph.edges == b.graph.edges
+        assert a.requests == b.requests and a.graph.edge_list() == b.graph.edge_list()
 
     def test_hex_deterministic(self):
         a = random_instance("hexagonal", seed=7)

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +14,6 @@ from multicolor.errors import (
 )
 from multicolor.graph import (
     HEX_OFFSETS,
-    CellCoord,
-    Graph,
     build_bipartite,
     build_hexagonal,
     build_path,
@@ -30,7 +29,7 @@ class TestBuildPath:
     def test_single_node(self):
         g = build_path(1)
         assert g.nodes == ("v1",)
-        assert not g.edges
+        assert g.edge_list() == []
         assert g.partition == {"v1": "L"}
 
     def test_three_nodes(self):
@@ -40,7 +39,7 @@ class TestBuildPath:
 
     def test_ten_nodes_alternation(self):
         g = build_path(10)
-        assert len(g.edges) == 9
+        assert len(g.edge_list()) == 9
         for v in ("v4", "v6", "v8", "v10"):
             assert g.partition[v] == "U"
         for v in ("v1", "v3", "v5", "v7", "v9"):
@@ -59,7 +58,7 @@ class TestBuildBipartite:
             {"c": "U", "l1": "L", "l2": "L", "l3": "L"},
         )
         assert g.kind == "bipartite"
-        assert g.neighbors("c") == {"l1", "l2", "l3"}
+        assert list(g.adjacency["c"]) == ["l1", "l2", "l3"]
 
     def test_triangle_rejected(self):
         with pytest.raises(NotBipartiteError):
@@ -71,7 +70,7 @@ class TestBuildBipartite:
 
     def test_empty_edges_ok(self):
         g = build_bipartite(["a", "b"], [], {"a": "L", "b": "L"})
-        assert not g.edges
+        assert g.edge_list() == []
 
     def test_dangling_endpoint(self):
         with pytest.raises(UnknownNodeError):
@@ -81,12 +80,12 @@ class TestBuildBipartite:
 class TestBuildHexagonal:
     def test_triangle(self):
         g = build_hexagonal({"a": (0, 0), "b": (1, 0), "c": (0, 1)})
-        assert len(g.edges) == 3
+        assert len(g.edge_list()) == 3
         assert {g.class_of[v] for v in g.nodes} == {"R", "G", "B"}
 
     def test_distance_two_no_edge(self):
         g = build_hexagonal({"a": (0, 0), "b": (2, 0)})
-        assert not g.edges
+        assert g.edge_list() == []
 
     def test_row_of_three(self):
         g = build_hexagonal({"a": (0, 0), "b": (1, 0), "c": (2, 0)})
@@ -139,8 +138,7 @@ cells_strategy = st.sets(
 @given(cells_strategy)
 def test_hex_edges_never_join_same_class(cells):
     g = build_hexagonal({f"n{i}": c for i, c in enumerate(sorted(cells))})
-    for e in g.edges:
-        u, w = tuple(e)
+    for u, w in g.edge_list():
         assert g.class_of[u] != g.class_of[w]
 
 
@@ -186,14 +184,15 @@ def test_clique_weight_monotone(cells, data):
 def test_hex_round_trip_adjacency(cells):
     g = build_hexagonal({f"n{i}": c for i, c in enumerate(sorted(cells))})
     rebuilt = build_hexagonal(g.cell_of)
-    assert rebuilt.edges == g.edges
+    assert rebuilt.edge_list() == g.edge_list()
     assert rebuilt.class_of == g.class_of
 
 
 # -- the adjacency index and the code built on it ---------------------------
 
-def random_bipartite_graph(seed, n, density):
-    """Seeded random bipartite graph; low densities leave isolated nodes."""
+def random_bipartite_spec(seed, n, density):
+    """Nodes, edge pairs and sides of a seeded random bipartite graph; low
+    densities leave isolated nodes."""
     import random
 
     rng = random.Random(seed)
@@ -201,7 +200,11 @@ def random_bipartite_graph(seed, n, density):
     partition = {v: rng.choice("LU") for v in nodes}
     edges = [(u, w) for i, u in enumerate(nodes) for w in nodes[i + 1:]
              if partition[u] != partition[w] and rng.random() < density]
-    return build_bipartite(nodes, edges, partition)
+    return nodes, edges, partition
+
+
+def random_bipartite_graph(seed, n, density):
+    return build_bipartite(*random_bipartite_spec(seed, n, density))
 
 
 def random_hex_graph(seed, n, extent):
@@ -211,11 +214,30 @@ def random_hex_graph(seed, n, extent):
                            grid_extent=extent).graph
 
 
-CROSS_CHECK_GRAPHS = (
-    [build_path(k) for k in (1, 2, 3, 17)]
-    + [random_bipartite_graph(s, n, d) for s in range(5) for n, d in ((12, 0.1), (60, 0.08))]
-    + [random_hex_graph(s, n, e) for s in range(5) for n, e in ((10, 4), (90, 14), (200, 17))]
+def path_pairs(k):
+    return [(f"v{i}", f"v{i + 1}") for i in range(1, k)]
+
+
+def hex_pairs(cells):
+    """The all-pairs offset reference: each pair of nodes whose (q, r) cells
+    are one axial offset apart, in both orientations."""
+    return [(u, w) for u in cells for w in cells
+            if (cells[w][0] - cells[u][0], cells[w][1] - cells[u][1]) in HEX_OFFSETS]
+
+
+def cell_pairs(g):
+    return hex_pairs({v: (c.q, c.r) for v, c in g.cell_of.items()})
+
+
+# (graph, the edge pairs it was built from)
+CROSS_CHECK = (
+    [(build_path(k), path_pairs(k)) for k in (1, 2, 3, 17)]
+    + [(build_bipartite(*spec), spec[1]) for s in range(5) for n, d in ((12, 0.1), (60, 0.08))
+       for spec in [random_bipartite_spec(s, n, d)]]
+    + [(g, cell_pairs(g)) for s in range(5) for n, e in ((10, 4), (90, 14), (200, 17))
+       for g in [random_hex_graph(s, n, e)]]
 )
+CROSS_CHECK_GRAPHS = [g for g, _ in CROSS_CHECK]
 
 
 @pytest.mark.parametrize("g", CROSS_CHECK_GRAPHS, ids=lambda g: f"{g.kind}-{len(g.nodes)}")
@@ -240,12 +262,9 @@ def test_cross_check_graphs_have_isolated_nodes_and_triangles():
 
 @given(st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=40))
 def test_hex_edges_match_all_pairs_reference(cells):
-    coords = {f"n{i}": CellCoord(*c) for i, c in enumerate(sorted(cells))}
+    coords = {f"n{i}": c for i, c in enumerate(sorted(cells))}
     g = build_hexagonal(coords)
-    assert g.edges == frozenset(
-        frozenset((u, w)) for u in coords for w in coords
-        if (coords[w].q - coords[u].q, coords[w].r - coords[u].r) in HEX_OFFSETS
-    )
+    assert g.edge_list() == sorted((u, w) for u, w in hex_pairs(coords) if u < w)
 
 
 def test_duplicate_cell_among_many_rejected():
@@ -256,34 +275,49 @@ def test_duplicate_cell_among_many_rejected():
 
 
 def test_adjacency_index_sorted_and_symmetric():
-    g = random_bipartite_graph(3, 40, 0.2)
+    nodes, pairs, sides = random_bipartite_spec(3, 40, 0.2)
+    g = build_bipartite(nodes, pairs, sides)
     for v in g.nodes:
-        nbrs = list(g.neighbors(v))
+        nbrs = list(g.adjacency[v])
         assert nbrs == sorted(nbrs)
-        assert set(nbrs) == {w for e in g.edges if v in e for w in e - {v}}
-        assert all(g.adjacent(v, w) and g.adjacent(w, v) for w in nbrs)
-    assert not g.adjacent("n0", "n0") and not g.adjacent("n0", "missing")
-    assert list(g.neighbors("missing")) == []
+        assert set(nbrs) == {w for e in pairs if v in e for w in e if w != v}
+        assert all(v in g.adjacency[w] for w in nbrs)
+    assert "n0" not in g.adjacency["n0"] and "missing" not in g.adjacency
 
 
 # -- the adjacency the builders make ----------------------------------------
 
-def derived(g):
-    """The same fields in a fresh Graph, which derives its adjacency from the edges."""
-    fresh = Graph(g.kind, g.nodes, g.edges, g.partition, g.cell_of, g.class_of)
-    assert "adjacency" not in fresh.__dict__  # not derived until first asked for
-    return fresh
+def reference_cliques(nbrs):
+    """The maximal cliques of a graph with no K4 (as none of the three kinds
+    has), from node -> set of neighbours: triangles, edges in no triangle and
+    isolated nodes, sorted by their sorted members."""
+    cliques = {frozenset((u, w, x)) for u in nbrs for w, x in combinations(nbrs[u], 2)
+               if x in nbrs[w]}
+    cliques |= {frozenset((u, w)) for u in nbrs for w in nbrs[u] if not nbrs[u] & nbrs[w]}
+    cliques |= {frozenset((v,)) for v in nbrs if not nbrs[v]}
+    return sorted(cliques, key=sorted)
 
 
-def assert_adjacency_as_derived(g):
-    """g's adjacency equals the derived one in key order and neighbour order,
-    and so do the edge list and the cliques built on it."""
-    ref = derived(g)
+def assert_adjacency_from_pairs(g, pairs):
+    """g's adjacency, against a reference derived from the edge pairs: keyed
+    in node order, each neighbour dict sorted, symmetric, and the same
+    neighbours; the edge list and the cliques agree with it too."""
+    ref = {v: set() for v in g.nodes}
+    for u, w in pairs:
+        ref[u].add(w)
+        ref[w].add(u)
+    assert list(g.adjacency) == list(g.nodes)
     assert [(v, list(nbrs)) for v, nbrs in g.adjacency.items()] == [
-        (v, list(nbrs)) for v, nbrs in ref.adjacency.items()]
-    assert all(list(nbrs) == sorted(nbrs) for nbrs in g.adjacency.values())
-    assert g.edge_list() == ref.edge_list() == sorted(tuple(sorted(e)) for e in g.edges)
-    assert g.cliques == ref.cliques
+        (v, sorted(ref[v])) for v in g.nodes]
+    assert all(u in g.adjacency[w] for u, nbrs in g.adjacency.items() for w in nbrs)
+    assert g.edge_list() == sorted({(u, w) if u < w else (w, u) for u, w in pairs})
+    assert g.cliques == reference_cliques(ref)
+
+
+def file_pairs(gd):
+    """The edge pairs an instance file's graph names: its edges, else the
+    all-pairs offset reference over its cells."""
+    return gd["edges"] if "edges" in gd else hex_pairs(gd["cells"])
 
 
 def reloaded(inst):
@@ -292,9 +326,10 @@ def reloaded(inst):
     return instance_from_dict(json.loads(instance_text(inst))).graph
 
 
-@pytest.mark.parametrize("g", CROSS_CHECK_GRAPHS, ids=lambda g: f"{g.kind}-{len(g.nodes)}")
-def test_builder_adjacency_is_the_derived_one(g):
-    assert_adjacency_as_derived(g)
+@pytest.mark.parametrize("g, pairs", CROSS_CHECK,
+                         ids=[f"{g.kind}-{len(g.nodes)}" for g in CROSS_CHECK_GRAPHS])
+def test_builder_adjacency_is_the_derived_one(g, pairs):
+    assert_adjacency_from_pairs(g, pairs)
 
 
 @pytest.mark.parametrize("make", [
@@ -304,14 +339,17 @@ def test_builder_adjacency_is_the_derived_one(g):
     lambda: reloaded(random_instance("hexagonal", seed=1)),
 ], ids=["path", "bipartite", "hexagonal", "path-file", "bipartite-file", "hexagonal-file"])
 def test_builders_hand_over_the_adjacency(make):
-    assert "adjacency" in make().__dict__  # made with the graph, not derived later
+    g = make()
+    assert g.__dict__ == {}  # the adjacency is a field: nothing is derived or cached yet
+    assert list(g.adjacency) == list(g.nodes)
+    assert all(list(nbrs) == sorted(nbrs) for nbrs in g.adjacency.values())
 
 
 def test_path_adjacency_in_node_order_with_names_out_of_sorted_order():
     g = build_path(12)
     assert "v10" < "v2" and list(g.adjacency) == list(g.nodes)
-    assert list(g.neighbors("v9")) == ["v10", "v8"]
-    assert_adjacency_as_derived(g)
+    assert list(g.adjacency["v9"]) == ["v10", "v8"]
+    assert_adjacency_from_pairs(g, path_pairs(12))
 
 
 def test_bipartite_file_with_an_edge_in_both_orientations():
@@ -321,9 +359,9 @@ def test_bipartite_file_with_an_edge_in_both_orientations():
                       "edges": [["a", "b"], ["b", "a"], ["c", "b"]],
                       "partition": {"a": "L", "b": "U", "c": "L"}}, "requests": []}
     g = instance_from_dict(data).graph
-    assert g.edges == {frozenset("ab"), frozenset("bc")}
+    assert g.edge_list() == [("a", "b"), ("b", "c")]
     assert dict(g.adjacency) == {"a": {"b": None}, "b": {"a": None, "c": None}, "c": {"b": None}}
-    assert_adjacency_as_derived(g)
+    assert_adjacency_from_pairs(g, data["graph"]["edges"])
 
 
 @pytest.mark.parametrize("make", [
@@ -333,11 +371,14 @@ def test_bipartite_file_with_an_edge_in_both_orientations():
     lambda: random_instance("hexagonal", seed=1, n_nodes=200, n_requests=0, grid_extent=17),
 ])
 def test_reloaded_graph_adjacency_is_the_derived_one(make):
+    from multicolor.harness import instance_from_dict, instance_text
+
     inst = make()
-    g = reloaded(inst)
-    assert list(g.adjacency) == list(g.nodes)  # a path file keeps its node order
-    assert_adjacency_as_derived(g)
-    assert_adjacency_as_derived(inst.graph)
+    data = json.loads(instance_text(inst))
+    g = instance_from_dict(data).graph
+    assert list(g.adjacency) == data["graph"]["nodes"]  # a path file keeps its node order
+    assert_adjacency_from_pairs(g, file_pairs(data["graph"]))
+    assert_adjacency_from_pairs(inst.graph, file_pairs(data["graph"]))
 
 
 @pytest.mark.parametrize("g", [build_path(11), CROSS_CHECK_GRAPHS[6], CROSS_CHECK_GRAPHS[-1]],
@@ -346,8 +387,7 @@ def test_reloaded_graph_adjacency_is_the_derived_one(make):
                          ids=["pickle", "deepcopy"])
 def test_copied_graph_derives_the_builder_adjacency(g, copy_of):
     twin = copy_of(g)
-    assert twin == g
-    assert "adjacency" not in twin.__dict__  # rebuilt through __init__, derived on first use
+    assert twin == g and twin.adjacency is not g.adjacency  # rebuilt through __init__
     assert [(v, list(n)) for v, n in twin.adjacency.items()] == [
         (v, list(n)) for v, n in g.adjacency.items()]
     assert twin.cliques == g.cliques

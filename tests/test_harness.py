@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,7 +87,7 @@ class TestSerialization:
         back = instance_from_dict(instance_to_dict(inst))
         assert back.requests == inst.requests
         assert back.graph.kind == inst.graph.kind
-        assert back.graph.edges == inst.graph.edges
+        assert back.graph.edge_list() == inst.graph.edge_list()
         assert back.name == inst.name
 
     def test_file_round_trip(self, tmp_path):
@@ -102,8 +103,8 @@ class TestSerialization:
     def test_written_text_loads_to_the_same_instance(self, inst):
         back = instance_from_dict(json.loads(instance_text(inst)))
         g, h = inst.graph, back.graph
-        assert (h.kind, sorted(h.nodes), h.edges, h.partition, h.cell_of) == (
-            g.kind, sorted(g.nodes), g.edges, g.partition, g.cell_of)
+        assert (h.kind, sorted(h.nodes), h.edge_list(), h.partition, h.cell_of) == (
+            g.kind, sorted(g.nodes), g.edge_list(), g.partition, g.cell_of)
         assert (back.requests, back.name) == (inst.requests, inst.name)
 
     def test_path_fields_present_but_empty_are_kept(self):
@@ -112,8 +113,8 @@ class TestSerialization:
             return instance_from_dict({"graph": graph, "requests": []}).graph
 
         sides = {"v1": "L", "v2": "U", "v3": "L"}
-        assert load(edges=[], partition=sides).edges == frozenset()
-        assert load(partition=sides).edges == build_path(3).edges
+        assert load(edges=[], partition=sides).edge_list() == []
+        assert load(partition=sides).edge_list() == build_path(3).edge_list()
         assert load(edges=[["v1", "v2"]]).partition == build_path(3).partition
         with pytest.raises(NotBipartiteError, match="node 'v1' has no L/U side"):
             load(edges=[], partition={})
@@ -147,7 +148,7 @@ class TestSerialization:
          "instance field 'name' must be a string, got 7"),
         (lambda: Instance(build_hexagonal({"a": (0, 0), "b": (1, True)}), ()),
          "cell 'b' must be a pair of integers under a node name, got CellCoord(q=1, r=True)"),
-        (lambda: Instance(Graph("hexagonal", ("a",), frozenset(), cell_of={"a": CellCoord(0.5, 0)}),
+        (lambda: Instance(Graph("hexagonal", ("a",), {"a": {}}, cell_of={"a": CellCoord(0.5, 0)}),
                           ()),
          "cell 'a' must be a pair of integers under a node name, got CellCoord(q=0.5, r=0)"),
     ])
@@ -544,12 +545,12 @@ class TestCli:
 
         opt_path = str(tmp_path / "opt.json")
         assert main(["opt", inst_path, "--out", opt_path]) == 0
-        opt_payload = json.loads(open(opt_path).read())
+        opt_payload = json.loads(Path(opt_path).read_text())
         assert opt_payload["opt"] >= 1
 
         run_path = str(tmp_path / "run.json")
         assert main(["run", inst_path, "--algo", "greedy_opt", "--out", run_path]) == 0
-        report = json.loads(open(run_path).read())
+        report = json.loads(Path(run_path).read_text())
         assert report["valid"] is True
         assert report["max_color"] == opt_payload["opt"]
 
@@ -572,7 +573,7 @@ class TestCli:
             json.dump({"actions": bad}, fh)
         v2_path = str(tmp_path / "v2.json")
         assert main(["verify", inst_path, log_path, "--out", v2_path]) == 1
-        assert json.loads(open(v2_path).read())["verdict"] == "violation"
+        assert json.loads(Path(v2_path).read_text())["verdict"] == "violation"
 
     def test_batch_cli(self, tmp_path):
         inst_path = str(tmp_path / "i0.json")
@@ -583,7 +584,7 @@ class TestCli:
             json.dump({"runs": [{"instance": "i0.json", "algo": "greedy_opt"}]}, fh)
         out_path = str(tmp_path / "report.csv")
         assert main(["batch", manifest_path, "--out", out_path]) == 0
-        text = open(out_path).read()
+        text = Path(out_path).read_text()
         assert text.splitlines()[0].startswith("algorithm,")
         assert "greedy_opt" in text
 
@@ -800,6 +801,14 @@ class TestCli:
         manifest_path.write_text(json.dumps({"run": []}))
         assert main(["batch", str(manifest_path)]) == 2
         assert "manifest has no field 'runs'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "opt"])
+    def test_budget_default_is_the_oracle_default(self, command):
+        from multicolor import oracle
+        from multicolor.cli import _parse_budget
+
+        args = build_parser().parse_args([command, "i.json"] + ["--algo", "fpa"] * (command == "run"))
+        assert _parse_budget(args.budget) == (oracle.DEFAULT_MAX_NODES, oracle.DEFAULT_MAX_REQUESTS)
 
     @pytest.mark.parametrize("command", ["run", "opt"])
     def test_bad_budget_exits_2(self, tmp_path, capsys, command):

@@ -72,6 +72,12 @@ class TestApply:
         assert result.kind == "node-duplicate"
         assert state.f == before and state.step == 0
 
+    def test_request_to_unknown_node_raises(self):
+        state = ColoringState(build_path(2))
+        with pytest.raises(MalformedInstanceError, match="^request to unknown node 'zz'$"):
+            apply_step(state, Request("zz", "color"), ColorAction(1))
+        assert state.f == {} and state.step == 0
+
 
 class TestValidateFull:
     def test_legal_run_ok(self):

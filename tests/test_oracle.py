@@ -322,7 +322,7 @@ def milp_opt(instance):
     active = [v for v in g.nodes if dem[v] > 0]
     if not active:
         return 0
-    top = max(dem[v] + sum(dem[u] for u in g.neighbors(v)) for v in active)
+    top = max(dem[v] + sum(dem[u] for u in g.adjacency[v]) for v in active)
     col = {v: i * top for i, v in enumerate(active)}  # x[v, c] is column col[v] + c
     y = len(active) * top                            # y[c] is column y + c
     rows, lower, upper = [], [], []
@@ -361,7 +361,7 @@ def reference_opt_exact(instance):
     active = [v for v in g.nodes if dem[v] > 0]
     omega = max((sum(dem[v] for v in c) for c in maximal_cliques(g)), default=0)
     order = sorted(active, key=lambda v: (-dem[v], v))
-    neighbors = {v: [u for u in g.neighbors(v) if dem[u] > 0] for v in order}
+    neighbors = {v: [u for u in g.adjacency[v] if dem[u] > 0] for v in order}
     cliques = [c & set(active) for c in maximal_cliques(g)]
     cliques = [c for c in cliques if len(c) >= 2]
 

@@ -121,14 +121,14 @@ def test_copy_and_pickle_keep_the_value(name):
 
 def test_reprs():
     assert repr(CellCoord(1, -2)) == "CellCoord(q=1, r=-2)"
-    assert repr(build_path(1)) == ("Graph(kind='path', nodes=('v1',), edges=frozenset(), "
+    assert repr(build_path(1)) == ("Graph(kind='path', nodes=('v1',), adjacency={'v1': {}}, "
                                    "partition={'v1': 'L'}, cell_of={}, class_of={})")
     assert repr(build_hexagonal({"a": (0, 0)})) == (
-        "Graph(kind='hexagonal', nodes=('a',), edges=frozenset(), partition={}, "
+        "Graph(kind='hexagonal', nodes=('a',), adjacency={'a': {}}, partition={}, "
         "cell_of={'a': CellCoord(q=0, r=0)}, class_of={'a': 'R'})")
     assert repr(Request("u", "color")) == "Request(node='u', op='color', cancel_color=None)"
     assert repr(Instance(build_path(1), (), name="x")) == (
-        "Instance(graph=Graph(kind='path', nodes=('v1',), edges=frozenset(), "
+        "Instance(graph=Graph(kind='path', nodes=('v1',), adjacency={'v1': {}}, "
         "partition={'v1': 'L'}, cell_of={}, class_of={}), requests=(), name='x')")
     assert repr(ColorAction(3)) == "ColorAction(color=3)"
     assert repr(CancelAction()) == "CancelAction(recolor=None)"
@@ -148,7 +148,7 @@ def test_reprs():
 
 
 def test_constructor_defaults():
-    g = Graph("path", ("v1",), frozenset())
+    g = Graph("path", ("v1",), {"v1": {}})
     assert (g.partition, g.cell_of, g.class_of) == ({}, {}, {})
     assert Request(node="u", op="color").cancel_color is None
     assert Instance(g, ()).name == "instance"

@@ -258,7 +258,7 @@ ALGORITHMS: dict[str, Algorithm] = _Registry({
         lambda inst, optimum, b: 3 * ((optimum.omega + 1) // 2)),
     "hex43": Algorithm(
         lambda g, tape, reqs, b: hex43(g, tape, reqs),
-        lambda inst, optimum, b: oracle.advice_43(inst),
+        lambda inst, optimum, b: oracle.advice_43(inst, optimum),
         lambda inst, optimum, b: inst.n + 2 * len(inst.graph.nodes),
         lambda inst, optimum, b: (4 * optimum.omega + 1) // 3),
 })

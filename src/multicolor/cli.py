@@ -166,7 +166,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MultiColorError as exc:
+    except (MultiColorError, OSError) as exc:  # bad input, or a file that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -411,7 +411,7 @@ def batch(manifest: dict, base_dir: str = ".") -> tuple[str, bool]:
             report = run(instance, algo, b=b, optimum=optimum)
             writer.writerow(report_row(report))
             all_ok = all_ok and report.ok
-        except (MultiColorError, OSError, KeyError) as exc:
+        except (MultiColorError, OSError) as exc:
             writer.writerow({"algorithm": algo, "instance": record.get("instance", "?"),
                              "status": f"error: {exc}"})
             all_ok = False

@@ -9,7 +9,7 @@ from itertools import islice, permutations
 
 from .advice import AdviceTape, enc
 from .errors import BudgetExceededError, DomainError, InternalConsistencyError
-from .graph import BORROW_FROM, CLASS_NAMES, Graph, clique_weight, maximal_cliques
+from .graph import BORROW_FROM, CLASS_NAMES, Graph, maximal_cliques
 from .instance import Instance, demand, demand_clique_weight, peak_clique_load
 from .value import Value
 
@@ -323,47 +323,33 @@ def advice_fpa(instance: Instance, optimum: Optimum | None = None) -> AdviceTape
 # ---------------------------------------------------------------------------
 # the 4/3 plan and its bit stream
 
-class Plan43(Value):
-    """q = floor((omega+1)/3) is the final private-palette size; per node:
-    phase1_count = min(n_v, q), borrow_count the colors borrowed in phase 2,
-    b_v, n_prime, in_g2 (a bool), and upper (0/1, defined for G2 nodes)."""
-
-    __slots__ = __match_args__ = ("omega", "q", "phase1_count", "borrow_count", "b_v",
-                                  "n_prime", "in_g2", "upper")
-
-    def __init__(self, omega: int, q: int, phase1_count: dict, borrow_count: dict, b_v: dict,
-                 n_prime: dict, in_g2: dict, upper: dict):
-        self._init(omega, q, phase1_count, borrow_count, b_v, n_prime, in_g2, upper)
-
-
-def plan_43(instance: Instance) -> Plan43:
-    """Per-node phase counts of the offline 4/3-approximation, plus a
-    2-coloring of the bipartite leftover graph G2.
-
-    Fails loudly (InternalConsistencyError) if G2 contains a triangle or an
-    odd cycle, which the theory rules out.
-    """
+def plan_43(instance: Instance, optimum: Optimum | None = None) -> tuple:
+    """The offline 4/3-approximation as (omega, q, private, borrow, upper):
+    q = floor((omega+1)/3) is the final private-palette size; per node,
+    private[v] = min(n_v, q) phase-1 colors, borrow[v] phase-2 colors, and
+    upper[v] (0/1) its side in the 2-coloring of the leftover graph G2 in
+    which the smallest node of each component is lower.  Fails loudly
+    (InternalConsistencyError) if G2 contains a triangle or an odd cycle,
+    which the theory rules out."""
     if instance.graph.kind != "hexagonal":
         raise DomainError("plan_43 needs a hexagonal graph")
     if instance.has_cancellations():
         raise DomainError("plan_43 handles cancellation-free instances only")
     g, adj = instance.graph, instance.graph.adjacency
     dem = demand(instance)
-    omega = clique_weight(g, dem)
+    omega = (optimum or Optimum(instance)).omega
     q = (omega + 1) // 3
 
-    n_prime, b_v, phase1, borrow, in_g2 = {}, {}, {}, {}, {}
+    private, borrow, pending = {}, {}, {}   # pending: G2 node -> its leftover demand
     for v in g.nodes:
         lender = BORROW_FROM[g.class_of[v]]
-        lender_demands = [dem[u] for u in adj[v] if g.class_of[u] == lender]
-        n_prime[v] = max(lender_demands, default=0)
-        b_v[v] = max(0, q - n_prime[v])
-        phase1[v] = min(dem[v], q)
-        borrow[v] = min(dem[v] - q, b_v[v]) if dem[v] > q else 0
-        in_g2[v] = dem[v] - phase1[v] - borrow[v] > 0
+        n_prime = max((dem[u] for u in adj[v] if g.class_of[u] == lender), default=0)
+        private[v] = min(dem[v], q)
+        borrow[v] = min(dem[v] - q, max(0, q - n_prime)) if dem[v] > q else 0
+        if dem[v] > private[v] + borrow[v]:
+            pending[v] = dem[v] - private[v] - borrow[v]
 
-    g2_nodes = sorted(v for v in g.nodes if in_g2[v])
-    pending = {v: dem[v] - phase1[v] - borrow[v] for v in g2_nodes}
+    g2_nodes = sorted(pending)
     for u in g2_nodes:
         for w in adj[u]:
             if w <= u or w not in pending:
@@ -373,37 +359,25 @@ def plan_43(instance: Instance) -> Plan43:
             if pending[u] + pending[w] > omega - 2 * q:
                 raise InternalConsistencyError("G2 edge exceeds the pending-pair bound")
 
-    upper = _two_color(g, g2_nodes)
-    return Plan43(omega=omega, q=q, phase1_count=phase1, borrow_count=borrow,
-                  b_v=b_v, n_prime=n_prime, in_g2=in_g2, upper=upper)
-
-
-def _two_color(g: Graph, g2_nodes):
-    """BFS 2-coloring of the subgraph induced by g2_nodes; the smallest node
-    of each component is lower (upper = 0)."""
-    g2 = set(g2_nodes)
     upper = {}
     for root in g2_nodes:
         if root in upper:
             continue
-        upper[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in g.adjacency[v]:
-                    if u not in g2:
-                        continue
-                    if u not in upper:
-                        upper[u] = 1 - upper[v]
-                        nxt.append(u)
-                    elif upper[u] == upper[v]:
-                        raise InternalConsistencyError("G2 is not bipartite")
-            frontier = nxt
-    return upper
+        upper[root], stack = 0, [root]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if u not in pending:
+                    continue
+                if u not in upper:
+                    upper[u] = 1 - upper[v]
+                    stack.append(u)
+                elif upper[u] == upper[v]:
+                    raise InternalConsistencyError("G2 is not bipartite")
+    return omega, q, private, borrow, upper
 
 
-def advice_43(instance: Instance) -> AdviceTape:
+def advice_43(instance: Instance, optimum: Optimum | None = None) -> AdviceTape:
     """Bit stream for the phase automaton of algorithms.hex43, written from
     plan_43: a 0 per private (phase-1) and per borrowed (phase-2) color, a 1
     where a node leaves phase 2, then its partition bit (1 = upper).
@@ -414,24 +388,23 @@ def advice_43(instance: Instance) -> AdviceTape:
     giving d = omega - 3q + 1, so upper nodes can color down from
     omega + q = floor((4*omega+1)/3).  Total length is at most n + 2|V|.
     """
-    plan = plan_43(instance)
+    omega, q, private, borrow, upper = plan_43(instance, optimum)
     tape = AdviceTape()
     frozen = header = False   # a stop bit has ended some phase 1; d is written
     seen = {v: 0 for v in instance.graph.nodes}   # requests to each node so far
     for r in instance.requests:
-        v = r.node
-        i, private = seen[v], plan.phase1_count[v]
-        end = private + plan.borrow_count[v]   # the request that ends phase 2
+        v, i = r.node, seen[r.node]
+        end = private[v] + borrow[v]   # the request that ends phase 2
         seen[v] += 1
-        if i == private and not frozen:
+        if i == private[v] and not frozen:
             tape.write([1])
             frozen = True
         if i < end:
             tape.write([0])
         elif i == end:
-            tape.write([1, plan.upper[v]])
-            if plan.upper[v] and not header:
-                d = plan.omega - 3 * plan.q + 1
+            tape.write([1, upper[v]])
+            if upper[v] and not header:
+                d = omega - 3 * q + 1
                 tape.write([d >> 1, d & 1])
                 header = True
         # phase 3 requests consume no bits

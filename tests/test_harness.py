@@ -1,4 +1,5 @@
 import argparse
+import copy
 import csv
 import importlib.util
 import io
@@ -34,7 +35,7 @@ from multicolor.harness import (
     run,
     save_instance,
 )
-from multicolor.instance import CancelAction, ColorAction, Instance, Request
+from multicolor.instance import CancelAction, ColorAction, Instance, Request, demand
 from multicolor.oracle import Optimum
 
 
@@ -236,6 +237,73 @@ class TestLoadRequests:
             instance_from_dict(data)
 
 
+# valid decoded instance files of every family, each small enough for exact search
+FUZZ_SEEDS = [instance_to_dict(inst) for inst in (
+    path_family(40)[1], hex_chain(2, (1, 0)), hex_54(4, 1),
+    random_instance("bipartite", seed=1, n_nodes=6, n_requests=12),
+    random_instance("hexagonal", seed=1, n_nodes=6, n_requests=12),
+    random_cancel_instance(seed=1, n_nodes=6, n_requests=12))]
+JUNK = [None, True, 2.0, "", [], {}, -1, [1, 2]]
+
+
+def json_places(tree, path=()):
+    """The path (keys and indices from the root) of every value inside a
+    decoded JSON document."""
+    items = tree.items() if isinstance(tree, dict) else (
+        enumerate(tree) if isinstance(tree, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from json_places(value, path + (key,))
+
+
+@st.composite
+def mutated_instance_dicts(draw):
+    """A valid decoded instance file with one to three mutations: a field or
+    item deleted, a value replaced by junk or by a node name, or a request
+    duplicated at any place."""
+    data = copy.deepcopy(draw(st.sampled_from(FUZZ_SEEDS)))
+    names = data["graph"]["nodes"]
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["delete", "replace", "duplicate"]))
+        if how == "duplicate":
+            requests = data.get("requests")
+            if isinstance(requests, list) and requests:
+                copied = copy.deepcopy(draw(st.sampled_from(requests)))
+                requests.insert(draw(st.integers(0, len(requests))), copied)
+            continue
+        places = list(json_places(data))
+        if not places:
+            break
+        *path, key = draw(st.sampled_from(places))
+        parent = data
+        for step in path:
+            parent = parent[step]
+        if how == "delete":
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(JUNK + names)))
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_instance_dicts())
+def test_malformed_instances_raise_only_multicolor_errors(data):
+    """Loading a mutated instance file and running every algorithm (and an
+    unknown one) on it, at every kind of width b, raises MultiColorError or
+    nothing."""
+    try:
+        instance = instance_from_dict(data)
+    except MultiColorError:
+        return
+    optimum = Optimum(instance)
+    for algo in [*ALGORITHMS, "nope"]:
+        for b in (None, 0, 1, 3):
+            try:
+                run(instance, algo, b=b, optimum=optimum)
+            except MultiColorError:
+                pass
+
+
 class TestRun:
     def test_path_family_greedy_opt(self):
         report = run(path_family(40)[2], "greedy_opt")
@@ -364,6 +432,15 @@ class TestWorkCounts:
         report = run(inst, "greedy_cancel")
         assert len(calls) == 1
         assert report.valid and report.ok
+
+    def test_hex43_computes_omega_once(self, monkeypatch):
+        from multicolor.graph import clique_weight
+
+        inst = random_instance("hexagonal", seed=3, n_nodes=10, n_requests=30)
+        calls = count_calls(monkeypatch, clique_weight)
+        report = run(inst, "hex43")
+        assert len(calls) == 1
+        assert report.ok and report.opt_value == clique_weight(inst.graph, demand(inst))
 
     def test_cli_run_csv_runs_once(self, tmp_path, monkeypatch, capsys):
         inst_path = str(tmp_path / "inst.json")
@@ -600,6 +677,32 @@ class TestCli:
         main(["gen", "hex_chain", "--branch", "1", "--out", inst_path])
         # bipartite-only algorithm on a hexagonal instance -> domain error
         assert main(["run", inst_path, "--algo", "greedy_opt"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{missing}", "--algo", "fpa"],
+        ["run", "{instance}", "--algo", "fpa", "--out", "{missing_dir}/r.json"],
+        ["opt", "{missing}"],
+        ["batch", "{missing}"],
+        ["verify", "{dir}", "{dir}"],
+        ["verify", "{instance}", "{missing}"],
+        ["gen", "random", "--out", "{missing_dir}/x.json"],
+    ])
+    def test_file_that_cannot_be_read_or_written_exits_2(self, tmp_path, capsys, argv):
+        save_instance(path_family(40)[2], str(tmp_path / "i.json"))
+        paths = {"missing": tmp_path / "missing.json", "missing_dir": tmp_path / "no" / "dir",
+                 "dir": tmp_path, "instance": tmp_path / "i.json"}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_batch_with_a_missing_instance_exits_1(self, tmp_path, capsys):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps({"runs": [{"instance": "missing.json",
+                                                       "algo": "fpa"}]}))
+        assert main(["batch", str(manifest_path)]) == 1
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert row["status"].startswith("error: [Errno 2]")
 
     def test_algo_choices_are_the_registry(self):
         parser = build_parser()

@@ -25,7 +25,7 @@ from multicolor.instance import (
     Request,
     Violation,
 )
-from multicolor.oracle import OptWitness, Plan43
+from multicolor.oracle import OptWitness
 from multicolor.value import Value
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -40,11 +40,6 @@ def test_cli_imports_no_dataclasses():
     assert proc.stdout.strip() == "[]"
 
 
-def _plan(upper):
-    return Plan43(omega=3, q=1, phase1_count={"a": 1}, borrow_count={"a": 0}, b_v={"a": 0},
-                  n_prime={"a": 1}, in_g2={"a": False}, upper=upper)
-
-
 # make(x) builds a fresh value; make(0) == make(0) and make(0) != make(1)
 MAKERS = {
     "CellCoord": lambda x: CellCoord(0, x),
@@ -57,7 +52,6 @@ MAKERS = {
     "ColoringState": lambda x: ColoringState(build_path(1), {"v1": frozenset({1})}, step=x),
     "RunReport": lambda x: RunReport("fpa", "i", 3 + x, 3, 5, 3, 1.0, True, 9, runtime_millis=2.0),
     "OptWitness": lambda x: OptWitness(1 + x, {"v1": frozenset({1})}),
-    "Plan43": lambda x: _plan({"a": x}),
     "Algorithm": lambda x: Algorithm(len, sum, (repr, ascii)[x], max),
 }
 HASHABLE = {"CellCoord", "Request", "ColorAction", "CancelAction", "Violation", "RunReport",
@@ -141,9 +135,6 @@ def test_reprs():
         "advice_bits_read=5, opt_value=None, strict_ratio=None, valid=True, "
         "advice_bound=None, color_bound=None, runtime_millis=0.0)")
     assert repr(OptWitness(0, {})) == "OptWitness(opt_value=0, coloring={})"
-    assert repr(_plan({})) == (
-        "Plan43(omega=3, q=1, phase1_count={'a': 1}, borrow_count={'a': 0}, b_v={'a': 0}, "
-        "n_prime={'a': 1}, in_g2={'a': False}, upper={})")
     assert repr(AdviceTape()) == "AdviceTape(bits=[], cursor=0)"
 
 

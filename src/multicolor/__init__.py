@@ -23,7 +23,7 @@ from .instance import (
     peak_clique_load,
     validate_full,
 )
-from .oracle import OptWitness, opt_bipartite, opt_exact, plan_43
+from .oracle import OptWitness, opt_exact, plan_43
 from .harness import RunReport, batch, load_instance, run, save_instance
 
 __all__ = [
@@ -33,6 +33,6 @@ __all__ = [
     "Request", "Instance", "ColoringState", "Violation",
     "ColorAction", "CancelAction",
     "apply_step", "validate_full", "demand", "peak_clique_load",
-    "OptWitness", "opt_exact", "opt_bipartite", "plan_43",
+    "OptWitness", "opt_exact", "plan_43",
     "RunReport", "run", "batch", "save_instance", "load_instance",
 ]

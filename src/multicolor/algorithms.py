@@ -196,10 +196,10 @@ def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
 
 class Algorithm(Value):
     """An online player and its advice: play(graph, tape, requests, b) runs the
-    player, advise(instance, optimum, b) writes its tape from the run's shared
-    oracle.Optimum, bound(instance, optimum, b) is the declared worst-case
-    tape length and color_bound(instance, optimum, b) the guaranteed largest
-    color, each None if unknown.  b is greedy_truncated's width."""
+    player, advise(optimum, b) writes its tape from the run's shared
+    oracle.Optimum, bound(optimum, b) is the declared worst-case tape length
+    and color_bound(optimum, b) the guaranteed largest color, each None if
+    unknown.  b is greedy_truncated's width."""
 
     __slots__ = __match_args__ = ("play", "advise", "bound", "color_bound")
 
@@ -213,11 +213,11 @@ def _width(b):
     return b
 
 
-def _trivial_bound(instance, optimum):
+def _trivial_bound(optimum):
     if optimum.value is None:
         return None
     w = optimum.value.bit_length()
-    return enc_len(w) + instance.n * w
+    return enc_len(w) + optimum.instance.n * w
 
 
 class _Registry(dict):
@@ -232,35 +232,34 @@ class _Registry(dict):
 ALGORITHMS: dict[str, Algorithm] = _Registry({
     "greedy_opt": Algorithm(
         lambda g, tape, reqs, b: greedy_opt(g, tape, reqs),
-        lambda inst, optimum, b: oracle.advice_greedyopt(inst, optimum),
-        lambda inst, optimum, b: enc_len(optimum.closed_form),
-        lambda inst, optimum, b: optimum.closed_form),
+        lambda optimum, b: oracle.advice_greedyopt(optimum),
+        lambda optimum, b: enc_len(optimum.peak_load),
+        lambda optimum, b: optimum.peak_load),
     "greedy_truncated": Algorithm(
         lambda g, tape, reqs, b: greedy_truncated(g, tape, reqs, _width(b)),
-        lambda inst, optimum, b: oracle.advice_truncated(inst, _width(b), optimum),
-        lambda inst, optimum, b: _width(b) + enc_len(
-            max(0, optimum.closed_form.bit_length() - b)),
-        lambda inst, optimum, b: ((1 << _width(b) - 1) + 1) * optimum.closed_form >> b - 1),
+        lambda optimum, b: oracle.advice_truncated(optimum, _width(b)),
+        lambda optimum, b: _width(b) + enc_len(max(0, optimum.peak_load.bit_length() - b)),
+        lambda optimum, b: ((1 << _width(b) - 1) + 1) * optimum.peak_load >> b - 1),
     "greedy_cancel": Algorithm(
         lambda g, tape, reqs, b: greedy_cancel(g, tape, reqs),
-        lambda inst, optimum, b: oracle.advice_cancel(inst, optimum),
-        lambda inst, optimum, b: enc_len(optimum.peak_load),
-        lambda inst, optimum, b: optimum.peak_load),
+        lambda optimum, b: oracle.advice_cancel(optimum),
+        lambda optimum, b: enc_len(optimum.peak_load),
+        lambda optimum, b: optimum.peak_load),
     "trivial": Algorithm(
         lambda g, tape, reqs, b: trivial(g, tape, reqs),
-        lambda inst, optimum, b: oracle.advice_trivial(inst, optimum),
-        lambda inst, optimum, b: _trivial_bound(inst, optimum),
-        lambda inst, optimum, b: optimum.value),
+        lambda optimum, b: oracle.advice_trivial(optimum),
+        lambda optimum, b: _trivial_bound(optimum),
+        lambda optimum, b: optimum.value),
     "fpa": Algorithm(
         lambda g, tape, reqs, b: fpa(g, tape, reqs),
-        lambda inst, optimum, b: oracle.advice_fpa(inst, optimum),
-        lambda inst, optimum, b: enc_len((optimum.omega + 1) // 2),
-        lambda inst, optimum, b: 3 * ((optimum.omega + 1) // 2)),
+        lambda optimum, b: oracle.advice_fpa(optimum),
+        lambda optimum, b: enc_len((optimum.omega + 1) // 2),
+        lambda optimum, b: 3 * ((optimum.omega + 1) // 2)),
     "hex43": Algorithm(
         lambda g, tape, reqs, b: hex43(g, tape, reqs),
-        lambda inst, optimum, b: oracle.advice_43(inst, optimum),
-        lambda inst, optimum, b: inst.n + 2 * len(inst.graph.nodes),
-        lambda inst, optimum, b: (4 * optimum.omega + 1) // 3),
+        lambda optimum, b: oracle.advice_43(optimum),
+        lambda optimum, b: optimum.instance.n + 2 * len(optimum.instance.graph.nodes),
+        lambda optimum, b: (4 * optimum.omega + 1) // 3),
 })
 
 

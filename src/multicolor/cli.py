@@ -26,6 +26,8 @@ _DEFAULT_BUDGET = f"{oracle.DEFAULT_MAX_NODES},{oracle.DEFAULT_MAX_REQUESTS}"
 def _parse_budget(text):
     try:
         nodes, requests = (int(x) for x in text.split(","))
+        if nodes < 0 or requests < 0:
+            raise ValueError
     except ValueError:
         raise DomainError(f"--budget must be NODES,REQUESTS, got {text!r}") from None
     return nodes, requests
@@ -59,11 +61,9 @@ def cmd_gen(args):
     elif args.family == "random":
         instance = adversary.random_instance(
             args.kind, seed=args.seed, n_nodes=args.nodes, n_requests=args.requests)
-    elif args.family == "random_cancel":
+    else:  # random_cancel; argparse refuses any other family
         instance = adversary.random_cancel_instance(
             seed=args.seed, n_nodes=args.nodes, n_requests=args.requests)
-    else:
-        raise MultiColorError(f"unknown family {args.family!r}")
     _write_out(harness.instance_text(instance), args.out)
     return 0
 

@@ -295,13 +295,13 @@ class RunReport(Value):
 def make_advice(instance: Instance, algo: str, b: int | None = None,
                 optimum: oracle.Optimum | None = None) -> AdviceTape:
     """The oracle's advice tape for the algorithm on this instance."""
-    return ALGORITHMS[algo].advise(instance, optimum or oracle.Optimum(instance), b)
+    return ALGORITHMS[algo].advise(optimum or oracle.Optimum(instance), b)
 
 
 def advice_bound(instance: Instance, algo: str, b: int | None = None,
                  optimum: oracle.Optimum | None = None) -> int | None:
     """Declared worst-case advice length for the algorithm on this instance."""
-    return ALGORITHMS[algo].bound(instance, optimum or oracle.Optimum(instance), b)
+    return ALGORITHMS[algo].bound(optimum or oracle.Optimum(instance), b)
 
 
 def _metrics(actions):
@@ -326,7 +326,7 @@ def run(instance: Instance, algo: str, b: int | None = None,
     opt = optimum.value
     ratio = (max_color / opt) if opt else None
     bound = advice_bound(instance, algo, b=b, optimum=optimum)
-    color_bound = ALGORITHMS[algo].color_bound(instance, optimum, b)
+    color_bound = ALGORITHMS[algo].color_bound(optimum, b)
     elapsed = (time.perf_counter() - start) * 1000.0
     return RunReport(
         algorithm=algo,

@@ -1,5 +1,10 @@
-"""Offline side: exact optimum search, the bipartite closed form, and the
+"""Offline side: exact optimum search, the run's Optimum, and the
 advice-tape generators for every online player.
+
+An Optimum holds the offline facts of one instance, each computed once: its
+demand, omega, the peak clique load (Opt on a path or bipartite graph; omega
+when nothing is cancelled) and an optimal witness.  Every tape writer takes
+the run's Optimum and reads the instance from it.
 """
 
 from __future__ import annotations
@@ -132,10 +137,7 @@ def _search(need, neighbors, cliques, palette_size):
     def backtrack(i, used):
         if i == n:
             return True
-        avail = avail_for(i)
-        if avail.bit_count() < need[i]:
-            return False
-        candidates = _candidate_sets(avail, need[i], used)
+        candidates = _candidate_sets(avail_for(i), need[i], used)
         if not constrains[i]:  # the smallest feasible set suffices
             candidates = islice(candidates, 1)
         for cand in candidates:
@@ -152,21 +154,10 @@ def _search(need, neighbors, cliques, palette_size):
         palette_size += 1
 
 
-def opt_bipartite(instance: Instance) -> int:
-    """Closed-form optimum for path/bipartite graphs: the clique weight
-    (max node demand, max summed demand over an edge)."""
-    if instance.graph.kind not in ("path", "bipartite"):
-        raise DomainError(f"opt_bipartite needs a path or bipartite graph, got {instance.graph.kind}")
-    if instance.has_cancellations():
-        raise DomainError("opt_bipartite handles cancellation-free instances only")
-    return demand_clique_weight(instance)
-
-
 class Optimum:
-    """The offline facts about one instance's optimum: the bipartite closed
-    form, the peak clique load, omega and an optimal witness.  Each is computed
-    at most once, on first use, so a run's tape, advice bound and report
-    share them."""
+    """The offline facts about one instance's optimum: its demand, omega, the
+    peak clique load and an optimal witness.  Each is computed at most once,
+    on first use, so a run's tape, advice bound and report share them."""
 
     def __init__(self, instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
                  max_requests: int = DEFAULT_MAX_REQUESTS):
@@ -174,12 +165,16 @@ class Optimum:
         self.budget = {"max_nodes": max_nodes, "max_requests": max_requests}
 
     @cached_property
-    def closed_form(self) -> int:
-        return opt_bipartite(self.instance)
+    def demand(self) -> dict:
+        return demand(self.instance)
 
     @cached_property
     def peak_load(self) -> int:
-        return peak_clique_load(self.instance)
+        """The peak clique load: Opt on a path or bipartite graph.  With no
+        cancellation the load only grows, so it is omega."""
+        if self.instance.has_cancellations():
+            return peak_clique_load(self.instance)
+        return self.omega
 
     @cached_property
     def omega(self) -> int:
@@ -198,9 +193,9 @@ class Optimum:
         inst, g = self.instance, self.instance.graph
         if inst.has_cancellations():
             return opt_exact(inst, **self.budget)
-        dem = demand(inst)
+        dem = self.demand
         if g.kind != "hexagonal":
-            m, side = self.closed_form, g.partition
+            m, side = self.peak_load, g.partition
             return OptWitness(opt_value=m, coloring={
                 v: frozenset(range(1, k + 1) if side[v] == "L" else range(m - k + 1, m + 1))
                 for v, k in dem.items()})
@@ -214,15 +209,12 @@ class Optimum:
 
     @cached_property
     def value(self) -> int | None:
-        """Best available exact optimum: closed form for path/bipartite, the
-        peak load for cancellation sequences, and otherwise the opt_value of
-        the witness: omega when an omega-coloring certifies it, else the
-        exact search's.  None when the instance exceeds the search budget."""
-        bipartite = self.instance.graph.kind in ("path", "bipartite")
-        if self.instance.has_cancellations():
-            return self.peak_load if bipartite else None
-        if bipartite:
-            return self.closed_form
+        """Best available exact optimum: the peak load on a path or bipartite
+        graph, and otherwise the opt_value of the witness: omega when an
+        omega-coloring certifies it, else the exact search's.  None when the
+        instance exceeds the search budget."""
+        if self.instance.graph.kind != "hexagonal":
+            return self.peak_load
         try:
             return self.witness.opt_value
         except BudgetExceededError:
@@ -263,15 +255,15 @@ def omega_coloring(g: Graph, dem: dict, omega: int) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# advice generators; each reads the facts it needs from optimum, a fresh
-# Optimum of the instance when none is given
+# advice generators; each reads the instance and the facts it needs from the
+# run's Optimum
 
-def advice_greedyopt(instance: Instance, optimum: Optimum | None = None) -> AdviceTape:
+def advice_greedyopt(optimum: Optimum) -> AdviceTape:
     """enc(Opt) for the strictly 1-competitive bipartite player."""
-    return AdviceTape(bits=enc((optimum or Optimum(instance)).closed_form))
+    return AdviceTape(bits=enc(optimum.peak_load))
 
 
-def advice_truncated(instance: Instance, b: int, optimum: Optimum | None = None) -> AdviceTape:
+def advice_truncated(optimum: Optimum, b: int) -> AdviceTape:
     """b raw high-order bits of Opt followed by enc(a), a = bits(Opt) - b.
 
     If Opt fits in b bits the raw field is Opt left-padded with zeros and
@@ -279,7 +271,7 @@ def advice_truncated(instance: Instance, b: int, optimum: Optimum | None = None)
     """
     if b < 1:
         raise DomainError(f"b must be >= 1, got {b}")
-    opt = (optimum or Optimum(instance)).closed_form
+    opt = optimum.peak_load
     a = max(0, opt.bit_length() - b)
     raw = opt >> a
     tape = AdviceTape()
@@ -288,22 +280,23 @@ def advice_truncated(instance: Instance, b: int, optimum: Optimum | None = None)
     return tape
 
 
-def advice_cancel(instance: Instance, optimum: Optimum | None = None) -> AdviceTape:
+def advice_cancel(optimum: Optimum) -> AdviceTape:
     """enc(peak clique load); peak load <= Opt, and the reader's interval
     invariants only need m to dominate every instantaneous edge load."""
-    if instance.graph.kind not in ("path", "bipartite"):
-        raise DomainError(f"advice_cancel needs a path or bipartite graph, got {instance.graph.kind}")
-    return AdviceTape(bits=enc((optimum or Optimum(instance)).peak_load))
+    kind = optimum.instance.graph.kind
+    if kind not in ("path", "bipartite"):
+        raise DomainError(f"advice_cancel needs a path or bipartite graph, got {kind}")
+    return AdviceTape(bits=enc(optimum.peak_load))
 
 
-def advice_trivial(instance: Instance, optimum: Optimum | None = None) -> AdviceTape:
+def advice_trivial(optimum: Optimum) -> AdviceTape:
     """enc(w) plus one w-bit field per request, w = ceil(log2(Opt+1)).
 
     Each field is (color - 1) of the request under the optimal witness,
     replayed per node in increasing color order.  Each color's field is
     rendered once.
     """
-    witness = (optimum or Optimum(instance)).witness
+    instance, witness = optimum.instance, optimum.witness
     w = witness.opt_value.bit_length()
     field = [[c >> i & 1 for i in reversed(range(w))] for c in range(witness.opt_value)]
     bits = enc(w)
@@ -313,17 +306,17 @@ def advice_trivial(instance: Instance, optimum: Optimum | None = None) -> Advice
     return AdviceTape(bits=bits)
 
 
-def advice_fpa(instance: Instance, optimum: Optimum | None = None) -> AdviceTape:
+def advice_fpa(optimum: Optimum) -> AdviceTape:
     """enc(ceil(omega/2)) for the fixed-preference-allocation player."""
-    if instance.graph.kind != "hexagonal":
+    if optimum.instance.graph.kind != "hexagonal":
         raise DomainError("advice_fpa needs a hexagonal graph")
-    return AdviceTape(bits=enc(((optimum or Optimum(instance)).omega + 1) // 2))
+    return AdviceTape(bits=enc((optimum.omega + 1) // 2))
 
 
 # ---------------------------------------------------------------------------
 # the 4/3 plan and its bit stream
 
-def plan_43(instance: Instance, optimum: Optimum | None = None) -> tuple:
+def plan_43(optimum: Optimum) -> tuple:
     """The offline 4/3-approximation as (omega, q, private, borrow, upper):
     q = floor((omega+1)/3) is the final private-palette size; per node,
     private[v] = min(n_v, q) phase-1 colors, borrow[v] phase-2 colors, and
@@ -331,13 +324,13 @@ def plan_43(instance: Instance, optimum: Optimum | None = None) -> tuple:
     which the smallest node of each component is lower.  Fails loudly
     (InternalConsistencyError) if G2 contains a triangle or an odd cycle,
     which the theory rules out."""
+    instance = optimum.instance
     if instance.graph.kind != "hexagonal":
         raise DomainError("plan_43 needs a hexagonal graph")
     if instance.has_cancellations():
         raise DomainError("plan_43 handles cancellation-free instances only")
     g, adj = instance.graph, instance.graph.adjacency
-    dem = demand(instance)
-    omega = (optimum or Optimum(instance)).omega
+    dem, omega = optimum.demand, optimum.omega
     q = (omega + 1) // 3
 
     private, borrow, pending = {}, {}, {}   # pending: G2 node -> its leftover demand
@@ -377,7 +370,7 @@ def plan_43(instance: Instance, optimum: Optimum | None = None) -> tuple:
     return omega, q, private, borrow, upper
 
 
-def advice_43(instance: Instance, optimum: Optimum | None = None) -> AdviceTape:
+def advice_43(optimum: Optimum) -> AdviceTape:
     """Bit stream for the phase automaton of algorithms.hex43, written from
     plan_43: a 0 per private (phase-1) and per borrowed (phase-2) color, a 1
     where a node leaves phase 2, then its partition bit (1 = upper).
@@ -388,11 +381,11 @@ def advice_43(instance: Instance, optimum: Optimum | None = None) -> AdviceTape:
     giving d = omega - 3q + 1, so upper nodes can color down from
     omega + q = floor((4*omega+1)/3).  Total length is at most n + 2|V|.
     """
-    omega, q, private, borrow, upper = plan_43(instance, optimum)
+    omega, q, private, borrow, upper = plan_43(optimum)
     tape = AdviceTape()
     frozen = header = False   # a stop bit has ended some phase 1; d is written
-    seen = {v: 0 for v in instance.graph.nodes}   # requests to each node so far
-    for r in instance.requests:
+    seen = {v: 0 for v in optimum.instance.graph.nodes}   # requests to each node so far
+    for r in optimum.instance.requests:
         v, i = r.node, seen[r.node]
         end = private[v] + borrow[v]   # the request that ends phase 2
         seen[v] += 1

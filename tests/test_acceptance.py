@@ -40,7 +40,7 @@ from multicolor.instance import (
     peak_clique_load,
     validate_full,
 )
-from multicolor.oracle import opt_bipartite, opt_exact
+from multicolor.oracle import Optimum, opt_exact
 from conftest import all_two_colorings
 
 
@@ -107,7 +107,7 @@ def test_criterion_02_bipartite_closed_form(bipartite_corpus, bipartite_opts):
     with criterion(2, "closed-form bipartite optimum equals the exact search "
                       "on all 500 instances"):
         for inst, opt in zip(bipartite_corpus, bipartite_opts):
-            assert opt_bipartite(inst) == opt
+            assert Optimum(inst).peak_load == opt
 
 
 def test_criterion_03_path_family_values(family):
@@ -141,7 +141,7 @@ def test_criterion_05_advice_accounting(bipartite_corpus, bipartite_opts, family
         for inst in family:
             tape = make_advice(inst, "greedy_opt")
             greedy_opt(inst.graph, tape, inst.requests)
-            assert tape.high_water == enc_len(opt_bipartite(inst))
+            assert tape.high_water == enc_len(Optimum(inst).peak_load)
 
 
 def test_criterion_06_trivial_algorithm(family):

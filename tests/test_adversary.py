@@ -93,6 +93,10 @@ class TestHex54:
         with pytest.raises(DomainError):
             hex_54(6, 0)
 
+    def test_branch_not_0_or_1(self):
+        with pytest.raises(DomainError, match="branch must be 0 or 1"):
+            hex_54(8, 2)
+
     @pytest.mark.parametrize("branch, pair", [(0, ("S1", "S2")), (1, ("D1", "D2"))])
     def test_p_over_4_requests_per_node_in_chain_order(self, branch, pair):
         inst = hex_54(8, branch)

@@ -32,7 +32,7 @@ from multicolor.instance import (
     peak_clique_load,
     validate_full,
 )
-from multicolor.oracle import opt_bipartite, opt_exact
+from multicolor.oracle import Optimum, opt_exact
 
 
 def colors(actions):
@@ -72,9 +72,9 @@ class TestGreedyTruncated:
         g = build_bipartite(["u", "w"], [("u", "w")], {"u": "L", "w": "U"})
         reqs = tuple([Request("u", "color")] * opt_u + [Request("w", "color")] * opt_w)
         inst = Instance(g, reqs)
-        from multicolor.oracle import advice_truncated
+        from multicolor.oracle import Optimum, advice_truncated
 
-        tape = advice_truncated(inst, b)
+        tape = advice_truncated(Optimum(inst), b)
         acts = greedy_truncated(g, tape, reqs, b)
         assert validate_full(inst, acts) is None
         return max(colors(acts)), tape
@@ -371,6 +371,19 @@ def test_online_prefix_replay(algo, kind, b):
         assert prefix == full[:k]
 
 
+@pytest.mark.parametrize("algo", ["greedy_opt", "greedy_truncated", "trivial", "fpa", "hex43"])
+def test_players_without_cancellations_refuse_one(algo):
+    graph = build_hexagonal({"v1": (0, 0)}) if algo in ("fpa", "hex43") else build_path(1)
+    tape = AdviceTape(bits=[0, 1] + enc(0)) if algo == "greedy_truncated" else tape_for(1)
+    with pytest.raises(DomainError, match=f"^{algo} does not handle cancellations$"):
+        run_player(algo, graph, tape, (Request("v1", "cancel", cancel_color=1),), b=2)
+
+
+def test_greedy_truncated_refuses_b_0():
+    with pytest.raises(DomainError, match="b must be >= 1, got 0"):
+        greedy_truncated(build_path(1), tape_for(1), (Request("v1", "color"),), 0)
+
+
 def test_players_reject_wrong_graph_kind():
     hex_g = build_hexagonal({"a": (0, 0)})
     path_g = build_path(2)
@@ -388,5 +401,5 @@ def test_greedy_opt_exactly_opt_on_corpus():
         tape = make_advice(inst, "greedy_opt")
         acts = greedy_opt(inst.graph, tape, inst.requests)
         assert validate_full(inst, acts) is None
-        opt = opt_bipartite(inst)
+        opt = Optimum(inst).peak_load
         assert max(colors(acts), default=0) == opt == opt_exact(inst).opt_value

@@ -76,6 +76,10 @@ class TestBuildBipartite:
         with pytest.raises(UnknownNodeError):
             build_bipartite(["a"], [("a", "ghost")], {"a": "L"})
 
+    def test_self_loop_rejected(self):
+        with pytest.raises(NotBipartiteError, match="self-loop at 'a'"):
+            build_bipartite(["a"], [("a", "a")], {"a": "L"})
+
 
 class TestBuildHexagonal:
     def test_triangle(self):

@@ -226,6 +226,16 @@ class TestLoadRequests:
             instance_from_dict(data)
         assert str(got.value) == str(expected.value)
 
+    def test_unknown_graph_kind(self):
+        with pytest.raises(MalformedInstanceError, match="unknown graph kind 'tree'"):
+            instance_from_dict({"graph": {"kind": "tree", "nodes": ["a"]}, "requests": []})
+
+    def test_request_to_unknown_node(self):
+        data = {"graph": {"kind": "path", "nodes": ["v1", "v2"]},
+                "requests": [{"node": "zz", "op": "color"}]}
+        with pytest.raises(MalformedInstanceError, match="request to unknown node 'zz'"):
+            instance_from_dict(data)
+
     @pytest.mark.parametrize("color, corrupt", [(1, True), (2, 2.0)])
     def test_color_equal_to_an_earlier_int_is_refused(self, color, corrupt):
         cancel = {"node": "v1", "op": "cancel", "color": color}
@@ -337,6 +347,10 @@ class TestRun:
         assert report.valid and report.ok
         assert report.max_color == report.opt_value == report.distinct_colors
         assert report.advice_bits_read == report.advice_bound
+
+    def test_trivial_bound_unknown_beyond_the_exact_budget(self):
+        inst = random_instance("hexagonal", seed=1, n_nodes=200, n_requests=2000, grid_extent=17)
+        assert advice_bound(inst, "trivial") is None
 
     def test_color_bounds_are_the_player_table(self):
         path, odd = path_family(40)[2], path_family(40)[3]  # Opt 12 and 13
@@ -741,6 +755,13 @@ class TestCli:
         assert main(["run", str(inst_path), "--algo", "greedy_opt"]) == 2
         assert "'nodes'" in capsys.readouterr().err
 
+    def test_run_unknown_graph_kind_exits_2(self, tmp_path, capsys):
+        inst_path = tmp_path / "tree.json"
+        inst_path.write_text(json.dumps({"graph": {"kind": "tree", "nodes": ["a"]},
+                                         "requests": []}))
+        assert main(["run", str(inst_path), "--algo", "trivial"]) == 2
+        assert "unknown graph kind 'tree'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("path, value, field", [
         (("requests", 1, "color"), "1", "request 2 field 'color'"),
         (("requests", 1, "color"), True, "request 2 field 'color'"),
@@ -917,9 +938,11 @@ class TestCli:
     def test_bad_budget_exits_2(self, tmp_path, capsys, command):
         inst_path = str(tmp_path / "i0.json")
         save_instance(path_family(40)[0], inst_path)
-        argv = [command, inst_path, "--budget", "14"] + (["--algo", "trivial"] if command == "run" else [])
-        assert main(argv) == 2
-        assert "--budget must be NODES,REQUESTS, got '14'" in capsys.readouterr().err
+        for budget in ("14", "-1,40", "14,-3"):  # a negative cap is refused too
+            argv = [command, inst_path, f"--budget={budget}"] + (
+                ["--algo", "trivial"] if command == "run" else [])
+            assert main(argv) == 2
+            assert f"--budget must be NODES,REQUESTS, got {budget!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, error", [
         (["random", "--nodes", "-3"], "got -3 and 20"),

@@ -232,10 +232,10 @@ def replay_apply_step(inst, actions):
 def test_validate_full_matches_apply_step_on_corrupted_logs(seed, data):
     from multicolor.adversary import random_cancel_instance
     from multicolor.algorithms import greedy_cancel
-    from multicolor.oracle import advice_cancel
+    from multicolor.oracle import Optimum, advice_cancel
 
     inst = random_cancel_instance(seed=seed, n_nodes=6, n_requests=30)
-    actions = greedy_cancel(inst.graph, advice_cancel(inst), inst.requests)
+    actions = greedy_cancel(inst.graph, advice_cancel(Optimum(inst)), inst.requests)
     assert validate_full(inst, actions) is None
     colors = st.integers(-1, 10)
     for _ in range(data.draw(st.integers(1, 3))):

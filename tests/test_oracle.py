@@ -7,8 +7,8 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multicolor import oracle
-from multicolor.adversary import hex_chain, path_family, random_instance
+from multicolor import harness, oracle
+from multicolor.adversary import hex_chain, path_family, random_cancel_instance, random_instance
 from multicolor.advice import enc, enc_len
 from multicolor.errors import BudgetExceededError, DomainError
 from multicolor.graph import (HEX_OFFSETS, build_bipartite, build_hexagonal, build_path,
@@ -22,7 +22,6 @@ from multicolor.oracle import (
     advice_trivial,
     advice_truncated,
     Optimum,
-    opt_bipartite,
     opt_exact,
     plan_43,
 )
@@ -77,10 +76,15 @@ class TestOptExact:
         with pytest.raises(DomainError):
             opt_exact(inst)
 
+    def test_no_requests(self):
+        w = opt_exact(Instance(build_path(3), ()))
+        assert w.opt_value == 0
+        assert w.coloring == {v: frozenset() for v in ("v1", "v2", "v3")}
+
 
 class TestOptBipartite:
     def test_path_family(self, path_i2):
-        assert opt_bipartite(path_i2) == 12
+        assert Optimum(path_i2).peak_load == 12
 
     def test_star(self):
         g = build_bipartite(
@@ -91,22 +95,28 @@ class TestOptBipartite:
         reqs = [Request("c", "color")] * 3 + [Request("l1", "color")] * 2
         reqs += [Request("l2", "color")] * 4 + [Request("l3", "color")] * 1
         inst = Instance(g, tuple(reqs))
-        assert opt_bipartite(inst) == 7
+        assert Optimum(inst).peak_load == 7
         assert opt_exact(inst).opt_value == 7
 
     def test_isolated_node(self):
-        assert opt_bipartite(single_node(7)) == 7
+        assert Optimum(single_node(7)).peak_load == 7
 
     def test_wrong_kind(self):
-        with pytest.raises(DomainError):
-            opt_bipartite(hex_triangle_211())
+        """A hexagonal graph or a cancellation is refused in one place, the
+        bipartite player, with a DomainError that names the algorithm."""
+        cancels = random_cancel_instance(seed=0)
+        for algo, b, inst in [("greedy_opt", None, hex_triangle_211()),
+                              ("greedy_opt", None, cancels),
+                              ("greedy_truncated", 2, cancels)]:
+            with pytest.raises(DomainError, match=f"^{algo} "):
+                harness.run(inst, algo, b=b)
 
 
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
 def test_closed_form_matches_exact_search(seed):
     inst = random_instance("bipartite", seed=seed, n_nodes=8, n_requests=24)
-    assert opt_bipartite(inst) == opt_exact(inst).opt_value
+    assert Optimum(inst).peak_load == opt_exact(inst).opt_value
 
 
 class TestClosedFormWitness:
@@ -115,7 +125,7 @@ class TestClosedFormWitness:
 
     @staticmethod
     def check(inst):
-        witness, opt = Optimum(inst).witness, opt_bipartite(inst)
+        witness, opt = Optimum(inst).witness, Optimum(inst).peak_load
         assert witness.opt_value == opt
         assert validate_full(inst, witness_actions(inst, witness.coloring)) is None
         assert set().union(*witness.coloring.values()) == set(range(1, opt + 1))
@@ -144,35 +154,35 @@ class TestClosedFormWitness:
 class TestAdviceGreedyOpt:
     def test_tape_is_enc_opt(self):
         inst = edge_instance(2, 1)  # Opt = 3
-        assert advice_greedyopt(inst).bits == enc(3)
+        assert advice_greedyopt(Optimum(inst)).bits == enc(3)
 
     def test_path_family(self, path_i2):
-        assert advice_greedyopt(path_i2).bits == enc(12)
+        assert advice_greedyopt(Optimum(path_i2)).bits == enc(12)
 
     def test_empty_instance(self):
         inst = Instance(build_path(2), ())
-        assert advice_greedyopt(inst).to_string() == "0"
+        assert advice_greedyopt(Optimum(inst)).to_string() == "0"
 
 
 class TestAdviceTruncated:
     def test_opt_13_b2(self):
         inst = edge_instance(6, 7)  # Opt = 13 = 1101b
-        tape = advice_truncated(inst, 2)
+        tape = advice_truncated(Optimum(inst), 2)
         assert tape.bits == [1, 1] + enc(2)
 
     def test_opt_8_b2(self):
         inst = edge_instance(3, 5)  # Opt = 8 = 1000b
-        tape = advice_truncated(inst, 2)
+        tape = advice_truncated(Optimum(inst), 2)
         assert tape.bits == [1, 0] + enc(2)
 
     def test_small_opt_padded(self):
         inst = edge_instance(2, 1)  # Opt = 3, fits in b=4
-        tape = advice_truncated(inst, 4)
+        tape = advice_truncated(Optimum(inst), 4)
         assert tape.bits == [0, 0, 1, 1] + enc(0)
 
     def test_b_zero_rejected(self):
         with pytest.raises(DomainError):
-            advice_truncated(edge_instance(1, 1), 0)
+            advice_truncated(Optimum(edge_instance(1, 1)), 0)
 
 
 class TestAdviceCancel:
@@ -184,10 +194,10 @@ class TestAdviceCancel:
             Request("u", "cancel", cancel_color=1),
             Request("w", "color"),
         )
-        assert advice_cancel(Instance(g, reqs)).bits == enc(2)
+        assert advice_cancel(Optimum(Instance(g, reqs))).bits == enc(2)
 
     def test_matches_greedyopt_without_cancellations(self, path_i2):
-        assert advice_cancel(path_i2).bits == advice_greedyopt(path_i2).bits
+        assert advice_cancel(Optimum(path_i2)).bits == advice_greedyopt(Optimum(path_i2)).bits
 
     def test_cancel_and_repeat(self):
         g = build_path(1)
@@ -196,36 +206,36 @@ class TestAdviceCancel:
             Request("v1", "cancel", cancel_color=1),
             Request("v1", "color"),
         )
-        assert advice_cancel(Instance(g, reqs)).bits == enc(1)
+        assert advice_cancel(Optimum(Instance(g, reqs))).bits == enc(1)
 
 
 class TestAdviceTrivial:
     def test_single_node_two_requests(self):
-        tape = advice_trivial(single_node(2))
+        tape = advice_trivial(Optimum(single_node(2)))
         assert tape.bits == enc(2) + [0, 0] + [0, 1]
 
     def test_length_formula(self, path_i2):
-        tape = advice_trivial(path_i2)
+        tape = advice_trivial(Optimum(path_i2))
         w = 12 .bit_length()  # Opt = 12 -> 4-bit fields
         assert len(tape) == enc_len(w) + 40 * w
 
     def test_empty(self):
-        tape = advice_trivial(Instance(build_path(1), ()))
+        tape = advice_trivial(Optimum(Instance(build_path(1), ())))
         assert tape.bits == enc(0)
 
 
 class TestAdviceFpa:
     def test_omega4(self):
-        assert advice_fpa(hex_triangle_211()).bits == enc(2)
+        assert advice_fpa(Optimum(hex_triangle_211())).bits == enc(2)
 
     def test_empty(self):
         g = build_hexagonal({"a": (0, 0)})
-        assert advice_fpa(Instance(g, ())).bits == enc(0)
+        assert advice_fpa(Optimum(Instance(g, ()))).bits == enc(0)
 
     def test_omega3_rounds_up(self):
         g = build_hexagonal({"a": (0, 0), "b": (1, 0)})
         reqs = (Request("a", "color"), Request("a", "color"), Request("b", "color"))
-        assert advice_fpa(Instance(g, reqs)).bits == enc(2)
+        assert advice_fpa(Optimum(Instance(g, reqs))).bits == enc(2)
 
 
 def hex_edge_21():
@@ -236,8 +246,14 @@ def hex_edge_21():
 
 
 class TestPlan43:
+    def test_rejects_cancellations(self):
+        g = build_hexagonal({"u": (0, 0)})
+        inst = Instance(g, (Request("u", "color"), Request("u", "cancel", cancel_color=1)))
+        with pytest.raises(DomainError, match="plan_43 handles cancellation-free instances only"):
+            plan_43(Optimum(inst))
+
     def test_edge_two_one(self):
-        omega, q, private, borrow, upper = plan_43(hex_edge_21())
+        omega, q, private, borrow, upper = plan_43(Optimum(hex_edge_21()))
         assert omega == 3 and q == 1
         assert borrow["u"] == 0
         assert upper == {"u": 0}
@@ -245,13 +261,13 @@ class TestPlan43:
     def test_all_demands_within_quota(self):
         g = build_hexagonal({"a": (0, 0), "b": (1, 0)})
         reqs = tuple(Request(v, "color") for v in ("a", "b"))
-        omega, q, private, borrow, upper = plan_43(Instance(g, reqs))
+        omega, q, private, borrow, upper = plan_43(Optimum(Instance(g, reqs)))
         assert q == 1
         assert upper == {}
         assert all(c == 0 for c in borrow.values())
 
     def test_triangle(self):
-        omega, q, private, borrow, upper = plan_43(hex_triangle_211())
+        omega, q, private, borrow, upper = plan_43(Optimum(hex_triangle_211()))
         assert omega == 4 and q == 1
         assert "a" in upper
 
@@ -274,28 +290,27 @@ def test_oracle_does_not_import_algorithms():
 
 class TestAdvice43:
     def test_edge_trace(self):
-        assert advice_43(hex_edge_21()).to_string() == "00110"
+        assert advice_43(Optimum(hex_edge_21())).to_string() == "00110"
 
     def test_quota_only_all_zeros(self):
         g = build_hexagonal({"a": (0, 0), "b": (1, 0)})
         reqs = tuple(Request(v, "color") for v in ("a", "b"))
-        assert advice_43(Instance(g, reqs)).to_string() == "00"
+        assert advice_43(Optimum(Instance(g, reqs))).to_string() == "00"
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=100, deadline=None)
     def test_bit_budget(self, seed):
         inst = random_instance("hexagonal", seed=seed, n_nodes=10, n_requests=30)
-        tape = advice_43(inst)
+        tape = advice_43(Optimum(inst))
         assert len(tape) <= inst.n + 2 * len(inst.graph.nodes)
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_tapes_are_pinned(self, shared):
+    def test_tapes_are_pinned(self):
         """sha256 over the tapes, one per line, of 400 small and then 5
-        hex-large-sized random instances; a shared Optimum changes no bit."""
+        hex-large-sized random instances."""
         h = hashlib.sha256()
 
         def add(inst):
-            tape = advice_43(inst, Optimum(inst) if shared else None)
+            tape = advice_43(Optimum(inst))
             h.update((tape.to_string() + "\n").encode())
 
         for s in range(400):

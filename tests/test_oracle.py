@@ -304,13 +304,18 @@ class TestAdvice43:
         tape = advice_43(Optimum(inst))
         assert len(tape) <= inst.n + 2 * len(inst.graph.nodes)
 
-    def test_tapes_are_pinned(self):
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_tapes_are_pinned(self, shared):
         """sha256 over the tapes, one per line, of 400 small and then 5
-        hex-large-sized random instances."""
+        hex-large-sized random instances; an Optimum already read for omega
+        and the peak load, as a run shares it, changes no bit."""
         h = hashlib.sha256()
 
         def add(inst):
-            tape = advice_43(Optimum(inst))
+            optimum = Optimum(inst)
+            if shared:
+                optimum.omega, optimum.peak_load
+            tape = advice_43(optimum)
             h.update((tape.to_string() + "\n").encode())
 
         for s in range(400):

@@ -3,7 +3,6 @@ graphs, offline oracles, advice tapes, and adversarial instance families."""
 
 from .advice import AdviceTape, dec, enc, enc_len
 from .graph import (
-    CellCoord,
     Graph,
     build_bipartite,
     build_hexagonal,
@@ -28,7 +27,7 @@ from .harness import RunReport, batch, load_instance, run, save_instance
 
 __all__ = [
     "AdviceTape", "enc", "dec", "enc_len",
-    "CellCoord", "Graph", "build_path", "build_bipartite", "build_hexagonal",
+    "Graph", "build_path", "build_bipartite", "build_hexagonal",
     "maximal_cliques", "clique_weight",
     "Request", "Instance", "ColoringState", "Violation",
     "ColorAction", "CancelAction",

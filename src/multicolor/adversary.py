@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 
 from .errors import DomainError
-from .graph import CellCoord, build_bipartite, build_hexagonal, build_path
+from .graph import build_bipartite, build_hexagonal, build_path
 from .instance import Instance, Request, peak_clique_load
 
 # chance that a request to a node with a live color cancels one (random_cancel_instance)
@@ -58,17 +58,17 @@ def _chain_cells(k: int) -> dict:
     """
     cells = {}
     for j in range(k + 1):
-        cells[f"O{j}"] = CellCoord(2 * j, 0)
+        cells[f"O{j}"] = (2 * j, 0)
     for j in range(1, k + 1):
-        cells[f"S{2 * j - 1}"] = CellCoord(2 * j - 1, 0)
+        cells[f"S{2 * j - 1}"] = (2 * j - 1, 0)
         if j % 2 == 1:
-            cells[f"D{2 * j - 1}"] = CellCoord(2 * j - 2, 1)
-            cells[f"D{2 * j}"] = CellCoord(2 * j - 1, 1)
+            cells[f"D{2 * j - 1}"] = (2 * j - 2, 1)
+            cells[f"D{2 * j}"] = (2 * j - 1, 1)
         else:
-            cells[f"D{2 * j - 1}"] = CellCoord(2 * j - 1, -1)
-            cells[f"D{2 * j}"] = CellCoord(2 * j, -1)
-        cells[f"S{2 * j}"] = CellCoord(2 * j, -3)
-    cells["R"] = CellCoord(2 * k + 4, 0)
+            cells[f"D{2 * j - 1}"] = (2 * j - 1, -1)
+            cells[f"D{2 * j}"] = (2 * j, -1)
+        cells[f"S{2 * j}"] = (2 * j, -3)
+    cells["R"] = (2 * k + 4, 0)
     return cells
 
 
@@ -131,7 +131,7 @@ def random_instance(kind: str, seed: int, n_nodes: int = 8, n_requests: int = 20
         if n_nodes > len(all_cells):
             raise DomainError(f"grid_extent {grid_extent} has fewer than {n_nodes} cells")
         chosen = rng.sample(all_cells, n_nodes)
-        graph = build_hexagonal({f"n{i}": CellCoord(q, r) for i, (q, r) in enumerate(chosen)})
+        graph = build_hexagonal({f"n{i}": cell for i, cell in enumerate(chosen)})
     else:
         raise DomainError(f"random_instance supports bipartite/hexagonal, got {kind!r}")
     color = _ColorRequests()

@@ -18,10 +18,7 @@ def enc(x: int) -> list[int]:
         raise ValueError(f"enc expects x >= 0, got {x}")
     last_len = x.bit_length()  # ceil(log2(x+1)); 0 for x = 0
     mid_len = last_len.bit_length()
-    bits = [1] * mid_len + [0]
-    bits += _to_fixed(last_len, mid_len)
-    bits += _to_fixed(x, last_len)
-    return bits
+    return [1] * mid_len + [0] + fixed(last_len, mid_len) + fixed(x, last_len)
 
 
 def enc_len(x: int) -> int:
@@ -33,9 +30,9 @@ def enc_len(x: int) -> int:
     return (mid_len + 1) + mid_len + last_len
 
 
-def _to_fixed(value: int, width: int) -> list[int]:
-    if width == 0:
-        return []
+def fixed(value: int, width: int) -> list[int]:
+    """The low `width` bits of value, MSB first: what AdviceTape.read_fixed(width)
+    reads back."""
     return [(value >> (width - 1 - i)) & 1 for i in range(width)]
 
 

@@ -1,10 +1,10 @@
 """Graph model for the three supported topologies: paths, bipartite graphs,
 and hexagonal-grid graphs.
 
-Hexagonal graphs use axial coordinates (q, r); two cells are adjacent iff
-their coordinate difference is one of the six axial offsets.  Every cell
-gets one of three classes R/G/B via (q - r) mod 3, which yields a proper
-3-coloring of the grid.
+A hexagonal node sits on a cell, the plain pair (q, r) of its axial
+coordinates; two cells are adjacent iff their coordinate difference is one
+of the six axial offsets.  Every cell gets one of three classes R/G/B via
+(q - r) mod 3, which yields a proper 3-coloring of the grid.
 """
 
 from __future__ import annotations
@@ -29,21 +29,14 @@ BORROW_FROM = {"R": "G", "G": "B", "B": "R"}
 PALETTE_START = {"R": 1, "G": 2, "B": 3}
 
 
-class CellCoord(Value):
-    __slots__ = __match_args__ = ("q", "r")
-
-    def __init__(self, q: int, r: int):
-        self._init(q, r)
-
-
 class Graph(Value):
     """Immutable graph with a kind tag ("path" | "bipartite" | "hexagonal"),
     its nodes (a tuple), its adjacency and kind-specific annotations.
 
     adjacency maps node -> {neighbour: None}, keyed in node order, each
     neighbour dict in sorted order, as the builders make it.  partition maps
-    node -> "L"/"U" for path and bipartite graphs; cell_of and class_of are
-    populated for hexagonal graphs only.
+    node -> "L"/"U" for path and bipartite graphs; cell_of (node -> its
+    (q, r) cell) and class_of are populated for hexagonal graphs only.
     """
 
     __match_args__ = ("kind", "nodes", "adjacency", "partition", "cell_of", "class_of")
@@ -118,27 +111,25 @@ def build_bipartite(nodes, edges, partition) -> Graph:
 
 
 def build_hexagonal(cells: dict) -> Graph:
-    """Hexagonal graph from an injective node -> CellCoord embedding.
+    """Hexagonal graph from an injective node -> (q, r) embedding.
 
     Adjacency is derived from the six axial offsets; the R/G/B class of a
     node at (q, r) is (q - r) mod 3.
     """
-    coords, node_at = {}, {}
-    for v, c in cells.items():
-        if not isinstance(c, CellCoord):
-            c = CellCoord(*c)
-        if node_at.setdefault((c.q, c.r), v) != v:
-            raise InvalidEmbeddingError(f"duplicate cell {c} (node {v!r})")
-        coords[v] = c
-    nodes = tuple(sorted(coords))
-    adj = {v: {} for v in nodes}
+    cell_of, node_at = {}, {}
+    for v, (q, r) in cells.items():
+        if node_at.setdefault((q, r), v) != v:
+            raise InvalidEmbeddingError(f"duplicate cell {(q, r)} (node {v!r})")
+        cell_of[v] = (q, r)
+    nodes = tuple(sorted(cell_of))
+    adj, class_of = {v: {} for v in nodes}, {}
     for v in nodes:  # in sorted order, so each adj[u] fills in sorted order
-        c = coords[v]
+        q, r = cell_of[v]
+        class_of[v] = CLASS_NAMES[(q - r) % 3]
         for dq, dr in HEX_OFFSETS:
-            if (c.q + dq, c.r + dr) in node_at:
-                adj[node_at[c.q + dq, c.r + dr]][v] = None
-    class_of = {v: CLASS_NAMES[(coords[v].q - coords[v].r) % 3] for v in nodes}
-    return Graph("hexagonal", nodes, adj, cell_of=coords, class_of=class_of)
+            if (q + dq, r + dr) in node_at:
+                adj[node_at[q + dq, r + dr]][v] = None
+    return Graph("hexagonal", nodes, adj, cell_of=cell_of, class_of=class_of)
 
 
 def maximal_cliques(g: Graph) -> list[frozenset]:

@@ -40,7 +40,7 @@ def instance_to_dict(instance: Instance) -> dict:
         gd["edges"] = [list(e) for e in g.edge_list()]
         gd["partition"] = {v: g.partition[v] for v in g.nodes}
     else:
-        gd["cells"] = {v: [g.cell_of[v].q, g.cell_of[v].r] for v in g.nodes}
+        gd["cells"] = {v: list(g.cell_of[v]) for v in g.nodes}
     reqs = [{"node": r.node, "op": "color"} if r.op == "color" else
             {"node": r.node, "op": "cancel", "color": r.cancel_color} for r in instance.requests]
     return {"graph": gd, "requests": reqs, "name": instance.name}
@@ -126,7 +126,7 @@ def instance_from_dict(data: dict) -> Instance:
             if extra:
                 raise MalformedInstanceError(f"graph field 'nodes' lists {extra[0]!r}, "
                                              "which has no cell")
-        graph = build_hexagonal({v: tuple(c) for v, c in cells.items()})
+        graph = build_hexagonal(cells)
     elif kind in ("path", "bipartite"):
         nodes = _node_names(gd)
         if kind == "path":  # an absent field, and only that, takes the path's default
@@ -183,9 +183,9 @@ def instance_text(instance: Instance) -> str:
         cells = []
         for v in sorted(g.nodes):
             c = g.cell_of[v]
-            if not _is_pair((c.q, c.r), int):
+            if not _is_pair(c, int):
                 raise _wrong_type(f"cell {v!r}", "a pair of integers under a node name", c)
-            cells.append(node[v] + ": " + _block("[]", (str(c.q), str(c.r)), " " * 8))
+            cells.append(node[v] + ": " + _block("[]", (str(c[0]), str(c[1])), " " * 8))
         fields = {"cells": _block("{}", cells, " " * 6)}
     fields["kind"] = enc(g.kind)
     fields["nodes"] = _block("[]", [node[v] for v in g.nodes], " " * 6)
@@ -212,7 +212,7 @@ def _load_json(path: str, error=MalformedInstanceError):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # not JSON, or not text
+        except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
             raise error(str(exc)) from exc
 
 
@@ -371,17 +371,18 @@ def csv_writer(out) -> csv.DictWriter:
 
 
 def _run_entry(entry, i):
-    """(instance file, b) of manifest run i (from 1), its field types checked."""
+    """(instance file, algorithm, b) of manifest run i (from 1), its field
+    types checked."""
     where = f"run {i}"
     path = _field(entry, "instance", where, MalformedManifestError)
-    algo, b = entry.get("algo"), entry.get("b")
+    algo, b = _field(entry, "algo", where, MalformedManifestError), entry.get("b")
     if not isinstance(path, str):
         raise _wrong_type(f"{where} field 'instance'", "a string", path, MalformedManifestError)
-    if algo is not None and not isinstance(algo, str):
+    if not isinstance(algo, str):
         raise _wrong_type(f"{where} field 'algo'", "a string", algo, MalformedManifestError)
     if b is not None and type(b) is not int:
         raise _wrong_type(f"{where} field 'b'", "an integer", b, MalformedManifestError)
-    return path, b
+    return path, algo, b
 
 
 def batch(manifest: dict, base_dir: str = ".") -> tuple[str, bool]:
@@ -404,7 +405,7 @@ def batch(manifest: dict, base_dir: str = ".") -> tuple[str, bool]:
         record = entry if isinstance(entry, dict) else {}
         algo = record.get("algo", "?")
         try:
-            path, b = _run_entry(entry, i)
+            path, algo, b = _run_entry(entry, i)
             if path != loaded:
                 instance = load_instance(os.path.join(base_dir, path))
                 loaded, optimum = path, oracle.Optimum(instance)

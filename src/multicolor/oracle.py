@@ -12,10 +12,10 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import islice, permutations
 
-from .advice import AdviceTape, enc
+from .advice import AdviceTape, enc, fixed
 from .errors import BudgetExceededError, DomainError, InternalConsistencyError
-from .graph import BORROW_FROM, CLASS_NAMES, Graph, maximal_cliques
-from .instance import Instance, demand, demand_clique_weight, peak_clique_load
+from .graph import BORROW_FROM, CLASS_NAMES, Graph, clique_weight, maximal_cliques
+from .instance import Instance, demand, peak_clique_load
 from .value import Value
 
 DEFAULT_MAX_NODES = 14
@@ -44,8 +44,7 @@ def opt_exact(instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
         raise DomainError("opt_exact handles cancellation-free instances only")
     g = instance.graph
     dem = demand(instance)
-    all_cliques = maximal_cliques(g)
-    omega = max((sum(dem[v] for v in c) for c in all_cliques), default=0)
+    omega = clique_weight(g, dem)
     active = [v for v in g.nodes if dem[v] > 0]
     total = sum(dem.values())
     if len(active) > max_nodes or total > max_requests:
@@ -61,7 +60,7 @@ def opt_exact(instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
     position = {v: i for i, v in enumerate(order)}
     need = [dem[v] for v in order]
     neighbors = [[position[u] for u in g.adjacency[v] if u in position] for v in order]
-    cliques = [[position[v] for v in c if v in position] for c in all_cliques]
+    cliques = [[position[v] for v in c if v in position] for c in maximal_cliques(g)]
     palette_size, masks = _search(need, neighbors, cliques, omega)
     coloring = {v: frozenset() for v in g.nodes}
     coloring.update((v, frozenset(_colors(m))) for v, m in zip(order, masks))
@@ -178,7 +177,7 @@ class Optimum:
 
     @cached_property
     def omega(self) -> int:
-        return demand_clique_weight(self.instance)
+        return clique_weight(self.instance.graph, self.demand)
 
     @cached_property
     def witness(self) -> OptWitness:
@@ -273,19 +272,12 @@ def advice_truncated(optimum: Optimum, b: int) -> AdviceTape:
         raise DomainError(f"b must be >= 1, got {b}")
     opt = optimum.peak_load
     a = max(0, opt.bit_length() - b)
-    raw = opt >> a
-    tape = AdviceTape()
-    tape.write((raw >> (b - 1 - i)) & 1 for i in range(b))
-    tape.write_int(a)
-    return tape
+    return AdviceTape(bits=fixed(opt >> a, b) + enc(a))
 
 
 def advice_cancel(optimum: Optimum) -> AdviceTape:
     """enc(peak clique load); peak load <= Opt, and the reader's interval
     invariants only need m to dominate every instantaneous edge load."""
-    kind = optimum.instance.graph.kind
-    if kind not in ("path", "bipartite"):
-        raise DomainError(f"advice_cancel needs a path or bipartite graph, got {kind}")
     return AdviceTape(bits=enc(optimum.peak_load))
 
 
@@ -298,7 +290,7 @@ def advice_trivial(optimum: Optimum) -> AdviceTape:
     """
     instance, witness = optimum.instance, optimum.witness
     w = witness.opt_value.bit_length()
-    field = [[c >> i & 1 for i in reversed(range(w))] for c in range(witness.opt_value)]
+    field = [fixed(c, w) for c in range(witness.opt_value)]
     bits = enc(w)
     pending = {v: iter(sorted(witness.coloring[v])) for v in instance.graph.nodes}
     for r in instance.requests:
@@ -308,8 +300,6 @@ def advice_trivial(optimum: Optimum) -> AdviceTape:
 
 def advice_fpa(optimum: Optimum) -> AdviceTape:
     """enc(ceil(omega/2)) for the fixed-preference-allocation player."""
-    if optimum.instance.graph.kind != "hexagonal":
-        raise DomainError("advice_fpa needs a hexagonal graph")
     return AdviceTape(bits=enc((optimum.omega + 1) // 2))
 
 
@@ -397,8 +387,7 @@ def advice_43(optimum: Optimum) -> AdviceTape:
         elif i == end:
             tape.write([1, upper[v]])
             if upper[v] and not header:
-                d = omega - 3 * q + 1
-                tape.write([d >> 1, d & 1])
+                tape.write(fixed(omega - 3 * q + 1, 2))
                 header = True
         # phase 3 requests consume no bits
     return tape

@@ -6,7 +6,7 @@ __match_args__; Value gives each subclass its slot setters, in that order, as
 call, which sets each field once through its setter, bypassing __setattr__.
 After __init__, assigning or deleting a field raises AttributeError.  Equality
 and hash go by _key() (every field, unless a type says otherwise), and repr
-lists the fields in order: `CellCoord(q=0, r=1)`.
+lists the fields in order: `ColorAction(color=3)`.
 """
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from multicolor.advice import AdviceTape, dec, enc, enc_len
+from multicolor.advice import AdviceTape, dec, enc, enc_len, fixed
 from multicolor.errors import TapeUnderrunError
 
 
@@ -91,6 +91,28 @@ def test_read_fixed_underrun_stops_at_the_written_prefix(start):
     with pytest.raises(TapeUnderrunError, match="read past written prefix at index 5$"):
         tape.read_fixed(6 - start)
     assert tape.high_water == len(tape.bits) == 5
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enc(-1), lambda: enc_len(-1), lambda: AdviceTape.from_string("012"),
+    lambda: AdviceTape.from_string("1").read_fixed(-1),
+], ids=["enc", "enc_len", "from_string", "read_fixed"])
+def test_out_of_domain_arguments_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_tape_equals_only_a_tape():
+    assert (AdviceTape([1]) == [1]) is False
+    assert AdviceTape([1]) == AdviceTape([1]) != AdviceTape([1], cursor=1)
+
+
+@given(st.integers(0, 70), st.data())
+def test_fixed_is_what_read_fixed_reads(width, data):
+    value = data.draw(st.integers(0, 2 ** width - 1))
+    bits = fixed(value, width)
+    assert len(bits) == width
+    assert AdviceTape(bits).read_fixed(width) == value
 
 
 def test_tape_string_round_trip():

@@ -230,7 +230,7 @@ def hex_pairs(cells):
 
 
 def cell_pairs(g):
-    return hex_pairs({v: (c.q, c.r) for v, c in g.cell_of.items()})
+    return hex_pairs(g.cell_of)
 
 
 # (graph, the edge pairs it was built from)

@@ -20,7 +20,7 @@ from multicolor.algorithms import ALGORITHMS
 from multicolor.cli import build_parser, main
 from multicolor.errors import (MalformedInstanceError, MalformedLogError, MultiColorError,
                                NotBipartiteError)
-from multicolor.graph import CellCoord, Graph, build_bipartite, build_hexagonal, build_path
+from multicolor.graph import Graph, build_bipartite, build_hexagonal, build_path
 from multicolor.harness import (
     actions_from_dicts,
     actions_to_dicts,
@@ -37,6 +37,10 @@ from multicolor.harness import (
 )
 from multicolor.instance import CancelAction, ColorAction, Instance, Request, demand
 from multicolor.oracle import Optimum
+
+
+# nested far deeper than the JSON decoder's recursion limit
+DEEP_JSON = "[" * 100000 + "]" * 100000
 
 
 def hex_edge_21():
@@ -148,10 +152,9 @@ class TestSerialization:
         (lambda: Instance(build_path(2), (), name=7),
          "instance field 'name' must be a string, got 7"),
         (lambda: Instance(build_hexagonal({"a": (0, 0), "b": (1, True)}), ()),
-         "cell 'b' must be a pair of integers under a node name, got CellCoord(q=1, r=True)"),
-        (lambda: Instance(Graph("hexagonal", ("a",), {"a": {}}, cell_of={"a": CellCoord(0.5, 0)}),
-                          ()),
-         "cell 'a' must be a pair of integers under a node name, got CellCoord(q=0.5, r=0)"),
+         "cell 'b' must be a pair of integers under a node name, got (1, True)"),
+        (lambda: Instance(Graph("hexagonal", ("a",), {"a": {}}, cell_of={"a": (0.5, 0)}), ()),
+         "cell 'a' must be a pair of integers under a node name, got (0.5, 0)"),
     ])
     def test_save_refuses_what_load_refuses(self, tmp_path, make, error):
         path = tmp_path / "inst.json"
@@ -456,6 +459,19 @@ class TestWorkCounts:
         assert len(calls) == 1
         assert report.ok and report.opt_value == clique_weight(inst.graph, demand(inst))
 
+    @pytest.mark.parametrize("algo, make", [
+        ("trivial", lambda: path_family(40)[2]),
+        ("trivial", hex_edge_21),
+        ("hex43", lambda: random_instance("hexagonal", seed=3, n_nodes=10, n_requests=30)),
+    ], ids=["trivial-path", "trivial-hexagonal", "hex43"])
+    def test_run_counts_demand_once(self, monkeypatch, algo, make):
+        from multicolor import instance
+
+        inst = make()
+        calls = count_calls(monkeypatch, instance.demand)
+        assert run(inst, algo).ok
+        assert len(calls) == 1
+
     def test_cli_run_csv_runs_once(self, tmp_path, monkeypatch, capsys):
         inst_path = str(tmp_path / "inst.json")
         save_instance(path_family(40)[2], inst_path)
@@ -566,6 +582,17 @@ class TestBatch:
         assert text.split("\n")[2] == ("fpa,junk.json,,,,,,,"
                                        "error: Expecting value: line 1 column 1 (char 0)")
 
+    def test_too_deeply_nested_instance_is_an_error_row(self, tmp_path):
+        save_instance(path_family(40)[2], str(tmp_path / "i2.json"))
+        (tmp_path / "deep.json").write_text(DEEP_JSON)
+        manifest = {"runs": [{"instance": "i2.json", "algo": "greedy_opt"},
+                             {"instance": "deep.json", "algo": "fpa"}]}
+        text, ok = batch(manifest, base_dir=str(tmp_path))
+        rows = text.splitlines()
+        assert not ok and len(rows) == 3
+        assert rows[1].startswith("greedy_opt,path_family_n40_i2,12,")
+        assert rows[2].startswith("fpa,deep.json,,,,,,,error: maximum recursion depth exceeded")
+
     def test_shared_runs_match_runs_one_by_one(self, tmp_path):
         manifest = _run_benchmarks().build_corpus(str(tmp_path), 25)
         buf = io.StringIO()
@@ -616,6 +643,7 @@ class TestBatch:
          "run 2 field 'b' must be an integer, got '3'"),
         ({"instance": "i2.json", "algo": "greedy_truncated", "b": True},
          "run 2 field 'b' must be an integer, got True"),
+        ({"instance": "i2.json"}, "run 2 has no field 'algo'"),
     ])
     def test_wrong_type_entry_is_an_error_row(self, tmp_path, entry, error):
         manifest = self._manifest(tmp_path)
@@ -897,31 +925,36 @@ class TestCli:
 
     def test_non_json_instance_exits_2(self, tmp_path, capsys):
         junk = tmp_path / "junk.json"
-        junk.write_text("{not json")
-        with pytest.raises(MalformedInstanceError):
-            load_instance(str(junk))
         log_path = tmp_path / "log.json"
         log_path.write_text(json.dumps({"actions": []}))
-        for argv in (["run", str(junk), "--algo", "greedy_opt"], ["opt", str(junk)],
-                     ["verify", str(junk), str(log_path)]):
-            assert main(argv) == 2
-            assert capsys.readouterr().err.startswith("error: Expecting property name")
+        for text, error in (("{not json", "error: Expecting property name"),
+                            (DEEP_JSON, "error: maximum recursion depth exceeded")):
+            junk.write_text(text)
+            with pytest.raises(MalformedInstanceError):
+                load_instance(str(junk))
+            for argv in (["run", str(junk), "--algo", "greedy_opt"], ["opt", str(junk)],
+                         ["verify", str(junk), str(log_path)]):
+                assert main(argv) == 2
+                assert capsys.readouterr().err.startswith(error)
 
     def test_non_json_log_exits_2(self, tmp_path, capsys):
         inst_path = str(tmp_path / "i0.json")
         save_instance(path_family(40)[0], inst_path)
         log_path = tmp_path / "log.json"
-        log_path.write_bytes(b"\xff\xfe")
-        with pytest.raises(MalformedLogError):
-            harness.load_log(str(log_path))
-        assert main(["verify", inst_path, str(log_path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        for content in (b"\xff\xfe", DEEP_JSON.encode()):
+            log_path.write_bytes(content)
+            with pytest.raises(MalformedLogError):
+                harness.load_log(str(log_path))
+            assert main(["verify", inst_path, str(log_path)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_non_json_manifest_exits_2(self, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"
-        manifest_path.write_text("runs: []")
-        assert main(["batch", str(manifest_path)]) == 2
-        assert capsys.readouterr().err.startswith("error: Expecting value")
+        for text, error in (("runs: []", "error: Expecting value"),
+                            (DEEP_JSON, "error: maximum recursion depth exceeded")):
+            manifest_path.write_text(text)
+            assert main(["batch", str(manifest_path)]) == 2
+            assert capsys.readouterr().err.startswith(error)
         manifest_path.write_text(json.dumps({"run": []}))
         assert main(["batch", str(manifest_path)]) == 2
         assert "manifest has no field 'runs'" in capsys.readouterr().err

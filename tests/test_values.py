@@ -15,7 +15,7 @@ import pytest
 import multicolor
 from multicolor.advice import AdviceTape
 from multicolor.algorithms import Algorithm
-from multicolor.graph import CellCoord, Graph, build_hexagonal, build_path
+from multicolor.graph import Graph, build_hexagonal, build_path
 from multicolor.harness import RunReport
 from multicolor.instance import (
     CancelAction,
@@ -42,7 +42,6 @@ def test_cli_imports_no_dataclasses():
 
 # make(x) builds a fresh value; make(0) == make(0) and make(0) != make(1)
 MAKERS = {
-    "CellCoord": lambda x: CellCoord(0, x),
     "Graph": lambda x: build_path(1 + x),
     "Request": lambda x: Request("v1", "cancel", cancel_color=1 + x),
     "Instance": lambda x: Instance(build_path(2), (Request("v1", "color"),) * (1 + x)),
@@ -54,8 +53,7 @@ MAKERS = {
     "OptWitness": lambda x: OptWitness(1 + x, {"v1": frozenset({1})}),
     "Algorithm": lambda x: Algorithm(len, sum, (repr, ascii)[x], max),
 }
-HASHABLE = {"CellCoord", "Request", "ColorAction", "CancelAction", "Violation", "RunReport",
-            "Algorithm"}
+HASHABLE = {"Request", "ColorAction", "CancelAction", "Violation", "RunReport", "Algorithm"}
 
 
 def test_every_value_type_is_checked():
@@ -89,7 +87,8 @@ def test_equal_by_value(name):
 
 def test_equal_only_to_the_same_type():
     assert ColorAction(2) != CancelAction(2)
-    assert CellCoord(1, {}) != OptWitness(1, {})
+    g = build_path(1)
+    assert Instance(g, (), "x") != ColoringState(g, (), "x")  # the same fields
 
 
 @pytest.mark.parametrize("name", MAKERS)
@@ -114,12 +113,11 @@ def test_copy_and_pickle_keep_the_value(name):
 
 
 def test_reprs():
-    assert repr(CellCoord(1, -2)) == "CellCoord(q=1, r=-2)"
     assert repr(build_path(1)) == ("Graph(kind='path', nodes=('v1',), adjacency={'v1': {}}, "
                                    "partition={'v1': 'L'}, cell_of={}, class_of={})")
     assert repr(build_hexagonal({"a": (0, 0)})) == (
         "Graph(kind='hexagonal', nodes=('a',), adjacency={'a': {}}, partition={}, "
-        "cell_of={'a': CellCoord(q=0, r=0)}, class_of={'a': 'R'})")
+        "cell_of={'a': (0, 0)}, class_of={'a': 'R'})")
     assert repr(Request("u", "color")) == "Request(node='u', op='color', cancel_color=None)"
     assert repr(Instance(build_path(1), (), name="x")) == (
         "Instance(graph=Graph(kind='path', nodes=('v1',), adjacency={'v1': {}}, "

@@ -23,28 +23,37 @@ class _ColorRequests(dict):
         return request
 
 
-def path_family(n: int) -> list[Instance]:
-    """The m+1 sequences I_0..I_m on a 10-node path, m = floor(n/4).
-
-    All share the length-2m prefix (m requests to v1, then m to v4); I_i adds
-    i requests to each of v2 and v3, and pads with n-2m-2i filler requests
-    split as evenly as possible over v6, v8, v10.  Opt(I_i) = m + i.
-    """
+def _path_m(n: int) -> int:
     if n < 40:
         raise DomainError(f"path_family needs n >= 40, got {n}")
-    m = n // 4
-    graph = build_path(10)
+    return n // 4
+
+
+def path_family(n: int) -> list[Instance]:
+    """The m+1 sequences I_0..I_m on a 10-node path, m = floor(n/4): the
+    path_instance(n, i) for i = 0..m."""
+    return [path_instance(n, i) for i in range(_path_m(n) + 1)]
+
+
+def path_instance(n: int, i: int) -> Instance:
+    """I_i of path_family(n), built alone.
+
+    Every I_i shares the length-2m prefix (m requests to v1, then m to v4);
+    I_i adds i requests to each of v2 and v3, and pads with n-2m-2i filler
+    requests split as evenly as possible over v6, v8, v10.  Opt(I_i) = m + i.
+    The refusal of i names n and i as `multicolor gen`'s --n and --i.
+    """
+    m = _path_m(n)
+    if not 0 <= i <= m:
+        raise DomainError(f"path_family --n {n} has indices 0..{m}, got --i {i}")
     color = _ColorRequests()
-    instances = []
-    for i in range(m + 1):
-        reqs = [color["v1"]] * m + [color["v4"]] * m + [color["v2"]] * i + [color["v3"]] * i
-        t = n - 2 * m - 2 * i
-        c6 = -(-t // 3)
-        c8 = -(-(t - c6) // 2)
-        c10 = t - c6 - c8
-        reqs += [color["v6"]] * c6 + [color["v8"]] * c8 + [color["v10"]] * c10
-        instances.append(Instance(graph=graph, requests=tuple(reqs), name=f"path_family_n{n}_i{i}"))
-    return instances
+    reqs = [color["v1"]] * m + [color["v4"]] * m + [color["v2"]] * i + [color["v3"]] * i
+    t = n - 2 * m - 2 * i
+    c6 = -(-t // 3)
+    c8 = -(-(t - c6) // 2)
+    c10 = t - c6 - c8
+    reqs += [color["v6"]] * c6 + [color["v8"]] * c8 + [color["v10"]] * c10
+    return Instance(graph=build_path(10), requests=tuple(reqs), name=f"path_family_n{n}_i{i}")
 
 
 def _chain_cells(k: int) -> dict:

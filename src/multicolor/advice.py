@@ -37,11 +37,11 @@ def fixed(value: int, width: int) -> list[int]:
 
 
 class AdviceTape:
-    """Append-only bit sequence with a read cursor.
+    """A bit sequence with a read cursor.  An oracle builds the bits whole and
+    passes them in: AdviceTape(bits=...).
 
-    high_water counts bits consumed; reading past the written prefix raises
-    (the oracle must have written enough).  Mutable, so equal by value but
-    not hashable.
+    high_water counts bits consumed; reading past the end raises (the oracle
+    must have written enough).  Mutable, so equal by value but not hashable.
     """
 
     __slots__ = ("bits", "cursor")
@@ -73,12 +73,6 @@ class AdviceTape:
     @property
     def high_water(self) -> int:
         return self.cursor
-
-    def write(self, bits) -> None:
-        self.bits.extend(int(b) for b in bits)
-
-    def write_int(self, x: int) -> None:
-        self.write(enc(x))
 
     def read_bit(self) -> int:
         if self.cursor >= len(self.bits):

@@ -210,6 +210,8 @@ class Algorithm(Value):
 def _width(b):
     if b is None:
         raise DomainError("greedy_truncated needs the truncation width b")
+    if b < 1:
+        raise DomainError(f"b must be >= 1, got {b}")
     return b
 
 

@@ -45,11 +45,7 @@ def cmd_gen(args):
     from . import adversary  # only gen needs it; other commands skip its compile
 
     if args.family == "path_family":
-        instances = adversary.path_family(args.n)
-        if not 0 <= args.i < len(instances):
-            raise DomainError(f"path_family --n {args.n} has indices 0..{len(instances) - 1}, "
-                              f"got --i {args.i}")
-        instance = instances[args.i]
+        instance = adversary.path_instance(args.n, args.i)
     elif args.family == "hex_chain":
         try:
             branch = tuple(int(ch) for ch in args.branch)

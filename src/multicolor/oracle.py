@@ -31,6 +31,18 @@ class OptWitness(Value):
         self._init(opt_value, coloring)
 
 
+def _check_searchable(instance: Instance, dem: dict, omega: int, max_nodes, max_requests):
+    """Raise what opt_exact raises instead of searching: DomainError on a
+    cancellation, BudgetExceededError with lower bound omega beyond the budget."""
+    if instance.has_cancellations():
+        raise DomainError("opt_exact handles cancellation-free instances only")
+    active, total = sum(k > 0 for k in dem.values()), sum(dem.values())
+    if active > max_nodes or total > max_requests:
+        raise BudgetExceededError(f"instance too large for exact search ({active} demanded nodes, "
+                                  f"{total} requests); best lower bound is {omega}",
+                                  lower_bound=omega)
+
+
 def opt_exact(instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
               max_requests: int = DEFAULT_MAX_REQUESTS) -> OptWitness:
     """Exact minimum palette size with a witness coloring.
@@ -40,23 +52,10 @@ def opt_exact(instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
     a node, candidate color sets are tried in lexicographic order, so the
     witness is deterministic.  Intended for small instances only.
     """
-    if instance.has_cancellations():
-        raise DomainError("opt_exact handles cancellation-free instances only")
-    g = instance.graph
-    dem = demand(instance)
+    g, dem = instance.graph, demand(instance)
     omega = clique_weight(g, dem)
-    active = [v for v in g.nodes if dem[v] > 0]
-    total = sum(dem.values())
-    if len(active) > max_nodes or total > max_requests:
-        raise BudgetExceededError(
-            f"instance too large for exact search ({len(active)} demanded nodes, "
-            f"{total} requests); best lower bound is {omega}",
-            lower_bound=omega,
-        )
-    if not active:
-        return OptWitness(opt_value=0, coloring={v: frozenset() for v in g.nodes})
-
-    order = sorted(active, key=lambda v: (-dem[v], v))
+    _check_searchable(instance, dem, omega, max_nodes, max_requests)
+    order = sorted((v for v in g.nodes if dem[v]), key=lambda v: (-dem[v], v))
     position = {v: i for i, v in enumerate(order)}
     need = [dem[v] for v in order]
     neighbors = [[position[u] for u in g.adjacency[v] if u in position] for v in order]
@@ -161,7 +160,7 @@ class Optimum:
     def __init__(self, instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
                  max_requests: int = DEFAULT_MAX_REQUESTS):
         self.instance = instance
-        self.budget = {"max_nodes": max_nodes, "max_requests": max_requests}
+        self.max_nodes, self.max_requests = max_nodes, max_requests
 
     @cached_property
     def demand(self) -> dict:
@@ -184,27 +183,22 @@ class Optimum:
         """An optimal coloring.  On a cancellation-free path or bipartite
         instance it is built in closed form, without search, at any size: with
         m = Opt, an L node gets 1..n_v and a U node m-n_v+1..m, disjoint on
-        every edge since each joins L to U and n_L + n_U <= m.  On a
-        cancellation-free hexagonal instance within the budget it is an
-        omega-coloring from omega_coloring when one of the six class orders
-        gives one, which proves Opt = omega.  Otherwise opt_exact finds it,
-        within the budget."""
-        inst, g = self.instance, self.instance.graph
-        if inst.has_cancellations():
-            return opt_exact(inst, **self.budget)
-        dem = self.demand
-        if g.kind != "hexagonal":
+        every edge since each joins L to U and n_L + n_U <= m.  Otherwise, on a
+        cancellation or beyond the budget, it raises opt_exact's error without
+        running opt_exact; else it is an omega-coloring from omega_coloring,
+        which proves Opt = omega, or failing that opt_exact's witness."""
+        inst, g, dem = self.instance, self.instance.graph, self.demand
+        if g.kind != "hexagonal" and not inst.has_cancellations():
             m, side = self.peak_load, g.partition
             return OptWitness(opt_value=m, coloring={
                 v: frozenset(range(1, k + 1) if side[v] == "L" else range(m - k + 1, m + 1))
                 for v, k in dem.items()})
-        active = [k for k in dem.values() if k]
-        if len(active) <= self.budget["max_nodes"] and sum(active) <= self.budget["max_requests"]:
-            masks = omega_coloring(g, dem, self.omega)
-            if masks is not None:
-                return OptWitness(opt_value=self.omega, coloring={
-                    v: frozenset(_colors(masks.get(v, 0))) for v in g.nodes})
-        return opt_exact(inst, **self.budget)
+        _check_searchable(inst, dem, self.omega, self.max_nodes, self.max_requests)
+        masks = omega_coloring(g, dem, self.omega)  # hexagonal: the gate refuses the rest
+        if masks is not None:
+            return OptWitness(opt_value=self.omega, coloring={
+                v: frozenset(_colors(masks.get(v, 0))) for v in g.nodes})
+        return opt_exact(inst, self.max_nodes, self.max_requests)
 
     @cached_property
     def value(self) -> int | None:
@@ -316,9 +310,9 @@ def plan_43(optimum: Optimum) -> tuple:
     which the theory rules out."""
     instance = optimum.instance
     if instance.graph.kind != "hexagonal":
-        raise DomainError("plan_43 needs a hexagonal graph")
+        raise DomainError(f"hex43 needs a hexagonal graph, got {instance.graph.kind}")
     if instance.has_cancellations():
-        raise DomainError("plan_43 handles cancellation-free instances only")
+        raise DomainError("hex43 does not handle cancellations")
     g, adj = instance.graph, instance.graph.adjacency
     dem, omega = optimum.demand, optimum.omega
     q = (omega + 1) // 3
@@ -372,7 +366,7 @@ def advice_43(optimum: Optimum) -> AdviceTape:
     omega + q = floor((4*omega+1)/3).  Total length is at most n + 2|V|.
     """
     omega, q, private, borrow, upper = plan_43(optimum)
-    tape = AdviceTape()
+    bits = []
     frozen = header = False   # a stop bit has ended some phase 1; d is written
     seen = {v: 0 for v in optimum.instance.graph.nodes}   # requests to each node so far
     for r in optimum.instance.requests:
@@ -380,14 +374,14 @@ def advice_43(optimum: Optimum) -> AdviceTape:
         end = private[v] + borrow[v]   # the request that ends phase 2
         seen[v] += 1
         if i == private[v] and not frozen:
-            tape.write([1])
+            bits.append(1)
             frozen = True
         if i < end:
-            tape.write([0])
+            bits.append(0)
         elif i == end:
-            tape.write([1, upper[v]])
+            bits += [1, upper[v]]
             if upper[v] and not header:
-                tape.write(fixed(omega - 3 * q + 1, 2))
+                bits += fixed(omega - 3 * q + 1, 2)
                 header = True
         # phase 3 requests consume no bits
-    return tape
+    return AdviceTape(bits=bits)

@@ -6,6 +6,7 @@ from multicolor.adversary import (
     hex_54,
     hex_chain,
     path_family,
+    path_instance,
     random_cancel_instance,
     random_instance,
 )
@@ -42,6 +43,15 @@ class TestPathFamily:
     def test_too_short_rejected(self):
         with pytest.raises(DomainError):
             path_family(39)
+
+    def test_path_instance_is_the_family_member(self):
+        for n in (40, 41, 57):
+            assert [path_instance(n, i) for i in range(n // 4 + 1)] == path_family(n)
+
+    @pytest.mark.parametrize("n, i", [(39, 0), (40, 11), (40, -1)])
+    def test_path_instance_refuses(self, n, i):
+        with pytest.raises(DomainError):
+            path_instance(n, i)
 
 
 class TestHexChain:

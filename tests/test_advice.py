@@ -116,8 +116,7 @@ def test_fixed_is_what_read_fixed_reads(width, data):
 
 
 def test_tape_string_round_trip():
-    tape = AdviceTape()
-    tape.write_int(42)
+    tape = AdviceTape(bits=enc(42))
     assert AdviceTape.from_string(tape.to_string()).bits == tape.bits
 
 

@@ -10,6 +10,7 @@ from multicolor.adversary import (
     random_instance,
 )
 from multicolor.algorithms import (
+    ALGORITHMS,
     fpa,
     greedy_cancel,
     greedy_opt,
@@ -382,6 +383,16 @@ def test_players_without_cancellations_refuse_one(algo):
 def test_greedy_truncated_refuses_b_0():
     with pytest.raises(DomainError, match="b must be >= 1, got 0"):
         greedy_truncated(build_path(1), tape_for(1), (Request("v1", "color"),), 0)
+
+
+@pytest.mark.parametrize("b", [0, -1])
+@pytest.mark.parametrize("field", ["play", "advise", "bound", "color_bound"])
+def test_greedy_truncated_entry_refuses_b_below_1(field, b):
+    inst = path_family(40)[2]
+    args = ((inst.graph, tape_for(12), inst.requests, b) if field == "play"
+            else (Optimum(inst), b))
+    with pytest.raises(DomainError, match=f"^b must be >= 1, got {b}$"):
+        getattr(ALGORITHMS["greedy_truncated"], field)(*args)
 
 
 def test_players_reject_wrong_graph_kind():

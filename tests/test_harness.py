@@ -472,6 +472,19 @@ class TestWorkCounts:
         assert run(inst, algo).ok
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("algo", ["fpa", "hex43"])
+    def test_beyond_the_budget_the_run_shares_demand_and_omega(self, monkeypatch, algo):
+        from multicolor import instance
+        from multicolor.graph import clique_weight
+
+        inst = random_instance("hexagonal", seed=1, n_nodes=200, n_requests=2000, grid_extent=17)
+        demands = count_calls(monkeypatch, instance.demand)
+        omegas = count_calls(monkeypatch, clique_weight)
+        builds = count_witness_builds(monkeypatch)
+        report = run(inst, algo)
+        assert report.ok and report.opt_value is None
+        assert (len(demands), len(omegas), builds) == (1, 1, [])
+
     def test_cli_run_csv_runs_once(self, tmp_path, monkeypatch, capsys):
         inst_path = str(tmp_path / "inst.json")
         save_instance(path_family(40)[2], inst_path)
@@ -773,6 +786,43 @@ class TestCli:
     def test_gen_index_out_of_range_exits_2(self, capsys):
         assert main(["gen", "path_family", "--n", "40", "--i", "99"]) == 2
         assert "--i 99" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, i, error", [
+        ("39", "0", "path_family needs n >= 40, got 39"),
+        ("-3", "99", "path_family needs n >= 40, got -3"),
+        ("400", "101", "path_family --n 400 has indices 0..100, got --i 101"),
+        ("400", "-1", "path_family --n 400 has indices 0..100, got --i -1"),
+    ])
+    def test_gen_path_family_refusals(self, capsys, n, i, error):
+        assert main(["gen", "path_family", "--n", n, "--i", i]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_gen_path_family_builds_one_instance(self, monkeypatch, capsys):
+        from multicolor import adversary
+
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(kwargs.get("name"))
+            return Instance(*args, **kwargs)
+
+        expected = instance_text(path_family(400)[3])
+        monkeypatch.setattr(adversary, "Instance", counted)
+        assert main(["gen", "path_family", "--n", "400", "--i", "3"]) == 0
+        assert built == ["path_family_n400_i3"]
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda: random_instance("bipartite", seed=3), "hex43 needs a hexagonal graph, got bipartite"),
+        (lambda: Instance(build_hexagonal({"u": (0, 0)}), (
+            Request("u", "color"), Request("u", "cancel", cancel_color=1))),
+         "hex43 does not handle cancellations"),
+    ], ids=["bipartite", "cancellation"])
+    def test_run_hex43_refusals_name_hex43(self, tmp_path, capsys, make, error):
+        inst_path = str(tmp_path / "i.json")
+        save_instance(make(), inst_path)
+        assert main(["run", inst_path, "--algo", "hex43"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_run_instance_missing_field_exits_2(self, tmp_path, capsys):
         data = {"graph": {"kind": "bipartite"}, "requests": []}

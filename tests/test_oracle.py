@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations, product
@@ -249,7 +250,7 @@ class TestPlan43:
     def test_rejects_cancellations(self):
         g = build_hexagonal({"u": (0, 0)})
         inst = Instance(g, (Request("u", "color"), Request("u", "cancel", cancel_color=1)))
-        with pytest.raises(DomainError, match="plan_43 handles cancellation-free instances only"):
+        with pytest.raises(DomainError, match="hex43 does not handle cancellations"):
             plan_43(Optimum(inst))
 
     def test_edge_two_one(self):
@@ -571,6 +572,18 @@ class TestHexagonalWitness:
         inst = random_instance("hexagonal", seed=1, n_nodes=200, n_requests=2000, grid_extent=17)
         optimum = Optimum(inst)
         assert optimum.value is None
-        with pytest.raises(BudgetExceededError) as exc:
+        message = ("instance too large for exact search (200 demanded nodes, 2000 requests); "
+                   "best lower bound is 46")
+        with pytest.raises(BudgetExceededError, match=re.escape(message)) as exc:
             optimum.witness
         assert exc.value.lower_bound == optimum.omega
+
+    @pytest.mark.parametrize("kind", ["path", "hexagonal"])
+    def test_a_cancellation_is_refused_without_search(self, monkeypatch, kind):
+        g = build_path(2) if kind == "path" else build_hexagonal({"v1": (0, 0), "v2": (1, 0)})
+        inst = Instance(g, (Request("v1", "color"), Request("v1", "cancel", cancel_color=1)))
+        calls = []
+        monkeypatch.setattr(oracle, "opt_exact", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(DomainError, match="^opt_exact handles cancellation-free instances only$"):
+            Optimum(inst).witness
+        assert calls == []

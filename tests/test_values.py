@@ -148,7 +148,7 @@ def test_constructor_defaults():
     assert (state.f, state.step) == ({}, 0)
     assert RunReport("a", "i", 1, 1, 0, 1, 1.0, True, 4).runtime_millis == 0.0
     tape1, tape2 = AdviceTape(), AdviceTape()
-    tape1.write([1])
+    tape1.bits.append(1)
     assert tape2.bits == [] and tape2.cursor == 0  # each tape gets its own list
 
 

@@ -11,16 +11,11 @@ from . import oracle
 from .advice import AdviceTape, dec, enc_len
 from .errors import AdviceError, CapacityExceededError, DomainError
 from .graph import BORROW_FROM, PALETTE_START, Graph
-from .instance import CancelAction, ColorAction
+from .instance import CancelAction, ColorAction, refuse_outside
 from .value import Value
 
 
 _color = cache(ColorAction)  # one shared action per color: a run has many colors, few distinct
-
-
-def _require_kind(graph: Graph, kinds, algo):
-    if graph.kind not in kinds:
-        raise DomainError(f"{algo} needs a {'/'.join(kinds)} graph, got {graph.kind}")
 
 
 def _greedy(algo, graph: Graph, tape: AdviceTape, requests, read_m, cancels=False) -> list:
@@ -28,7 +23,7 @@ def _greedy(algo, graph: Graph, tape: AdviceTape, requests, read_m, cancels=Fals
     for U.  A cancellation recolors at most the request holding the node's
     extreme color, so an L node with k live colors holds exactly {1..k} and
     a U node {m-k+1..m}; the player keeps only k = live[v]."""
-    _require_kind(graph, ("path", "bipartite"), algo)
+    refuse_outside(algo, graph, requests, ("path", "bipartite"), cancels)
     m = read_m(tape)
     live = dict.fromkeys(graph.nodes, 0)
     out = []
@@ -45,8 +40,6 @@ def _greedy(algo, graph: Graph, tape: AdviceTape, requests, read_m, cancels=Fals
             live[v] = k + 1
             out.append(_color(color))
             continue
-        if not cancels:
-            raise DomainError(f"{algo} does not handle cancellations")
         c = r.cancel_color
         lowest, highest = (m - k + 1, m) if upper else (1, k)
         if not lowest <= c <= highest:
@@ -89,13 +82,9 @@ def greedy_cancel(graph: Graph, tape: AdviceTape, requests) -> list:
 def trivial(graph: Graph, tape: AdviceTape, requests) -> list:
     """Reads w = ceil(log2(Opt+1)) once, then w bits per request naming the
     color directly."""
+    refuse_outside("trivial", graph, requests)
     w = dec(tape)
-    out = []
-    for r in requests:
-        if r.op != "color":
-            raise DomainError("trivial does not handle cancellations")
-        out.append(_color(tape.read_fixed(w) + 1))
-    return out
+    return [_color(tape.read_fixed(w) + 1) for _ in requests]
 
 
 def fpa(graph: Graph, tape: AdviceTape, requests) -> list:
@@ -106,15 +95,13 @@ def fpa(graph: Graph, tape: AdviceTape, requests) -> list:
     borrows the next class's block top-down, base' + 2c - k, while k < 2c.
     Neighbors' colors are not consulted, as the pseudocode states.
     """
-    _require_kind(graph, ("hexagonal",), "fpa")
+    refuse_outside("fpa", graph, requests, ("hexagonal",))
     c = dec(tape)
     base = {"R": 0, "G": c, "B": 2 * c}
     held = dict.fromkeys(graph.nodes, 0)
     out = []
     for r in requests:
         v = r.node
-        if r.op != "color":
-            raise DomainError("fpa does not handle cancellations")
         k = held[v]
         cls = graph.class_of[v]
         if k < c:
@@ -141,7 +128,7 @@ def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
     the first upper partition bit give as 4q-1+d.  So no color exceeds
     floor((4*omega+1)/3).
     """
-    _require_kind(graph, ("hexagonal",), "hex43")
+    refuse_outside("hex43", graph, requests, ("hexagonal",))
     size = 0          # current private palette size (per class)
     frozen = False    # set once any node leaves phase 1
     top = None        # omega + q, known from the first upper node on
@@ -153,8 +140,6 @@ def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
 
     for r in requests:
         v = r.node
-        if r.op != "color":
-            raise DomainError("hex43 does not handle cancellations")
         cls = graph.class_of[v]
         if phase[v] == 1:
             if frozen and len(f[v]) == size:

@@ -99,9 +99,11 @@ def _node_names(gd):
     nodes = _field(gd, "nodes", "graph")
     if not isinstance(nodes, list) or not all(isinstance(v, str) for v in nodes):
         raise _wrong_type("graph field 'nodes'", "a list of node names", nodes)
-    if len(set(nodes)) < len(nodes):
-        twice = next(v for i, v in enumerate(nodes) if v in nodes[:i])
-        raise MalformedInstanceError(f"graph field 'nodes' lists {twice!r} twice")
+    seen = set()
+    for v in nodes:
+        if v in seen:
+            raise MalformedInstanceError(f"graph field 'nodes' lists {v!r} twice")
+        seen.add(v)
     return nodes
 
 

@@ -8,7 +8,7 @@ color of the same node (Algorithm-2 style 0-recoloring).
 
 from __future__ import annotations
 
-from .errors import MalformedInstanceError, MalformedLogError
+from .errors import DomainError, MalformedInstanceError, MalformedLogError
 from .graph import Graph, maximal_cliques, clique_weight
 from .value import Value
 
@@ -42,6 +42,17 @@ class Instance(Value):
 
     def has_cancellations(self) -> bool:
         return any(r.op == "cancel" for r in self.requests)
+
+
+def refuse_outside(algo: str, graph: Graph, requests, kinds=None, cancels=False) -> None:
+    """Raise the DomainError of algo asked to serve outside its domain: a
+    graph whose kind is not in kinds (None: every kind is served), or a
+    cancellation when cancels is false.  Every player, and each tape writer
+    that must refuse before any offline work, calls it first."""
+    if kinds is not None and graph.kind not in kinds:
+        raise DomainError(f"{algo} needs a {'/'.join(kinds)} graph, got {graph.kind}")
+    if not cancels and any(r.op == "cancel" for r in requests):
+        raise DomainError(f"{algo} does not handle cancellations")
 
 
 class ColorAction(Value):

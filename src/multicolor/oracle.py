@@ -15,7 +15,7 @@ from itertools import islice, permutations
 from .advice import AdviceTape, enc, fixed
 from .errors import BudgetExceededError, DomainError, InternalConsistencyError
 from .graph import BORROW_FROM, CLASS_NAMES, Graph, clique_weight, maximal_cliques
-from .instance import Instance, demand, peak_clique_load
+from .instance import Instance, demand, peak_clique_load, refuse_outside
 from .value import Value
 
 DEFAULT_MAX_NODES = 14
@@ -282,7 +282,9 @@ def advice_trivial(optimum: Optimum) -> AdviceTape:
     replayed per node in increasing color order.  Each color's field is
     rendered once.
     """
-    instance, witness = optimum.instance, optimum.witness
+    instance = optimum.instance
+    refuse_outside("trivial", instance.graph, instance.requests)
+    witness = optimum.witness
     w = witness.opt_value.bit_length()
     field = [fixed(c, w) for c in range(witness.opt_value)]
     bits = enc(w)
@@ -309,10 +311,7 @@ def plan_43(optimum: Optimum) -> tuple:
     (InternalConsistencyError) if G2 contains a triangle or an odd cycle,
     which the theory rules out."""
     instance = optimum.instance
-    if instance.graph.kind != "hexagonal":
-        raise DomainError(f"hex43 needs a hexagonal graph, got {instance.graph.kind}")
-    if instance.has_cancellations():
-        raise DomainError("hex43 does not handle cancellations")
+    refuse_outside("hex43", instance.graph, instance.requests, ("hexagonal",))
     g, adj = instance.graph, instance.graph.adjacency
     dem, omega = optimum.demand, optimum.omega
     q = (omega + 1) // 3

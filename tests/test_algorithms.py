@@ -380,6 +380,16 @@ def test_players_without_cancellations_refuse_one(algo):
         run_player(algo, graph, tape, (Request("v1", "cancel", cancel_color=1),), b=2)
 
 
+@pytest.mark.parametrize("algo", ["greedy_opt", "greedy_truncated", "trivial", "fpa", "hex43"])
+def test_players_refuse_cancellations_before_reading_a_bit(algo):
+    graph = build_hexagonal({"v1": (0, 0)}) if algo in ("fpa", "hex43") else build_path(1)
+    tape = make_advice(Instance(graph, (Request("v1", "color"),)), algo, b=2)
+    requests = (Request("v1", "color"), Request("v1", "cancel", cancel_color=1))
+    with pytest.raises(DomainError, match=f"^{algo} does not handle cancellations$"):
+        run_player(algo, graph, tape, requests, b=2)
+    assert tape.high_water == 0
+
+
 def test_greedy_truncated_refuses_b_0():
     with pytest.raises(DomainError, match="b must be >= 1, got 0"):
         greedy_truncated(build_path(1), tape_for(1), (Request("v1", "color"),), 0)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,8 @@ from multicolor.adversary import (hex_54, hex_chain, path_family, random_cancel_
                                   random_instance)
 from multicolor.algorithms import ALGORITHMS
 from multicolor.cli import build_parser, main
-from multicolor.errors import (MalformedInstanceError, MalformedLogError, MultiColorError,
-                               NotBipartiteError)
+from multicolor.errors import (DomainError, MalformedInstanceError, MalformedLogError,
+                               MultiColorError, NotBipartiteError)
 from multicolor.graph import Graph, build_bipartite, build_hexagonal, build_path
 from multicolor.harness import (
     actions_from_dicts,
@@ -390,6 +391,28 @@ class TestRun:
             report = run(inst, algo, b=b)
             assert report.advice_bits_read <= advice_bound(inst, algo, b=b)
             assert report.advice_bound == advice_bound(inst, algo, b=b)
+
+
+REFUSAL_CORPUS = [
+    lambda: path_family(40)[2],
+    lambda: random_instance("bipartite", seed=3),
+    lambda: random_cancel_instance(seed=5),
+    lambda: random_instance("hexagonal", seed=3, n_nodes=10, n_requests=30),
+    lambda: Instance(build_hexagonal({"u": (0, 0), "w": (1, 0)}), (
+        Request("u", "color"), Request("w", "color"), Request("u", "cancel", cancel_color=1))),
+]
+
+
+@pytest.mark.parametrize("algo", list(ALGORITHMS))
+@pytest.mark.parametrize("make", REFUSAL_CORPUS,
+                         ids=["path", "bipartite", "cancel", "hexagonal", "hexagonal-cancel"])
+def test_every_player_runs_ok_or_refuses_in_its_own_name(algo, make):
+    try:
+        report = run(make(), algo, b=3 if algo == "greedy_truncated" else None)
+    except DomainError as exc:
+        assert str(exc).startswith(f"{algo} "), str(exc)
+    else:
+        assert report.ok
 
 
 def count_calls(monkeypatch, *fns):
@@ -824,6 +847,12 @@ class TestCli:
         assert main(["run", inst_path, "--algo", "hex43"]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
 
+    def test_run_trivial_refuses_cancellations(self, tmp_path, capsys):
+        inst_path = str(tmp_path / "i.json")
+        save_instance(random_cancel_instance(seed=5), inst_path)
+        assert main(["run", inst_path, "--algo", "trivial"]) == 2
+        assert capsys.readouterr().err == "error: trivial does not handle cancellations\n"
+
     def test_run_instance_missing_field_exits_2(self, tmp_path, capsys):
         data = {"graph": {"kind": "bipartite"}, "requests": []}
         with pytest.raises(MalformedInstanceError, match="'nodes'"):
@@ -1055,11 +1084,21 @@ class TestCli:
         assert not ok
         assert next(csv.DictReader(io.StringIO(text)))["status"] == f"error: {error}"
 
+    def test_node_listed_twice_is_found_in_linear_time(self):
+        nodes = [f"n{i}" for i in range(20000)]
+        data = {"graph": {"kind": "bipartite", "nodes": nodes + [nodes[-1]], "edges": [],
+                          "partition": dict.fromkeys(nodes, "L")}, "requests": []}
+        start = time.process_time()
+        with pytest.raises(MalformedInstanceError, match="lists 'n19999' twice$"):
+            instance_from_dict(data)
+        assert time.process_time() - start < 0.5
+
     @pytest.mark.parametrize("nodes, error", [
         (["a", "zz", "a"], "graph field 'nodes' lists 'a' twice"),
         (["b"], "graph field 'nodes' does not list cell 'a'"),
         (["b", "zz", "a"], "graph field 'nodes' lists 'zz', which has no cell"),
         ("a", "graph field 'nodes' must be a list of node names, got 'a'"),
+        (["a", "b", "b", "a"], "graph field 'nodes' lists 'b' twice"),
     ])
     def test_hexagonal_nodes_name_each_cell_once(self, tmp_path, capsys, nodes, error):
         data = {"graph": {"kind": "hexagonal", "nodes": nodes,

@@ -224,6 +224,15 @@ class TestAdviceTrivial:
         tape = advice_trivial(Optimum(Instance(build_path(1), ())))
         assert tape.bits == enc(0)
 
+    def test_refuses_cancellations_before_any_offline_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "demand", lambda inst: calls.append(inst) or demand(inst))
+        inst = Instance(build_path(2), (Request("v1", "color"),
+                                        Request("v1", "cancel", cancel_color=1)))
+        with pytest.raises(DomainError, match="^trivial does not handle cancellations$"):
+            advice_trivial(Optimum(inst))
+        assert calls == []
+
 
 class TestAdviceFpa:
     def test_omega4(self):

@@ -55,17 +55,19 @@ class Graph(Value):
         (paths and bipartite graphs are triangle-free; hexagonal grids have
         no K4), so isolated nodes, edges, and triangles are the only
         candidates.  Each edge u < w of the adjacency gives the triangle
-        (u, w, x) once per common neighbour x > w (Chiba & Nishizeki), in
-        O(|E| * max degree) time, and is a maximal clique itself when u and
-        w have none.  As tuples of sorted members they sort as the cliques do.
+        (u, w, x) once per common neighbour x > w (Chiba & Nishizeki), and is
+        a maximal clique itself when u and w have none.  Only a hexagonal graph
+        is searched for them, in O(|E| * max degree) time; the rest take O(|E|).
+        As tuples of sorted members they sort as the cliques do.
         """
         adj, found = self.adjacency, []
+        triangles = self.kind == "hexagonal"
         for u, nbrs in adj.items():
             if not nbrs:
                 found.append((u,))
             for w in nbrs:
                 if w > u:
-                    common = nbrs.keys() & adj[w].keys()
+                    common = triangles and nbrs.keys() & adj[w].keys()
                     found += [(u, w, x) for x in common if x > w] if common else [(u, w)]
         return [frozenset(c) for c in sorted(found)]
 

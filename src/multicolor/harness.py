@@ -81,14 +81,19 @@ def _request(r, i):
 
 def _requests(items):
     """The requests of an instance file, one Request per distinct (node, op,
-    color).  Only fields of exact types are looked up: True and 2.0 equal
-    the ints 1 and 2, so they go through _request and its checks."""
+    color).  Only fields of exact types are looked up and built directly:
+    True and 2.0 equal the ints 1 and 2, and _request names a cancel's
+    missing color, so these go through _request and its checks."""
     made, out = {}, []
     for i, r in enumerate(items, 1):
         if type(r) is dict:
             key = node, op, color = r.get("node"), r.get("op"), r.get("color")
-            if type(node) is type(op) is str and (color is None or type(color) is int):
-                out.append(made[key] if key in made else made.setdefault(key, _request(r, i)))
+            if type(node) is type(op) is str and (
+                    type(color) is int or color is None and op != "cancel"):
+                request = made.get(key)
+                if request is None:
+                    request = made[key] = Request(node, op, color)
+                out.append(request)
                 continue
         out.append(_request(r, i))
     return tuple(out)
@@ -308,8 +313,12 @@ def advice_bound(instance: Instance, algo: str, b: int | None = None,
 
 def _metrics(actions):
     """(max color, number of distinct colors) over colorings and recolorings."""
-    colors = {a.color for a in actions if isinstance(a, ColorAction)}
-    colors |= {a.recolor[1] for a in actions if isinstance(a, CancelAction) and a.recolor}
+    colors = set()
+    for a in actions:
+        if isinstance(a, ColorAction):
+            colors.add(a.color)
+        elif isinstance(a, CancelAction) and a.recolor:
+            colors.add(a.recolor[1])
     return max(colors, default=0), len(colors)
 
 

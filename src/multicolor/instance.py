@@ -41,7 +41,15 @@ class Instance(Value):
         return len(self.requests)
 
     def has_cancellations(self) -> bool:
-        return any(r.op == "cancel" for r in self.requests)
+        return _cancels(self.requests)
+
+
+def _cancels(requests) -> bool:
+    """Whether any of the requests is a cancellation."""
+    for r in requests:
+        if r.op == "cancel":
+            return True
+    return False
 
 
 def refuse_outside(algo: str, graph: Graph, requests, kinds=None, cancels=False) -> None:
@@ -51,7 +59,7 @@ def refuse_outside(algo: str, graph: Graph, requests, kinds=None, cancels=False)
     that must refuse before any offline work, calls it first."""
     if kinds is not None and graph.kind not in kinds:
         raise DomainError(f"{algo} needs a {'/'.join(kinds)} graph, got {graph.kind}")
-    if not cancels and any(r.op == "cancel" for r in requests):
+    if not cancels and _cancels(requests):
         raise DomainError(f"{algo} does not handle cancellations")
 
 
@@ -145,7 +153,9 @@ def apply_step(state: ColoringState, request: Request, action):
 
 
 def validate_full(instance: Instance, actions):
-    """Replay all requests under apply_step's rules, on mutable per-node sets.
+    """Check the log under apply_step's rules: in bulk when it has no
+    cancellation, else, or when the bulk check finds a fault, by a replay
+    on mutable per-node sets that names the first Violation.
 
     Returns None if the whole log is legal, otherwise the first Violation.
     Raises MalformedLogError if the log length does not match.
@@ -154,12 +164,38 @@ def validate_full(instance: Instance, actions):
         raise MalformedLogError(
             f"log has {len(actions)} actions for {instance.n} requests"
         )
+    if _legal_in_bulk(instance, actions):
+        return None
     f = {v: set() for v in instance.graph.nodes}
     for step, (request, action) in enumerate(zip(instance.requests, actions), 1):
         bad = _serve(instance.graph, f, step, request, action)
         if bad is not None:
             return bad
     return None
+
+
+def _legal_in_bulk(instance: Instance, actions) -> bool:
+    """Whether a log of only color requests and ColorActions is legal: each
+    node's colors are at least 1 and distinct, and disjoint from each
+    neighbour's.  False on any other log, for the stepwise replay to judge."""
+    held = {v: set() for v in instance.graph.nodes}
+    try:
+        for request, action in zip(instance.requests, actions):
+            if request.op != "color" or type(action) is not ColorAction:
+                return False
+            colors, c = held[request.node], action.color
+            if c < 1 or c in colors:
+                return False
+            colors.add(c)
+    except TypeError:  # a color that does not compare with 1
+        return False
+    adjacency = instance.graph.adjacency
+    for v, colors in held.items():
+        if colors:
+            for u in adjacency[v]:
+                if u > v and not colors.isdisjoint(held[u]):
+                    return False
+    return True
 
 
 def demand(instance: Instance) -> dict:

@@ -55,6 +55,11 @@ def opt_exact(instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
     g, dem = instance.graph, demand(instance)
     omega = clique_weight(g, dem)
     _check_searchable(instance, dem, omega, max_nodes, max_requests)
+    return _opt_search(g, dem, omega)
+
+
+def _opt_search(g: Graph, dem: dict, omega: int) -> OptWitness:
+    """opt_exact's search, past its gate, from the instance's demand and omega."""
     order = sorted((v for v in g.nodes if dem[v]), key=lambda v: (-dem[v], v))
     position = {v: i for i, v in enumerate(order)}
     need = [dem[v] for v in order]
@@ -186,7 +191,8 @@ class Optimum:
         every edge since each joins L to U and n_L + n_U <= m.  Otherwise, on a
         cancellation or beyond the budget, it raises opt_exact's error without
         running opt_exact; else it is an omega-coloring from omega_coloring,
-        which proves Opt = omega, or failing that opt_exact's witness."""
+        which proves Opt = omega, or failing that opt_exact's witness, searched
+        from this Optimum's demand and omega."""
         inst, g, dem = self.instance, self.instance.graph, self.demand
         if g.kind != "hexagonal" and not inst.has_cancellations():
             m, side = self.peak_load, g.partition
@@ -198,7 +204,7 @@ class Optimum:
         if masks is not None:
             return OptWitness(opt_value=self.omega, coloring={
                 v: frozenset(_colors(masks.get(v, 0))) for v in g.nodes})
-        return opt_exact(inst, self.max_nodes, self.max_requests)
+        return _opt_search(g, dem, self.omega)
 
     @cached_property
     def value(self) -> int | None:

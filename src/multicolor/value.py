@@ -18,8 +18,12 @@ class Value:
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__match_args__)
 
     def _init(self, *values):
-        """Set the fields, in __match_args__ order."""
-        for set_field, value in zip(self._setters, values, strict=True):
+        """Set the fields, in __match_args__ order; ValueError unless there
+        is one value per field."""
+        setters = self._setters
+        if len(values) != len(setters):
+            raise ValueError(f"{len(values)} values for {len(setters)} fields")
+        for set_field, value in zip(setters, values):
             set_field(self, value)
 
     def __setattr__(self, name, value):

@@ -250,6 +250,13 @@ class TestLoadRequests:
         with pytest.raises(MalformedInstanceError, match=re.escape(error)):
             instance_from_dict(data)
 
+    def test_cancel_without_a_color_names_the_field(self):
+        data = {"graph": {"kind": "path", "nodes": ["v1"]},
+                "requests": [{"node": "v1", "op": "cancel"}]}
+        error = "request 1 field 'color' must be an integer, got None"
+        with pytest.raises(MalformedInstanceError, match=f"^{re.escape(error)}$"):
+            instance_from_dict(data)
+
 
 # valid decoded instance files of every family, each small enough for exact search
 FUZZ_SEEDS = [instance_to_dict(inst) for inst in (
@@ -415,6 +422,11 @@ def test_every_player_runs_ok_or_refuses_in_its_own_name(algo, make):
         assert report.ok
 
 
+def test_metrics_count_a_recolor_target():
+    actions = [ColorAction(1), ColorAction(2), CancelAction(), CancelAction(recolor=(2, 5))]
+    assert harness._metrics(actions) == (5, 3)
+
+
 def count_calls(monkeypatch, *fns):
     """Rebind each of fns in every multicolor module that binds it to a
     counting wrapper; returns the list that collects one entry per call to
@@ -441,7 +453,7 @@ def count_witness_builds(monkeypatch):
     certified instance takes one certificate call and no search."""
     from multicolor import oracle
 
-    return count_calls(monkeypatch, oracle.omega_coloring, oracle.opt_exact)
+    return count_calls(monkeypatch, oracle.omega_coloring, oracle._opt_search)
 
 
 class TestWorkCounts:
@@ -456,9 +468,9 @@ class TestWorkCounts:
         assert report.advice_bound is not None
 
     def test_trivial_bipartite_runs_no_exact_search(self, monkeypatch):
-        from multicolor.oracle import opt_exact
+        from multicolor.oracle import _opt_search, opt_exact
 
-        calls = count_calls(monkeypatch, opt_exact)
+        calls = count_calls(monkeypatch, opt_exact, _opt_search)
         for inst in (path_family(40)[2], random_instance("bipartite", seed=3)):
             report = run(inst, "trivial")
             assert report.ok and report.max_color == report.opt_value

@@ -253,3 +253,81 @@ def test_validate_full_matches_apply_step_on_corrupted_logs(seed, data):
         else:
             actions[i] = CancelAction(recolor=(data.draw(colors), data.draw(colors)))
     assert validate_full(inst, actions) == replay_apply_step(inst, actions)
+
+
+def played_log(kind, seed):
+    """A seeded instance and its legal log: greedy_cancel on a random
+    cancellation instance, fpa on a hexagonal one, greedy_opt otherwise."""
+    from multicolor.adversary import random_cancel_instance, random_instance
+    from multicolor.algorithms import run_player
+    from multicolor.harness import make_advice
+
+    if kind == "cancel":
+        inst, algo = random_cancel_instance(seed=seed, n_nodes=6, n_requests=30), "greedy_cancel"
+    else:
+        inst = random_instance(kind, seed=seed, n_nodes=6, n_requests=20)
+        algo = "fpa" if kind == "hexagonal" else "greedy_opt"
+    return inst, run_player(algo, inst.graph, make_advice(inst, algo), inst.requests)
+
+
+@given(st.sampled_from(["bipartite", "hexagonal", "cancel"]), st.integers(0, 500), st.data())
+@settings(max_examples=300, deadline=None)
+def test_bulk_validation_matches_apply_step(kind, seed, data):
+    """Logs with and without cancellations, left legal or corrupted by a
+    color below 1, a node's or a neighbour's color, or an action of the
+    wrong type."""
+    inst, actions = played_log(kind, seed)
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, inst.n - 1))
+        v = inst.requests[i].node
+        held = {a.color for a, q in zip(actions, inst.requests)
+                if isinstance(a, ColorAction) and q.node in inst.graph.adjacency[v]}
+        actions[i] = data.draw(st.one_of(
+            st.builds(ColorAction, st.integers(-1, 10)),
+            st.builds(ColorAction, st.sampled_from(sorted(held) or [1])),
+            st.sampled_from([None, 3, CancelAction(), CancelAction(recolor=(1, 2))])))
+    assert validate_full(inst, actions) == replay_apply_step(inst, actions)
+
+
+def test_legal_cancellation_free_log_is_not_replayed(monkeypatch):
+    from multicolor import instance
+
+    calls = []
+    serve = instance._serve
+    monkeypatch.setattr(instance, "_serve", lambda *args: calls.append(args) or serve(*args))
+    for kind in ("bipartite", "hexagonal"):
+        assert validate_full(*played_log(kind, 4)) is None
+    assert calls == []
+    assert validate_full(*played_log("cancel", 4)) is None
+    assert calls
+
+
+def test_edge_conflict_names_the_first_step_and_its_holder():
+    from multicolor.adversary import random_instance
+    from multicolor.algorithms import run_player
+    from multicolor.harness import make_advice
+
+    inst = random_instance("bipartite", seed=4, n_nodes=8, n_requests=20)
+    actions = run_player("greedy_opt", inst.graph, make_advice(inst, "greedy_opt"), inst.requests)
+    assert validate_full(inst, actions) is None
+    # n1 is joined to n0, n5 and n7, which all take color 1; at step 5 only n5 holds it
+    actions[4] = ColorAction(1)
+    assert validate_full(inst, actions) == Violation(step=5, kind="edge-conflict", node="n1",
+                                                     color=1, other_node="n5")
+
+
+def test_color_action_on_the_only_cancellation_is_a_bad_cancel():
+    inst = Instance(build_path(1),
+                    (Request("v1", "color"), Request("v1", "cancel", cancel_color=1)))
+    actions = [ColorAction(1), ColorAction(2)]
+    assert (validate_full(inst, actions) == replay_apply_step(inst, actions)
+            == Violation(step=2, kind="bad-cancel", node="v1", color=1))
+
+
+def test_a_color_that_does_not_compare_is_left_to_the_replay():
+    inst = Instance(edge_graph(), tuple(Request(v, "color") for v in ("u", "w", "w")))
+    actions = [ColorAction(1), ColorAction(1), ColorAction(None)]
+    assert validate_full(inst, actions) == Violation(step=2, kind="edge-conflict", node="w",
+                                                     color=1, other_node="u")
+    with pytest.raises(TypeError):
+        validate_full(inst, [ColorAction(1), ColorAction(2), ColorAction(None)])

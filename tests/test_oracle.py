@@ -592,7 +592,21 @@ class TestHexagonalWitness:
         g = build_path(2) if kind == "path" else build_hexagonal({"v1": (0, 0), "v2": (1, 0)})
         inst = Instance(g, (Request("v1", "color"), Request("v1", "cancel", cancel_color=1)))
         calls = []
-        monkeypatch.setattr(oracle, "opt_exact", lambda *args, **kwargs: calls.append(args))
+        for name in ("opt_exact", "_opt_search"):
+            monkeypatch.setattr(oracle, name, lambda *args, **kwargs: calls.append(args))
         with pytest.raises(DomainError, match="^opt_exact handles cancellation-free instances only$"):
             Optimum(inst).witness
         assert calls == []
+
+
+def test_witness_search_counts_demand_and_omega_once(monkeypatch):
+    """hex_ring_9 fails the omega-certificate, so the witness falls back to
+    the exact search, which takes the Optimum's demand and omega."""
+    calls = []
+    for name in ("demand", "clique_weight"):
+        fn = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name,
+                            lambda *args, _name=name, _fn=fn: calls.append(_name) or _fn(*args))
+    report = harness.run(hex_ring_9(2), "trivial")
+    assert report.ok and report.opt_value == 5
+    assert sorted(calls) == ["clique_weight", "demand"]

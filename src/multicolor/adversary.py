@@ -5,6 +5,7 @@ and seeded random instances for stress corpora.
 from __future__ import annotations
 
 import random
+from functools import cache, partial
 
 from .errors import DomainError
 from .graph import build_bipartite, build_hexagonal, build_path
@@ -12,15 +13,6 @@ from .instance import Instance, Request, peak_clique_load
 
 # chance that a request to a node with a live color cancels one (random_cancel_instance)
 CANCEL_PROB = 0.3
-
-
-class _ColorRequests(dict):
-    """node -> its one color Request, built on first use and shared by all
-    its color requests (a Request is an immutable value)."""
-
-    def __missing__(self, node):
-        request = self[node] = Request(node=node, op="color")
-        return request
 
 
 def _path_m(n: int) -> int:
@@ -46,13 +38,13 @@ def path_instance(n: int, i: int) -> Instance:
     m = _path_m(n)
     if not 0 <= i <= m:
         raise DomainError(f"path_family --n {n} has indices 0..{m}, got --i {i}")
-    color = _ColorRequests()
-    reqs = [color["v1"]] * m + [color["v4"]] * m + [color["v2"]] * i + [color["v3"]] * i
+    color = cache(partial(Request, op="color"))  # one shared color Request per node
+    reqs = [color("v1")] * m + [color("v4")] * m + [color("v2")] * i + [color("v3")] * i
     t = n - 2 * m - 2 * i
     c6 = -(-t // 3)
     c8 = -(-(t - c6) // 2)
     c10 = t - c6 - c8
-    reqs += [color["v6"]] * c6 + [color["v8"]] * c8 + [color["v10"]] * c10
+    reqs += [color("v6")] * c6 + [color("v8")] * c8 + [color("v10")] * c10
     return Instance(graph=build_path(10), requests=tuple(reqs), name=f"path_family_n{n}_i{i}")
 
 
@@ -92,12 +84,12 @@ def hex_chain(k: int, branch, pad_requests: int = 0) -> Instance:
     if len(branch) != k or any(b not in (0, 1) for b in branch):
         raise DomainError(f"branch must be a {{0,1}}-tuple of length {k}")
     graph = build_hexagonal(_chain_cells(k))
-    color = _ColorRequests()
-    reqs = [color[f"O{j}"] for j in range(k + 1)]
+    color = cache(partial(Request, op="color"))
+    reqs = [color(f"O{j}") for j in range(k + 1)]
     for j in range(1, k + 1):
         pair = "D" if branch[j - 1] == 1 else "S"
-        reqs += [color[f"{pair}{2 * j - 1}"], color[f"{pair}{2 * j}"]]
-    reqs += [color["R"]] * pad_requests
+        reqs += [color(f"{pair}{2 * j - 1}"), color(f"{pair}{2 * j}")]
+    reqs += [color("R")] * pad_requests
     name = f"hex_chain_k{k}_b{''.join(map(str, branch))}"
     return Instance(graph=graph, requests=tuple(reqs), name=name)
 
@@ -143,8 +135,8 @@ def random_instance(kind: str, seed: int, n_nodes: int = 8, n_requests: int = 20
         graph = build_hexagonal({f"n{i}": cell for i, cell in enumerate(chosen)})
     else:
         raise DomainError(f"random_instance supports bipartite/hexagonal, got {kind!r}")
-    color = _ColorRequests()
-    reqs = [color[rng.choice(graph.nodes)] for _ in range(n_requests)]
+    color = cache(partial(Request, op="color"))
+    reqs = [color(rng.choice(graph.nodes)) for _ in range(n_requests)]
     return Instance(graph=graph, requests=tuple(reqs),
                     name=f"random_{kind}_s{seed}")
 
@@ -176,9 +168,9 @@ def random_cancel_instance(seed: int, n_nodes: int = 8, n_requests: int = 24,
             ops.append((v, "color"))
             live[v] += 1
 
-    color = _ColorRequests()
+    color = cache(partial(Request, op="color"))
     pattern = Instance(graph=graph, name="pattern", requests=tuple(
-        color[v] if op == "color" else Request(node=v, op="cancel", cancel_color=1)
+        color(v) if op == "color" else Request(node=v, op="cancel", cancel_color=1)
         for v, op in ops))
     m = peak_clique_load(pattern)
 
@@ -188,7 +180,7 @@ def random_cancel_instance(seed: int, n_nodes: int = 8, n_requests: int = 24,
     for v, op in ops:
         if op == "color":
             counts[v] += 1
-            reqs.append(color[v])
+            reqs.append(color(v))
         else:
             k = counts[v]
             interval = range(1, k + 1) if graph.partition[v] == "L" else range(m - k + 1, m + 1)

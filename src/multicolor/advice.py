@@ -9,7 +9,7 @@ A codeword for x >= 0 has three consecutive parts:
 
 from __future__ import annotations
 
-from .errors import TapeUnderrunError
+from .errors import DomainError, TapeUnderrunError
 
 
 def enc(x: int) -> list[int]:
@@ -28,6 +28,15 @@ def enc_len(x: int) -> int:
     last_len = x.bit_length()
     mid_len = last_len.bit_length()
     return (mid_len + 1) + mid_len + last_len
+
+
+def _width(b) -> int:
+    """greedy_truncated's truncation width b, refused unless it is at least 1."""
+    if b is None:
+        raise DomainError("greedy_truncated needs the truncation width b")
+    if b < 1:
+        raise DomainError(f"b must be >= 1, got {b}")
+    return b
 
 
 def fixed(value: int, width: int) -> list[int]:

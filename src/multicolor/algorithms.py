@@ -8,7 +8,7 @@ from __future__ import annotations
 from functools import cache
 
 from . import oracle
-from .advice import AdviceTape, dec, enc_len
+from .advice import AdviceTape, _width, dec, enc_len
 from .errors import AdviceError, CapacityExceededError, DomainError
 from .graph import BORROW_FROM, PALETTE_START, Graph
 from .instance import CancelAction, ColorAction, refuse_outside
@@ -62,11 +62,10 @@ def greedy_opt(graph: Graph, tape: AdviceTape, requests) -> list:
 def greedy_truncated(graph: Graph, tape: AdviceTape, requests, b: int) -> list:
     """Reads the b high-order bits of Opt and enc(a); reconstructs
     m = 2^a * Opt_b + 2^a - 1 (or m = Opt exactly when a = 0) and plays
-    greedy_opt with that m."""
+    greedy_opt with that m; a b that is None or below 1 is refused before a
+    bit is read."""
     def read_m(tape):
-        if b < 1:
-            raise DomainError(f"b must be >= 1, got {b}")
-        raw = tape.read_fixed(b)
+        raw = tape.read_fixed(_width(b))
         a = dec(tape)
         return ((raw + 1) << a) - 1
 
@@ -192,14 +191,6 @@ class Algorithm(Value):
         self._init(play, advise, bound, color_bound)
 
 
-def _width(b):
-    if b is None:
-        raise DomainError("greedy_truncated needs the truncation width b")
-    if b < 1:
-        raise DomainError(f"b must be >= 1, got {b}")
-    return b
-
-
 def _trivial_bound(optimum):
     if optimum.value is None:
         return None
@@ -224,7 +215,7 @@ ALGORITHMS: dict[str, Algorithm] = _Registry({
         lambda optimum, b: optimum.peak_load),
     "greedy_truncated": Algorithm(
         lambda g, tape, reqs, b: greedy_truncated(g, tape, reqs, _width(b)),
-        lambda optimum, b: oracle.advice_truncated(optimum, _width(b)),
+        lambda optimum, b: oracle.advice_truncated(optimum, b),
         lambda optimum, b: _width(b) + enc_len(max(0, optimum.peak_load.bit_length() - b)),
         lambda optimum, b: ((1 << _width(b) - 1) + 1) * optimum.peak_load >> b - 1),
     "greedy_cancel": Algorithm(

@@ -18,6 +18,7 @@ import io
 import json
 import os
 import time
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .advice import AdviceTape
@@ -65,6 +66,20 @@ def _is_pair(value, item_type):
     """Whether value is a list (or tuple) of two item_type values; a bool is no int."""
     return (isinstance(value, (list, tuple)) and len(value) == 2
             and type(value[0]) is item_type and type(value[1]) is item_type)
+
+
+def _cell(v, c):
+    """The cell c of node v, refused unless v is a string and c a pair of ints."""
+    if not isinstance(v, str) or not _is_pair(c, int):
+        raise _wrong_type(f"cell {v!r}", "a pair of integers under a node name", c)
+    return c
+
+
+def _name(name):
+    """An instance's name, refused unless it is a string."""
+    if not isinstance(name, str):
+        raise _wrong_type("instance field 'name'", "a string", name)
+    return name
 
 
 def _request(r, i):
@@ -122,8 +137,7 @@ def instance_from_dict(data: dict) -> Instance:
         if not isinstance(cells, dict):
             raise _wrong_type("graph field 'cells'", "an object", cells)
         for v, c in cells.items():
-            if not isinstance(v, str) or not _is_pair(c, int):
-                raise _wrong_type(f"cell {v!r}", "a pair of integers under a node name", c)
+            _cell(v, c)
         if "nodes" in gd:  # optional here; when given, it names each cell's node once
             listed = set(_node_names(gd))
             for v in cells:
@@ -156,9 +170,7 @@ def instance_from_dict(data: dict) -> Instance:
     requests = _field(data, "requests", "instance")
     if not isinstance(requests, list):
         raise _wrong_type("instance field 'requests'", "a list", requests)
-    name = data.get("name", "instance")
-    if not isinstance(name, str):
-        raise _wrong_type("instance field 'name'", "a string", name)
+    name = _name(data.get("name", "instance"))
     return Instance(graph=graph, requests=_requests(requests), name=name)
 
 
@@ -175,36 +187,31 @@ def instance_text(instance: Instance) -> str:
     indent=2, sort_keys=True) and a newline, written field by field with the C
     string encoder, each distinct request rendered once.  A node, name or cell
     that the file could not hold raises MalformedInstanceError naming it."""
-    g, name, enc = instance.graph, instance.name, encode_basestring_ascii
+    g, enc = instance.graph, encode_basestring_ascii
     for v in g.nodes:
         if not isinstance(v, str):
             raise MalformedInstanceError(f"node {v!r} is not named by a string")
-    if not isinstance(name, str):
-        raise _wrong_type("instance field 'name'", "a string", name)
+    name = _name(instance.name)
     node = {v: enc(v) for v in g.nodes}
     if g.kind in ("path", "bipartite"):
         edges = [_block("[]", (node[u], node[w]), " " * 8) for u, w in g.edge_list()]
         sides = [node[v] + ": " + enc(g.partition[v]) for v in sorted(g.nodes)]
         fields = {"edges": _block("[]", edges, " " * 6), "partition": _block("{}", sides, " " * 6)}
     else:
-        cells = []
-        for v in sorted(g.nodes):
-            c = g.cell_of[v]
-            if not _is_pair(c, int):
-                raise _wrong_type(f"cell {v!r}", "a pair of integers under a node name", c)
-            cells.append(node[v] + ": " + _block("[]", (str(c[0]), str(c[1])), " " * 8))
+        cells = [node[v] + ": " + _block("[]", [str(x) for x in _cell(v, g.cell_of[v])], " " * 8)
+                 for v in sorted(g.nodes)]
         fields = {"cells": _block("{}", cells, " " * 6)}
     fields["kind"] = enc(g.kind)
     fields["nodes"] = _block("[]", [node[v] for v in g.nodes], " " * 6)
     graph = _block("{}", ['"%s": %s' % (k, fields[k]) for k in sorted(fields)], " " * 4)
-    rendered = {}  # (node, cancel color) -> its request's text; a Request hashes slowly
-    for r in instance.requests:
-        key = (r.node, r.cancel_color)
-        if key not in rendered:
-            color = [] if r.cancel_color is None else ['"color": %d' % r.cancel_color]
-            rendered[key] = _block("{}", color + ['"node": ' + node[r.node], '"op": "%s"' % r.op],
-                                   " " * 6)
-    requests = _block("[]", [rendered[r.node, r.cancel_color] for r in instance.requests], " " * 4)
+
+    @cache  # keyed by (node, cancel color), not by the Request: a Request hashes slowly
+    def render(v, color):
+        parts = ['"node": ' + node[v], '"op": "color"'] if color is None else [
+            '"color": %d' % color, '"node": ' + node[v], '"op": "cancel"']
+        return _block("{}", parts, " " * 6)
+
+    requests = _block("[]", [render(r.node, r.cancel_color) for r in instance.requests], " " * 4)
     return '{\n  "graph": %s,\n  "name": %s,\n  "requests": %s\n}\n' % (graph, enc(name), requests)
 
 
@@ -228,13 +235,9 @@ def load_instance(path: str) -> Instance:
 
 
 def actions_to_dicts(actions) -> list[dict]:
-    out = []
-    for a in actions:
-        if isinstance(a, ColorAction):
-            out.append({"op": "color", "color": a.color})
-        else:
-            out.append({"op": "cancel", "recolor": list(a.recolor) if a.recolor else None})
-    return out
+    """A player's actions as the "actions" list of an assignment log file."""
+    return [{"op": "color", "color": a.color} if isinstance(a, ColorAction) else
+            {"op": "cancel", "recolor": list(a.recolor) if a.recolor else None} for a in actions]
 
 
 def _action(a, i):

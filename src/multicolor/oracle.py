@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import islice, permutations
 
-from .advice import AdviceTape, enc, fixed
+from .advice import AdviceTape, _width, enc, fixed
 from .errors import BudgetExceededError, DomainError, InternalConsistencyError
 from .graph import BORROW_FROM, CLASS_NAMES, Graph, clique_weight, maximal_cliques
 from .instance import Instance, demand, peak_clique_load, refuse_outside
@@ -31,41 +31,41 @@ class OptWitness(Value):
         self._init(opt_value, coloring)
 
 
-def _check_searchable(instance: Instance, dem: dict, omega: int, max_nodes, max_requests):
-    """Raise what opt_exact raises instead of searching: DomainError on a
-    cancellation, BudgetExceededError with lower bound omega beyond the budget."""
-    if instance.has_cancellations():
+def _check_searchable(optimum: Optimum):
+    """Raise what opt_exact raises instead of searching the optimum's instance:
+    DomainError on a cancellation, BudgetExceededError (lower bound omega) beyond
+    the optimum's budget."""
+    if optimum.instance.has_cancellations():
         raise DomainError("opt_exact handles cancellation-free instances only")
-    active, total = sum(k > 0 for k in dem.values()), sum(dem.values())
-    if active > max_nodes or total > max_requests:
+    active, total = sum(k > 0 for k in optimum.demand.values()), sum(optimum.demand.values())
+    if active > optimum.max_nodes or total > optimum.max_requests:
         raise BudgetExceededError(f"instance too large for exact search ({active} demanded nodes, "
-                                  f"{total} requests); best lower bound is {omega}",
-                                  lower_bound=omega)
+                                  f"{total} requests); best lower bound is {optimum.omega}",
+                                  lower_bound=optimum.omega)
 
 
 def opt_exact(instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
               max_requests: int = DEFAULT_MAX_REQUESTS) -> OptWitness:
-    """Exact minimum palette size with a witness coloring.
-
-    Iterative deepening on the palette size C, starting from the clique
-    lower bound.  Nodes are assigned in order of decreasing demand; within
-    a node, candidate color sets are tried in lexicographic order, so the
-    witness is deterministic.  Intended for small instances only.
-    """
-    g, dem = instance.graph, demand(instance)
-    omega = clique_weight(g, dem)
-    _check_searchable(instance, dem, omega, max_nodes, max_requests)
-    return _opt_search(g, dem, omega)
+    """Exact minimum palette size with a witness coloring: _opt_search on
+    an Optimum of the instance with this budget, once _check_searchable
+    lets it through.  Intended for small instances only."""
+    optimum = Optimum(instance, max_nodes, max_requests)
+    _check_searchable(optimum)
+    return _opt_search(optimum)
 
 
-def _opt_search(g: Graph, dem: dict, omega: int) -> OptWitness:
-    """opt_exact's search, past its gate, from the instance's demand and omega."""
+def _opt_search(optimum: Optimum) -> OptWitness:
+    """opt_exact's search, past its gate, from the optimum's demand and omega:
+    iterative deepening on the palette size from omega, the clique lower
+    bound, over the nodes in order of decreasing demand, each node's color
+    sets in lexicographic order, so the witness is deterministic."""
+    g, dem = optimum.instance.graph, optimum.demand
     order = sorted((v for v in g.nodes if dem[v]), key=lambda v: (-dem[v], v))
     position = {v: i for i, v in enumerate(order)}
     need = [dem[v] for v in order]
     neighbors = [[position[u] for u in g.adjacency[v] if u in position] for v in order]
     cliques = [[position[v] for v in c if v in position] for c in maximal_cliques(g)]
-    palette_size, masks = _search(need, neighbors, cliques, omega)
+    palette_size, masks = _search(need, neighbors, cliques, optimum.omega)
     coloring = {v: frozenset() for v in g.nodes}
     coloring.update((v, frozenset(_colors(m))) for v, m in zip(order, masks))
     return OptWitness(opt_value=palette_size, coloring=coloring)
@@ -199,12 +199,12 @@ class Optimum:
             return OptWitness(opt_value=m, coloring={
                 v: frozenset(range(1, k + 1) if side[v] == "L" else range(m - k + 1, m + 1))
                 for v, k in dem.items()})
-        _check_searchable(inst, dem, self.omega, self.max_nodes, self.max_requests)
+        _check_searchable(self)
         masks = omega_coloring(g, dem, self.omega)  # hexagonal: the gate refuses the rest
         if masks is not None:
             return OptWitness(opt_value=self.omega, coloring={
                 v: frozenset(_colors(masks.get(v, 0))) for v in g.nodes})
-        return _opt_search(g, dem, self.omega)
+        return _opt_search(self)
 
     @cached_property
     def value(self) -> int | None:
@@ -266,10 +266,9 @@ def advice_truncated(optimum: Optimum, b: int) -> AdviceTape:
     """b raw high-order bits of Opt followed by enc(a), a = bits(Opt) - b.
 
     If Opt fits in b bits the raw field is Opt left-padded with zeros and
-    a = 0, which the reader uses to detect the exact case.
-    """
-    if b < 1:
-        raise DomainError(f"b must be >= 1, got {b}")
+    a = 0, which the reader uses to detect the exact case.  A b that is None
+    or below 1 is refused (DomainError) before Opt is computed."""
+    b = _width(b)
     opt = optimum.peak_load
     a = max(0, opt.bit_length() - b)
     return AdviceTape(bits=fixed(opt >> a, b) + enc(a))

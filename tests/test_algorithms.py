@@ -405,6 +405,21 @@ def test_greedy_truncated_entry_refuses_b_below_1(field, b):
         getattr(ALGORITHMS["greedy_truncated"], field)(*args)
 
 
+def test_advice_truncated_refuses_a_missing_width():
+    from multicolor.oracle import advice_truncated
+
+    with pytest.raises(DomainError, match="^greedy_truncated needs the truncation width b$"):
+        advice_truncated(Optimum(path_family(40)[0]), None)
+
+
+def test_greedy_truncated_refuses_a_missing_width_before_reading_a_bit():
+    inst = path_family(40)[2]
+    tape = tape_for(12)
+    with pytest.raises(DomainError, match="^greedy_truncated needs the truncation width b$"):
+        greedy_truncated(inst.graph, tape, inst.requests, None)
+    assert tape.high_water == 0
+
+
 def test_players_reject_wrong_graph_kind():
     hex_g = build_hexagonal({"a": (0, 0)})
     path_g = build_path(2)

@@ -1,0 +1,333 @@
+#!/usr/bin/env python3
+"""Per-layer CPU times of `multicolor batch` on the small-exact-batch corpus,
+and the cold-start split of a batch process, written as one JSON file.
+
+  python3 scripts/bench_layers.py --out BENCH_23.json
+  python3 scripts/bench_layers.py --out BENCH_23.json --base ../parent/src
+
+Run from the repository root.  The corpus is perfbench's small-exact-batch
+workload at seed 1: 1,209 instance files and 2,827 runs of all
+six players on graphs of at most 17 nodes.  It is written once, into a
+temporary directory, and every side reads the same files.
+
+Each repetition runs in a fresh worker process, which imports the package
+from its side's src directory and replays the batch layer by layer, over the
+whole corpus, with fresh objects, so every cached offline fact is computed
+again as a batch computes it.  A layer's time is the user-mode CPU time of
+that step summed over the corpus:
+
+  read        harness._load_json of each instance file
+  decode      harness.instance_from_dict of each document
+  facts       each file's oracle.Optimum: demand, omega (and the cliques),
+              the peak load and Opt, and the witness when a trivial run asks
+  tape        harness.make_advice of each run, from its file's Optimum
+  player      algorithms.run_player of each run
+  validation  instance.validate_full of each run's actions
+  metrics     the rest of harness.run: max and distinct colors, the advice
+              and color bounds, and the RunReport
+  csv         harness.report_row and the CSV writer over every report
+
+The replay holds the whole corpus at once, which a batch never does, so the
+garbage collector is off while a layer is timed.  `batch` is the CPU time of
+harness.batch on the same manifest, in the same worker before the replay and
+after one untimed warm-up batch, with the collector on.  It is more than the
+sum of the layers: it also pays the batch loop, harness.run's own code and
+the collector.
+
+Each layer and the batch are timed by calibrate.run_inline, as perfbench
+times its in-process batch: the reference kernel runs before, after and
+every 0.1 s during the step, and the step's time is also given scaled to the
+reference core speed by the kernels around it.  The core's speed swings by
+20% to 2x within seconds on a shared host, so one kernel reading per worker
+would scale a whole worker's steps by whatever speed that reading caught.
+With --base (the src directory of another checkout), the workers of the two
+sides alternate, base first on even repetitions, so drift in the machine's
+speed falls on both.  Each time is a median over the workers, in CPU seconds
+(`cpu_s`) and scaled (`scaled_s`).
+
+The cold-start split is the median wall time of --reps runs each, and the
+same scaled by the kernel run just before and after each, the sides
+alternating as above: `python -c pass`, `python -S -c pass`, and
+`import multicolor.cli` from a copy of the package with its bytecode
+compiled and from one where no bytecode is written (PYTHONDONTWRITEBYTECODE=1,
+as perfbench's batches may run).  The script pins itself, and so every
+process it starts, to one core, as perfbench does.  The last line of stdout
+is the path of the JSON file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+PERFBENCH = os.path.join(ROOT, "perfbench")
+LAYERS = ("read", "decode", "facts", "tape", "player", "validation", "metrics", "csv")
+SEED = 1  # the seed of the perfbench small-exact-batch runs that CHANGES.md reports
+
+
+def _commit(src):
+    """The commit checked out at src, marked when src differs from it."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=src, capture_output=True, text=True,
+                              timeout=30)
+
+    try:
+        head, dirty = git("rev-parse", "HEAD"), git("status", "--porcelain", "--", ".")
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    if head.returncode != 0:
+        return "unknown (not a git checkout)"
+    return head.stdout.strip() + (" with uncommitted changes" if dirty.stdout else "")
+
+
+def _machine():
+    model = "unknown"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {"platform": platform.platform(), "cpu": model, "nproc": os.cpu_count()}
+
+
+# ---------------------------------------------------------------------------
+# worker: one repetition of the layer split, in a fresh process
+
+def _times(timing):
+    return {"cpu_s": timing.run_s, "scaled_s": timing.scaled_s}
+
+
+def _batch(manifest_path, calibrate):
+    """The calibrate.Timing of harness.batch on the manifest."""
+    from multicolor import harness
+
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    return calibrate.run_inline(harness.batch, manifest,
+                                os.path.dirname(manifest_path))[1]
+
+
+def _layers(manifest_path, calibrate):
+    """{layer: {"cpu_s", "scaled_s"}} for one layer-by-layer replay of the
+    batch."""
+    from multicolor import harness, oracle
+    from multicolor.algorithms import ALGORITHMS, run_player
+    from multicolor.errors import MultiColorError
+    from multicolor.instance import validate_full
+
+    base = os.path.dirname(manifest_path)
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    groups = []  # (path, [(algo, b), ...]) for each run of consecutive entries on one file
+    for entry in manifest["runs"]:
+        if not groups or groups[-1][0] != entry["instance"]:
+            groups.append((entry["instance"], []))
+        groups[-1][1].append((entry["algo"], entry.get("b")))
+
+    spent = {}
+
+    def timed(layer, fn, items):
+        gc.collect()
+        gc.disable()
+        out, timing = calibrate.run_inline(lambda: [fn(*item) for item in items])
+        gc.enable()
+        spent[layer] = _times(timing)
+        return out
+
+    docs = timed("read", harness._load_json,
+                 [(os.path.join(base, path),) for path, _ in groups])
+    instances = timed("decode", harness.instance_from_dict, [(doc,) for doc in docs])
+
+    def facts(instance, runs):
+        optimum = oracle.Optimum(instance)
+        optimum.demand, optimum.omega, optimum.peak_load, optimum.value
+        if any(algo == "trivial" for algo, _ in runs):
+            try:
+                optimum.witness
+            except MultiColorError:
+                pass
+        return optimum
+
+    optima = timed("facts", facts, [(inst, runs) for inst, (_, runs) in zip(instances, groups)])
+    runs = [(inst, opt, algo, b) for inst, opt, (_, group) in zip(instances, optima, groups)
+            for algo, b in group]
+
+    def tape(instance, optimum, algo, b):
+        try:
+            return harness.make_advice(instance, algo, b=b, optimum=optimum)
+        except MultiColorError:
+            return None
+
+    def play(instance, optimum, algo, b, tape):
+        try:
+            return run_player(algo, instance.graph, tape, instance.requests, b=b)
+        except MultiColorError:
+            return None
+
+    def validate(instance, optimum, algo, b, tape, actions):
+        return validate_full(instance, actions)
+
+    def measure(instance, optimum, algo, b, tape, actions):
+        max_color, distinct = harness._metrics(actions)
+        opt = optimum.value
+        return harness.RunReport(
+            algo, instance.name, max_color, distinct, tape.high_water, opt,
+            max_color / opt if opt else None, True,
+            harness.advice_bound(instance, algo, b=b, optimum=optimum),
+            ALGORITHMS[algo].color_bound(optimum, b))
+
+    # each step keeps the runs that the last one did not refuse, with its output
+    runs = [(*run, t) for run, t in zip(runs, timed("tape", tape, runs)) if t is not None]
+    runs = [(*run, a) for run, a in zip(runs, timed("player", play, runs)) if a is not None]
+    timed("validation", validate, runs)
+    reports = timed("metrics", measure, runs)
+
+    def write_csv(reports):
+        import io
+        writer = harness.csv_writer(io.StringIO())
+        for report in reports:
+            writer.writerow(harness.report_row(report))
+
+    timed("csv", write_csv, [(reports,)])
+    return spent
+
+
+def _worker(src, manifest_path):
+    sys.path.insert(0, src)
+    sys.path.insert(0, PERFBENCH)
+    import calibrate
+
+    _batch(manifest_path, calibrate)  # a warm-up batch, untimed
+    batch = _times(_batch(manifest_path, calibrate))
+    print(json.dumps({"layers": _layers(manifest_path, calibrate), "batch": batch}))
+
+
+# ---------------------------------------------------------------------------
+# the main process: workers, cold start and the JSON file
+
+def _run_worker(src, manifest_path):
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", src,
+                          manifest_path], capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _summary(samples):
+    """Medians per layer, raw and scaled, over the worker samples."""
+    def medians(times):
+        return {key: statistics.median(t[key] for t in times) for key in ("cpu_s", "scaled_s")}
+
+    layers = {layer: medians([s["layers"][layer] for s in samples]) for layer in LAYERS}
+    return {"reps": len(samples), "layers": layers,
+            "layers_total": {key: sum(v[key] for v in layers.values())
+                             for key in ("cpu_s", "scaled_s")},
+            "batch": medians([s["batch"] for s in samples])}
+
+
+def _alternate(sides, reps):
+    """Each side once per repetition, the first side first on even ones."""
+    for rep in range(reps):
+        yield from (sides if rep % 2 == 0 else sides[::-1])
+
+
+def _cold_start_commands(src, scratch):
+    """{label: (argv, env)} of the cold-start commands: interpreter start, and
+    importing multicolor.cli from copies of src's package with and without
+    bytecode."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
+    commands = {"python_c_pass_s": ([sys.executable, "-c", "pass"], env),
+                "python_S_c_pass_s": ([sys.executable, "-S", "-c", "pass"], env)}
+    for label, compiled in (("import_cli_bytecode_s", True), ("import_cli_no_bytecode_s", False)):
+        copy = os.path.join(scratch, label)
+        shutil.copytree(os.path.join(src, "multicolor"), os.path.join(copy, "multicolor"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        child = dict(env, PYTHONPATH=copy)
+        if compiled:
+            subprocess.run([sys.executable, "-m", "compileall", "-q", copy], env=child, check=True)
+        else:
+            child["PYTHONDONTWRITEBYTECODE"] = "1"
+        commands[label] = ([sys.executable, "-c", "import multicolor.cli"], child)
+    return commands
+
+
+def _wall_s(argv, env, calibrate):
+    """(wall seconds, the same scaled by the kernel run just before and after)."""
+    before = calibrate.kernel()
+    start = time.perf_counter()
+    subprocess.run(argv, env=env, check=True)
+    wall = time.perf_counter() - start
+    return wall, wall * calibrate.REF_S * 2 / (before + calibrate.kernel())
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="the JSON file to write")
+    parser.add_argument("--base", help="the src directory of a base to compare with")
+    parser.add_argument("--reps", type=int, default=7,
+                        help="worker processes and cold-start runs per side")
+    args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
+    sides = {"change": os.path.join(ROOT, "src")}
+    if args.base:
+        sides = {"base": os.path.abspath(args.base), **sides}
+
+    # the workers, the commands timed and the calibration kernel share one
+    # core, as in perfbench, so the kernel sees the speed they ran at
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    with tempfile.TemporaryDirectory() as scratch:
+        sys.path[:0] = [sides["change"], PERFBENCH]
+        import calibrate
+        import workloads
+
+        manifest = workloads.generate("small-exact-batch", SEED,
+                                      os.path.join(scratch, "corpus"))
+        samples = {side: [] for side in sides}
+        for side in _alternate(list(sides), args.reps):
+            samples[side].append(_run_worker(sides[side], manifest))
+        commands = {side: _cold_start_commands(src, os.path.join(scratch, side))
+                    for side, src in sides.items()}
+        cold = {side: {label: [] for label in commands[side]} for side in sides}
+        for side in _alternate(list(sides), args.reps):
+            for label, (command, env) in commands[side].items():
+                cold[side][label].append(_wall_s(command, env, calibrate))
+    result = {"python": sys.version.split()[0], "machine": _machine(),
+              "workload": f"small-exact-batch seed {SEED}", "sides": {}}
+    for side, src in sides.items():
+        result["sides"][side] = {
+            "commit": _commit(src), **_summary(samples[side]),
+            "cold_start": {label: {"wall_s": statistics.median(w for w, _ in runs),
+                                   "scaled_s": statistics.median(x for _, x in runs)}
+                           for label, runs in cold[side].items()}}
+    with open(args.out, "w") as fh:
+        json.dump(result, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for side, data in result["sides"].items():
+        cells = " ".join(f"{k} {v['cpu_s'] * 1e3:.1f}/{v['scaled_s'] * 1e3:.1f}"
+                         for k, v in data["layers"].items())
+        batch = data["batch"]
+        print(f"{side}: {cells}; batch {batch['cpu_s'] * 1e3:.1f}/{batch['scaled_s'] * 1e3:.1f}"
+              " ms (cpu/scaled)")
+    print(args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--worker":
+        _worker(sys.argv[2], sys.argv[3])
+    else:
+        sys.exit(main())

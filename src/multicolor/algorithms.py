@@ -80,10 +80,25 @@ def greedy_cancel(graph: Graph, tape: AdviceTape, requests) -> list:
 
 def trivial(graph: Graph, tape: AdviceTape, requests) -> list:
     """Reads w = ceil(log2(Opt+1)) once, then w bits per request naming the
-    color directly."""
+    color directly, all n fields in one pass over the tape's bits.  A tape
+    too short for the fields fails in one read_fixed over them, which stops
+    at the end of the tape as the first short field would."""
     refuse_outside("trivial", graph, requests)
     w = dec(tape)
-    return [_color(tape.read_fixed(w) + 1) for _ in requests]
+    if not w:
+        return [_color(1)] * len(requests)
+    start = tape.cursor
+    end = start + w * len(requests)
+    if end > len(tape.bits):
+        tape.read_fixed(end - start)
+    out, value, k = [], 0, 0
+    for bit in tape.bits[start:end]:
+        value, k = value << 1 | bit, k + 1
+        if k == w:
+            out.append(_color(value + 1))
+            value = k = 0
+    tape.cursor = end
+    return out
 
 
 def fpa(graph: Graph, tape: AdviceTape, requests) -> list:
@@ -131,36 +146,38 @@ def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
     size = 0          # current private palette size (per class)
     frozen = False    # set once any node leaves phase 1
     top = None        # omega + q, known from the first upper node on
-    phase = {v: 1 for v in graph.nodes}
+    phase = dict.fromkeys(graph.nodes, 1)
     upper = {}
     nxt = {}          # node -> its next phase-3 color
     f = {v: set() for v in graph.nodes}
+    class_of, read_bit = graph.class_of, tape.read_bit
     out = []
 
     for r in requests:
         v = r.node
-        cls = graph.class_of[v]
+        held = f[v]
         if phase[v] == 1:
-            if frozen and len(f[v]) == size:
+            if frozen and len(held) == size:
                 phase[v] = 2
-            elif tape.read_bit() == 0:
-                # f[v] holds the first len(f[v]) colors of the private palette
-                color = PALETTE_START[cls] + 3 * len(f[v])
-                size = max(size, len(f[v]) + 1)
+            elif read_bit() == 0:
+                # held is the first len(held) colors of the private palette
+                color = PALETTE_START[class_of[v]] + 3 * len(held)
+                if len(held) >= size:  # size = max(size, len(held) + 1)
+                    size = len(held) + 1
             else:
                 phase[v] = 2
                 frozen = True
         if phase[v] == 2:
-            if tape.read_bit() == 0:
+            if read_bit() == 0:
                 # the first `size` colors of the lender's interleaved private palette
-                lender = set(range(PALETTE_START[BORROW_FROM[cls]], 3 * size + 1, 3)) - f[v]
+                lender = set(range(PALETTE_START[BORROW_FROM[class_of[v]]], 3 * size + 1, 3)) - held
                 for u in graph.adjacency[v]:
                     lender -= f[u]
                 if not lender:
                     raise CapacityExceededError(f"no borrowable color left at {v!r}")
                 color = max(lender)
             else:
-                upper[v] = tape.read_bit()
+                upper[v] = read_bit()
                 if upper[v] and top is None:
                     d = tape.read_fixed(2)
                     if d == 3:
@@ -173,7 +190,7 @@ def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
             if color <= 3 * size:
                 raise CapacityExceededError(f"phase-3 window exhausted at {v!r}")
             nxt[v] += -1 if upper[v] else 1
-        f[v].add(color)
+        held.add(color)
         out.append(_color(color))
     return out
 
@@ -214,7 +231,7 @@ ALGORITHMS: dict[str, Algorithm] = _Registry({
         lambda optimum, b: enc_len(optimum.peak_load),
         lambda optimum, b: optimum.peak_load),
     "greedy_truncated": Algorithm(
-        lambda g, tape, reqs, b: greedy_truncated(g, tape, reqs, _width(b)),
+        lambda g, tape, reqs, b: greedy_truncated(g, tape, reqs, b),
         lambda optimum, b: oracle.advice_truncated(optimum, b),
         lambda optimum, b: _width(b) + enc_len(max(0, optimum.peak_load.bit_length() - b)),
         lambda optimum, b: ((1 << _width(b) - 1) + 1) * optimum.peak_load >> b - 1),

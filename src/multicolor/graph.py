@@ -68,8 +68,14 @@ class Graph(Value):
             for w in nbrs:
                 if w > u:
                     common = triangles and nbrs.keys() & adj[w].keys()
-                    found += [(u, w, x) for x in common if x > w] if common else [(u, w)]
-        return [frozenset(c) for c in sorted(found)]
+                    if not common:
+                        found.append((u, w))
+                        continue
+                    for x in common:
+                        if x > w:
+                            found.append((u, w, x))
+        found.sort()
+        return list(map(frozenset, found))
 
     def edge_list(self) -> list[tuple[str, str]]:
         return sorted((u, w) for u, nbrs in self.adjacency.items() for w in nbrs if u < w)
@@ -142,4 +148,10 @@ def maximal_cliques(g: Graph) -> list[frozenset]:
 
 def clique_weight(g: Graph, demand: dict) -> int:
     """omega: maximum total demand over the maximal cliques of g."""
-    return max((sum(demand.get(v, 0) for v in c) for c in maximal_cliques(g)), default=0)
+    get, weights = demand.get, []
+    for c in maximal_cliques(g):  # plain loops: a generator per clique costs more than its sum
+        total = 0
+        for v in c:
+            total += get(v, 0)
+        weights.append(total)
+    return max(weights, default=0)

@@ -18,7 +18,7 @@ import io
 import json
 import os
 import time
-from functools import cache
+from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .advice import AdviceTape
@@ -94,11 +94,17 @@ def _request(r, i):
     return Request(node=node, op=op, cancel_color=color)  # checks op; a color op has no color
 
 
+# Requests are immutable values, so the files one process loads share one per
+# (node, op, color): a batch of small files repeats the same few names.
+_shared_request = lru_cache(maxsize=4096)(Request)
+
+
 def _requests(items):
     """The requests of an instance file, one Request per distinct (node, op,
-    color).  Only fields of exact types are looked up and built directly:
-    True and 2.0 equal the ints 1 and 2, and _request names a cancel's
-    missing color, so these go through _request and its checks."""
+    color), shared with earlier files while _shared_request holds it.  Only
+    fields of exact types are looked up and built directly: True and 2.0
+    equal the ints 1 and 2, and _request names a cancel's missing color, so
+    these go through _request and its checks."""
     made, out = {}, []
     for i, r in enumerate(items, 1):
         if type(r) is dict:
@@ -107,7 +113,7 @@ def _requests(items):
                     type(color) is int or color is None and op != "cancel"):
                 request = made.get(key)
                 if request is None:
-                    request = made[key] = Request(node, op, color)
+                    request = made[key] = _shared_request(node, op, color)
                 out.append(request)
                 continue
         out.append(_request(r, i))
@@ -222,12 +228,18 @@ def save_instance(instance: Instance, path: str) -> None:
 
 
 def _load_json(path: str, error=MalformedInstanceError):
-    """The JSON document in the file at path; `error` if it is not JSON."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
-            raise error(str(exc)) from exc
+    """The JSON document in the file at path, read as bytes and decoded as
+    UTF-8, with the newlines that text mode translates (a lone \r or \r\n)
+    read as \n; `error` if it is not JSON."""
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
+    try:
+        text = data.decode()
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+        raise error(str(exc)) from exc
 
 
 def load_instance(path: str) -> Instance:
@@ -361,26 +373,19 @@ CSV_COLUMNS = ("algorithm", "instance", "max_color", "distinct_colors",
                "advice_bits_read", "opt_value", "strict_ratio", "valid", "status")
 
 
-def report_row(report: RunReport) -> dict:
-    """The CSV row of a successful run."""
-    return {
-        "algorithm": report.algorithm,
-        "instance": report.instance,
-        "max_color": report.max_color,
-        "distinct_colors": report.distinct_colors,
-        "advice_bits_read": report.advice_bits_read,
-        "opt_value": "" if report.opt_value is None else report.opt_value,
-        "strict_ratio": "" if report.strict_ratio is None else f"{report.strict_ratio:.6f}",
-        "valid": str(report.valid).lower(),
-        "status": "ok",
-    }
+def report_row(report: RunReport) -> list:
+    """The CSV row of a successful run, in CSV_COLUMNS order."""
+    return [report.algorithm, report.instance, report.max_color, report.distinct_colors,
+            report.advice_bits_read, "" if report.opt_value is None else report.opt_value,
+            "" if report.strict_ratio is None else f"{report.strict_ratio:.6f}",
+            "true" if report.valid else "false", "ok"]
 
 
-def csv_writer(out) -> csv.DictWriter:
-    """A CSV report writer on the text stream out, header written; its rows
-    are dicts keyed by CSV_COLUMNS, missing columns left empty."""
-    writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, restval="", lineterminator="\n")
-    writer.writeheader()
+def csv_writer(out):
+    """A CSV report writer (csv.writer) on the text stream out, header
+    written; its rows are lists in CSV_COLUMNS order."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     return writer
 
 
@@ -427,8 +432,8 @@ def batch(manifest: dict, base_dir: str = ".") -> tuple[str, bool]:
             writer.writerow(report_row(report))
             all_ok = all_ok and report.ok
         except (MultiColorError, OSError) as exc:
-            writer.writerow({"algorithm": algo, "instance": record.get("instance", "?"),
-                             "status": f"error: {exc}"})
+            writer.writerow([algo, record.get("instance", "?"), "", "", "", "", "", "",
+                             f"error: {exc}"])
             all_ok = False
     return buf.getvalue(), all_ok
 

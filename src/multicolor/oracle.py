@@ -73,7 +73,12 @@ def _opt_search(optimum: Optimum) -> OptWitness:
 
 def _colors(mask):
     """The colors of a color mask (color c is bit c), in increasing order."""
-    return [c for c in range(mask.bit_length()) if mask >> c & 1]
+    out = []
+    while mask:
+        low = mask & -mask  # the lowest color left
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _candidate_sets(avail, k, used):
@@ -203,7 +208,7 @@ class Optimum:
         masks = omega_coloring(g, dem, self.omega)  # hexagonal: the gate refuses the rest
         if masks is not None:
             return OptWitness(opt_value=self.omega, coloring={
-                v: frozenset(_colors(masks.get(v, 0))) for v in g.nodes})
+                v: frozenset(_colors(m)) for v, m in masks.items()})
         return _opt_search(self)
 
     @cached_property
@@ -221,7 +226,8 @@ class Optimum:
 
 
 def omega_coloring(g: Graph, dem: dict, omega: int) -> dict | None:
-    """node -> color mask of an omega-coloring of a hexagonal graph, or None.
+    """node -> color mask of an omega-coloring of a hexagonal graph, or None;
+    every node of g is a key, and a node without demand has mask 0.
 
     Each R/G/B class is an independent set, so the classes are colored one
     at a time: each node takes the dem[v] lowest colors in 1..omega that its
@@ -230,13 +236,16 @@ def omega_coloring(g: Graph, dem: dict, omega: int) -> dict | None:
     bound on Opt, so such a coloring is optimal.
     """
     full, adj = (1 << omega + 1) - 2, g.adjacency  # full: the colors 1..omega
-    members = {cls: [v for v in g.nodes if dem[v] and g.class_of[v] == cls] for cls in CLASS_NAMES}
-    for order in permutations(CLASS_NAMES):
-        masks = {}
-        for v in (v for cls in order for v in members[cls]):
+    members = {cls: [] for cls in CLASS_NAMES}
+    for v in g.nodes:
+        if dem[v] and g.class_of[v] in members:
+            members[g.class_of[v]].append(v)
+    for first, second, third in permutations(CLASS_NAMES):
+        masks = dict.fromkeys(g.nodes, 0)
+        for v in members[first] + members[second] + members[third]:
             free = full
             for u in adj[v]:
-                free &= ~masks.get(u, 0)
+                free &= ~masks[u]
             if free.bit_count() < dem[v]:
                 break
             take = 0
@@ -246,8 +255,10 @@ def omega_coloring(g: Graph, dem: dict, omega: int) -> dict | None:
             masks[v] = take
         else:
             for v, k in dem.items():
-                m = masks.get(v, 0)
-                if m.bit_count() != k or m & ~full or any(m & masks.get(u, 0) for u in adj[v]):
+                m, taken = masks.get(v, 0), ~full  # taken: the colors v may not hold
+                for u in adj[v]:
+                    taken |= masks[u]
+                if m.bit_count() != k or m & taken:
                     raise InternalConsistencyError(f"omega-coloring fails at {v!r}")
             return masks
     return None
@@ -317,18 +328,21 @@ def plan_43(optimum: Optimum) -> tuple:
     which the theory rules out."""
     instance = optimum.instance
     refuse_outside("hex43", instance.graph, instance.requests, ("hexagonal",))
-    g, adj = instance.graph, instance.graph.adjacency
+    g, adj, class_of = instance.graph, instance.graph.adjacency, instance.graph.class_of
     dem, omega = optimum.demand, optimum.omega
     q = (omega + 1) // 3
 
     private, borrow, pending = {}, {}, {}   # pending: G2 node -> its leftover demand
     for v in g.nodes:
-        lender = BORROW_FROM[g.class_of[v]]
-        n_prime = max((dem[u] for u in adj[v] if g.class_of[u] == lender), default=0)
-        private[v] = min(dem[v], q)
-        borrow[v] = min(dem[v] - q, max(0, q - n_prime)) if dem[v] > q else 0
-        if dem[v] > private[v] + borrow[v]:
-            pending[v] = dem[v] - private[v] - borrow[v]
+        n_v = dem[v]
+        if n_v <= q:  # served from the private palette alone
+            private[v], borrow[v] = n_v, 0
+            continue
+        lender = BORROW_FROM[class_of[v]]
+        n_prime = max([dem[u] for u in adj[v] if class_of[u] == lender], default=0)
+        private[v], borrow[v] = q, min(n_v - q, max(0, q - n_prime))
+        if n_v > q + borrow[v]:
+            pending[v] = n_v - q - borrow[v]
 
     g2_nodes = sorted(pending)
     for u in g2_nodes:

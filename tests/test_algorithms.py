@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multicolor.advice import AdviceTape, enc
+from multicolor.advice import AdviceTape, dec, enc
 from multicolor.adversary import (
     path_family,
     random_cancel_instance,
@@ -19,7 +19,7 @@ from multicolor.algorithms import (
     run_player,
     trivial,
 )
-from multicolor.errors import AdviceError, CapacityExceededError, DomainError
+from multicolor.errors import AdviceError, CapacityExceededError, DomainError, TapeUnderrunError
 from multicolor.graph import build_bipartite, build_hexagonal, build_path
 from multicolor.harness import make_advice
 from multicolor.instance import (
@@ -176,6 +176,30 @@ class TestTrivial:
         assert validate_full(inst, acts) is None
         assert max(colors(acts)) == 12
         assert tape.high_water == len(tape)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 10),
+           st.lists(st.sampled_from([0, 1]), max_size=40), st.data())
+    def test_decode_equals_the_read_fixed_fold(self, w, n, body, data):
+        """The colors, the cursor and any underrun message are those of
+        reading enc(w) and then n w-bit fields with read_fixed, one by one,
+        also for w = 0 and for a tape that ends in the header or a field."""
+        bits = enc(w) + body
+        bits = bits[:data.draw(st.integers(0, len(bits)))]
+
+        def fold(tape):
+            width = dec(tape)
+            return [tape.read_fixed(width) + 1 for _ in range(n)]
+
+        outcomes = []
+        for play in (fold, lambda tape: colors(trivial(build_path(1), tape,
+                                                      (Request("v1", "color"),) * n))):
+            tape = AdviceTape(bits=list(bits))
+            try:
+                outcomes.append((play(tape), tape.cursor))
+            except TapeUnderrunError as exc:
+                outcomes.append((str(exc), tape.cursor))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestFpa:
@@ -418,6 +442,23 @@ def test_greedy_truncated_refuses_a_missing_width_before_reading_a_bit():
     with pytest.raises(DomainError, match="^greedy_truncated needs the truncation width b$"):
         greedy_truncated(inst.graph, tape, inst.requests, None)
     assert tape.high_water == 0
+
+
+@pytest.mark.parametrize("graph, requests, message", [
+    (build_hexagonal({"v1": (0, 0)}), (Request("v1", "color"),),
+     "greedy_truncated needs a path/bipartite graph, got hexagonal"),
+    (build_path(1), (Request("v1", "color"), Request("v1", "cancel", cancel_color=1)),
+     "greedy_truncated does not handle cancellations"),
+], ids=["hexagonal", "cancellation"])
+def test_greedy_truncated_entry_points_refuse_the_domain_before_the_width(graph, requests,
+                                                                          message):
+    entry_points = (lambda tape: run_player("greedy_truncated", graph, tape, requests, b=0),
+                    lambda tape: greedy_truncated(graph, tape, requests, 0))
+    for play in entry_points:
+        tape = tape_for(1)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            play(tape)
+        assert tape.high_water == 0
 
 
 def test_players_reject_wrong_graph_kind():

@@ -20,7 +20,7 @@ from multicolor.adversary import (hex_54, hex_chain, path_family, random_cancel_
 from multicolor.algorithms import ALGORITHMS
 from multicolor.cli import build_parser, main
 from multicolor.errors import (DomainError, MalformedInstanceError, MalformedLogError,
-                               MultiColorError, NotBipartiteError)
+                               MalformedManifestError, MultiColorError, NotBipartiteError)
 from multicolor.graph import Graph, build_bipartite, build_hexagonal, build_path
 from multicolor.harness import (
     actions_from_dicts,
@@ -589,6 +589,32 @@ def _run_benchmarks():
     return module
 
 
+def dict_writer_reference(manifest, base_dir):
+    """The reference report: each manifest run done on its own and written by
+    csv.DictWriter from a dict per row, missing columns left empty."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=harness.CSV_COLUMNS, restval="", lineterminator="\n")
+    writer.writeheader()
+    for i, entry in enumerate(manifest["runs"], 1):
+        record = entry if isinstance(entry, dict) else {}
+        algo = record.get("algo", "?")
+        try:
+            path, algo, b = harness._run_entry(entry, i)
+            report = run(load_instance(os.path.join(base_dir, path)), algo, b=b)
+        except (MultiColorError, OSError) as exc:
+            writer.writerow({"algorithm": algo, "instance": record.get("instance", "?"),
+                             "status": f"error: {exc}"})
+            continue
+        writer.writerow({
+            "algorithm": report.algorithm, "instance": report.instance,
+            "max_color": report.max_color, "distinct_colors": report.distinct_colors,
+            "advice_bits_read": report.advice_bits_read,
+            "opt_value": "" if report.opt_value is None else report.opt_value,
+            "strict_ratio": "" if report.strict_ratio is None else f"{report.strict_ratio:.6f}",
+            "valid": str(report.valid).lower(), "status": "ok"})
+    return buf.getvalue()
+
+
 class TestBatch:
     def _manifest(self, tmp_path):
         save_instance(path_family(40)[2], str(tmp_path / "i2.json"))
@@ -674,6 +700,26 @@ class TestBatch:
         assert lines[1].startswith("greedy_opt,path_family_n40_i2,12,")
 
 
+    def test_csv_equals_a_dict_writer_reference(self, tmp_path):
+        manifest = _run_benchmarks().build_corpus(str(tmp_path), 3)
+        big = random_instance("hexagonal", seed=1, n_nodes=30, n_requests=60, grid_extent=8)
+        save_instance(big, str(tmp_path / "big.json"))
+        odd = 'x,"y"\n\u00e9\u20ac'  # a comma, quotes, a newline and non-ASCII
+        manifest["runs"][2:2] = [
+            {"instance": "big.json", "algo": "fpa"},
+            {"instance": "big.json", "algo": "trivial"},
+            {"instance": manifest["runs"][0]["instance"], "algo": odd},
+            {"instance": odd + ".json", "algo": "fpa"},
+            {"instance": [odd], "algo": "fpa"},
+            {"instance": None, "algo": 5},
+            odd,
+            {"instance": manifest["runs"][0]["instance"], "algo": "greedy_truncated", "b": 0},
+        ]
+        text, ok = batch(manifest, base_dir=str(tmp_path))
+        assert not ok
+        assert text == dict_writer_reference(manifest, str(tmp_path))
+        assert '"x,""y""\n\u00e9\u20ac"' in text
+
     def test_golden_report(self, tmp_path):
         # the CSV of `scripts/run_benchmarks.py --seeds 25`, byte for byte
         manifest = _run_benchmarks().build_corpus(str(tmp_path), 25)
@@ -702,6 +748,89 @@ class TestBatch:
         assert len(rows) == 4
         assert rows[1]["status"].startswith(f"error: {error}")
         assert [r["status"] for r in rows[:1] + rows[2:]] == ["ok"] * 3  # the batch went on
+
+
+def text_mode_load(path, error):
+    """The reference reader: json.load on the file opened in text mode as
+    UTF-8, which translates each \r\n and lone \r to \n; `error` if it is
+    not JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(str(exc)) from exc
+
+
+# file contents on which the byte reader must give the reference's document or error text
+JSON_FILES = {
+    "invalid utf-8": b'{"runs": [1,\n "\xff"]}',
+    "invalid utf-8 after non-ascii": '{"a": "\u00e9\u20ac"}'.encode() + b"\xc3(",
+    "utf-8 bom": b"\xef\xbb\xbf" + json.dumps({"runs": []}).encode(),
+    "crlf, syntax error late":
+        ('{\r\n' + '  "a": [1, 2],\r\n' * 40 + '  "b": [1,,2]\r\n}\r\n').encode(),
+    "lone cr, syntax error late": ('{\r' + '  "a": 1,\r' * 40 + '  "b": }\r').encode(),
+    "mixed newlines, valid": b'{\r\n"actions":\r[\n{"op": "color", "color": 1}\r\n]}\r',
+    "cr inside a string": b'{"runs": "a\rb"}',
+    "non-ascii, valid": '{"runs": [], "name": "\u00e9\u20ac\U0001f600"}'.encode(),
+    "empty": b"",
+    "too deep": DEEP_JSON.encode(),
+}
+
+
+def json_error(path, error):
+    """(document, None) or (None, (error class, text)) of text_mode_load."""
+    try:
+        return text_mode_load(path, error), None
+    except MultiColorError as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestLoadJson:
+    @pytest.mark.parametrize("name", sorted(JSON_FILES))
+    @pytest.mark.parametrize("error", [MalformedInstanceError, MalformedLogError,
+                                       MalformedManifestError])
+    def test_bytes_give_the_text_mode_document_or_error(self, tmp_path, name, error):
+        path = tmp_path / "file.json"
+        path.write_bytes(JSON_FILES[name])
+        document, expected = json_error(str(path), error)
+        if expected is None:
+            assert harness._load_json(str(path), error) == document
+        else:
+            with pytest.raises(error) as got:
+                harness._load_json(str(path), error)
+            assert (type(got.value), str(got.value)) == expected
+
+    @pytest.mark.parametrize("name", sorted(JSON_FILES))
+    def test_instance_manifest_and_log_files_fail_as_the_reference(self, tmp_path, name,
+                                                                   capsys):
+        path = tmp_path / "file.json"
+        path.write_bytes(JSON_FILES[name])
+        for load, error in ((load_instance, MalformedInstanceError),
+                            (harness.load_log, MalformedLogError)):
+            document, expected = json_error(str(path), error)
+            if expected is not None:
+                with pytest.raises(error) as got:
+                    load(str(path))
+                assert str(got.value) == expected[1]
+        document, expected = json_error(str(path), MalformedManifestError)
+        if expected is not None:
+            assert main(["batch", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {expected[1]}\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([b"{", b"}", b"[", b"]", b'"a"', b":", b",", b"1", b" ",
+                                     b"\r", b"\n", b"\r\n", b"\xff", b"\xc3\xa9",
+                                     b"\xef\xbb\xbf", b'"\r"']), max_size=12))
+    def test_fragments_give_the_text_mode_document_or_error(self, tmp_path_factory, parts):
+        path = tmp_path_factory.mktemp("json") / "file.json"
+        path.write_bytes(b"".join(parts))
+        document, expected = json_error(str(path), MalformedInstanceError)
+        if expected is None:
+            assert harness._load_json(str(path)) == document
+        else:
+            with pytest.raises(MalformedInstanceError) as got:
+                harness._load_json(str(path))
+            assert str(got.value) == expected[1]
 
 
 class TestCli:

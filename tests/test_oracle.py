@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from multicolor import harness, oracle
 from multicolor.adversary import hex_chain, path_family, random_cancel_instance, random_instance
 from multicolor.advice import enc, enc_len
-from multicolor.errors import BudgetExceededError, DomainError
-from multicolor.graph import (HEX_OFFSETS, build_bipartite, build_hexagonal, build_path,
-                              maximal_cliques)
+from multicolor.errors import BudgetExceededError, DomainError, InternalConsistencyError
+from multicolor.graph import (CLASS_NAMES, HEX_OFFSETS, Graph, build_bipartite, build_hexagonal,
+                              build_path, maximal_cliques)
 from multicolor.instance import Instance, Request, demand, demand_clique_weight, validate_full
 from multicolor.oracle import (
     advice_43,
@@ -233,6 +233,27 @@ class TestAdviceTrivial:
             advice_trivial(Optimum(inst))
         assert calls == []
 
+    def test_corpus_tapes_are_pinned(self):
+        """sha256 over the trivial tapes, one per line, of the small-exact-batch
+        corpus in scripts/run_benchmarks.py's order; the trivial player reads
+        each tape to its end."""
+        from multicolor.adversary import hex_54
+        from multicolor.algorithms import trivial
+
+        instances = [path_family(40)[i] for i in (0, 2, 5, 10)]
+        instances += [hex_chain(k, branch) for k, branch in [(1, (0,)), (1, (1,)), (3, (1, 0, 1))]]
+        instances += [hex_54(p, 1) for p in (4, 8)]
+        for s in range(400):
+            instances += [random_instance("bipartite", seed=s, n_nodes=8, n_requests=24),
+                          random_instance("hexagonal", seed=s, n_nodes=10, n_requests=30)]
+        h = hashlib.sha256()
+        for inst in instances:
+            tape = advice_trivial(Optimum(inst))
+            h.update((tape.to_string() + "\n").encode())
+            trivial(inst.graph, tape, inst.requests)
+            assert tape.exhausted()
+        assert h.hexdigest() == "d87e8c420b5b87713fac499352bbfa5f10a7dfcbe14ae2e378dbcb02b1aab0e2"
+
 
 class TestAdviceFpa:
     def test_omega4(self):
@@ -280,6 +301,50 @@ class TestPlan43:
         omega, q, private, borrow, upper = plan_43(Optimum(hex_triangle_211()))
         assert omega == 4 and q == 1
         assert "a" in upper
+
+
+class TestSelfChecks:
+    """Each InternalConsistencyError of the oracle, reached with an input that
+    breaks what the theory assumes: an Optimum whose cached omega is wrong, or
+    a Graph made directly, which build_hexagonal would not make."""
+
+    @staticmethod
+    def uniform(graph, d):
+        return Instance(graph, tuple(Request(v, "color") for v in graph.nodes for _ in range(d)))
+
+    def test_omega_coloring_checks_what_it_returns(self):
+        # the edge a-b is listed at a only, so b, colored after a, takes a's colors
+        g = build_hexagonal({"a": (0, 0), "b": (1, 0)})
+        one_sided = Graph("hexagonal", g.nodes, {"a": {"b": None}, "b": {}}, cell_of=g.cell_of,
+                          class_of=g.class_of)
+        with pytest.raises(InternalConsistencyError, match="^omega-coloring fails at 'a'$"):
+            Optimum(self.uniform(one_sided, 2)).witness
+
+    def test_plan_43_refuses_a_triangle_in_g2(self):
+        triangle = build_hexagonal({"a": (0, 0), "b": (1, 0), "c": (0, 1)})
+        optimum = Optimum(self.uniform(triangle, 3))
+        optimum.omega = 2  # is 9: q = 1 leaves 2 requests of each triangle node pending
+        with pytest.raises(InternalConsistencyError, match="^triangle in G2$"):
+            plan_43(optimum)
+
+    def test_plan_43_refuses_a_g2_edge_over_the_pending_pair_bound(self):
+        optimum = Optimum(self.uniform(build_hexagonal({"a": (0, 0), "b": (1, 0)}), 3))
+        optimum.omega = 3  # is 6: pending 2 + 1 exceed omega - 2q = 1
+        with pytest.raises(InternalConsistencyError,
+                           match="^G2 edge exceeds the pending-pair bound$"):
+            plan_43(optimum)
+
+    def test_plan_43_refuses_an_odd_cycle_in_g2(self):
+        # a 9-cycle whose classes run R, G, B around it, so every node has a
+        # neighbour of its lender class: with demand 3 (omega 6, q 2) no node
+        # borrows and all nine stay pending, one request each
+        nodes = tuple(f"c{i}" for i in range(9))
+        adjacency = {v: dict.fromkeys(sorted((nodes[i - 1], nodes[(i + 1) % 9])))
+                     for i, v in enumerate(nodes)}
+        classes = {v: CLASS_NAMES[i % 3] for i, v in enumerate(nodes)}
+        graph = Graph("hexagonal", nodes, adjacency, class_of=classes)
+        with pytest.raises(InternalConsistencyError, match="^G2 is not bipartite$"):
+            plan_43(Optimum(self.uniform(graph, 3)))
 
 
 def test_oracle_does_not_import_algorithms():

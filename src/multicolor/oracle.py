@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import islice, permutations
 
-from .advice import AdviceTape, _width, enc, fixed
+from .advice import AdviceTape, _field, _width, enc, fixed
 from .errors import BudgetExceededError, DomainError, InternalConsistencyError
 from .graph import BORROW_FROM, CLASS_NAMES, Graph, clique_weight, maximal_cliques
 from .instance import Instance, demand, peak_clique_load, refuse_outside
@@ -295,14 +295,14 @@ def advice_trivial(optimum: Optimum) -> AdviceTape:
     """enc(w) plus one w-bit field per request, w = ceil(log2(Opt+1)).
 
     Each field is (color - 1) of the request under the optimal witness,
-    replayed per node in increasing color order.  Each color's field is
-    rendered once.
+    replayed per node in increasing color order.  Each color's field is the
+    shared tuple of advice's field cache, which `bits +=` copies.
     """
     instance = optimum.instance
     refuse_outside("trivial", instance.graph, instance.requests)
     witness = optimum.witness
     w = witness.opt_value.bit_length()
-    field = [fixed(c, w) for c in range(witness.opt_value)]
+    field = [_field(c, w) for c in range(witness.opt_value)]
     bits = enc(w)
     pending = {v: iter(sorted(witness.coloring[v])) for v in instance.graph.nodes}
     for r in instance.requests:

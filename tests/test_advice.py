@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from multicolor import advice
 from multicolor.advice import AdviceTape, dec, enc, enc_len, fixed
 from multicolor.errors import TapeUnderrunError
 
@@ -37,6 +38,41 @@ def test_dec_truncated_codeword_raises():
     tape = AdviceTape.from_string("1101")  # enc(5) cut short
     with pytest.raises(TapeUnderrunError):
         dec(tape)
+
+
+def reference_dec(tape):
+    """dec reading the unary prefix one read_bit at a time: the value, or the
+    underrun message."""
+    try:
+        mid_len = 0
+        while tape.read_bit() == 1:
+            mid_len += 1
+        return tape.read_fixed(tape.read_fixed(mid_len))
+    except TapeUnderrunError as exc:
+        return str(exc)
+
+
+@given(st.lists(st.integers(0, 1), max_size=40), st.data())
+def test_dec_is_the_bit_by_bit_reader(bits, data):
+    """Same value, same cursor, and past the end the same error, as reading
+    the unary prefix one bit at a time."""
+    start = data.draw(st.integers(0, len(bits) + 2))
+    tape, ref = AdviceTape(list(bits), start), AdviceTape(list(bits), start)
+    try:
+        got = dec(tape)
+    except TapeUnderrunError as exc:
+        got = str(exc)
+    assert got == reference_dec(ref)
+    assert tape.cursor == ref.cursor
+
+
+@pytest.mark.parametrize("start", [0, 3, 7, 9])
+def test_dec_on_only_ones_fails_at_the_end(start):
+    tape = AdviceTape([1] * 7, start)
+    end = max(start, 7)
+    with pytest.raises(TapeUnderrunError, match=f"read past written prefix at index {end}$"):
+        dec(tape)
+    assert tape.cursor == end
 
 
 def test_read_fixed_and_read_bit():
@@ -113,6 +149,49 @@ def test_fixed_is_what_read_fixed_reads(width, data):
     bits = fixed(value, width)
     assert len(bits) == width
     assert AdviceTape(bits).read_fixed(width) == value
+
+
+def reference_fixed(value, width):
+    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
+
+
+def reference_enc(x):
+    last_len = x.bit_length()
+    mid_len = last_len.bit_length()
+    return [1] * mid_len + [0] + reference_fixed(last_len, mid_len) + reference_fixed(x, last_len)
+
+
+def test_each_call_returns_a_new_list():
+    for call in (lambda: fixed(9, 4), lambda: enc(12)):
+        first, second = call(), call()
+        assert first == second and first is not second
+        first.append(1)
+        first[0] ^= 1
+        assert call() == second
+
+
+def test_fields_and_codewords_equal_the_uncached_formula():
+    """Every value of every width 0..12, and codewords of as many values:
+    more keys than the cache holds, so entries are evicted and built again.
+    Each result is mutated before the same key is asked for again."""
+    keys = [(value, width) for width in range(13) for value in range(2 ** width)]
+    assert len(keys) > 2 * advice._field.cache_info().maxsize
+    for _ in range(2):
+        for value, width in keys:
+            got = fixed(value, width)
+            got.append(0)
+            assert fixed(value, width) == reference_fixed(value, width)
+            got = enc(value)
+            got.pop()
+            assert enc(value) == reference_enc(value)
+
+
+def test_a_float_argument_fails_as_uncached():
+    fixed(1, 2), enc(1)
+    for call, error in ((lambda: fixed(1.0, 2), TypeError), (lambda: fixed(1, 2.0), TypeError),
+                        (lambda: enc(1.0), AttributeError)):
+        with pytest.raises(error):
+            call()
 
 
 def test_tape_string_round_trip():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from multicolor import harness, oracle
 from multicolor.adversary import hex_chain, path_family, random_cancel_instance, random_instance
-from multicolor.advice import enc, enc_len
+from multicolor.advice import enc, enc_len, fixed
 from multicolor.errors import BudgetExceededError, DomainError, InternalConsistencyError
 from multicolor.graph import (CLASS_NAMES, HEX_OFFSETS, Graph, build_bipartite, build_hexagonal,
                               build_path, maximal_cliques)
@@ -232,6 +232,21 @@ class TestAdviceTrivial:
         with pytest.raises(DomainError, match="^trivial does not handle cancellations$"):
             advice_trivial(Optimum(inst))
         assert calls == []
+
+    def test_mutated_tapes_leave_the_next_tapes_unchanged(self, path_i2):
+        """A tape's bits, and every enc and fixed result, are the caller's own:
+        changing them in place changes no later tape."""
+        writers = (advice_trivial, advice_greedyopt)
+        expected = [writer(Optimum(path_i2)).to_string() for writer in writers]
+        for _ in range(2):
+            for writer in writers:
+                tape = writer(Optimum(path_i2))
+                tape.bits[:4] = [1 - b for b in tape.bits[:4]]
+                tape.bits.append(1)
+            for bits in (enc(4), enc(12), fixed(11, 4), fixed(0, 4)):
+                bits[0] ^= 1
+                bits.append(0)
+            assert [writer(Optimum(path_i2)).to_string() for writer in writers] == expected
 
     def test_corpus_tapes_are_pinned(self):
         """sha256 over the trivial tapes, one per line, of the small-exact-batch

@@ -23,7 +23,7 @@ def enc(x: int) -> list[int]:
     # the codeword is one fixed-width field: mid_len 1s and a 0, then
     # last_len in mid_len bits, then x in last_len bits
     value = (((1 << mid_len) - 1) << (mid_len + 1) | last_len) << last_len | x
-    return list(_field(value, 2 * mid_len + 1 + last_len))
+    return list(_bits(value, 2 * mid_len + 1 + last_len))
 
 
 def enc_len(x: int) -> int:
@@ -47,7 +47,13 @@ def _width(b) -> int:
 def fixed(value: int, width: int) -> list[int]:
     """The low `width` bits of value, MSB first: what AdviceTape.read_fixed(width)
     reads back.  A new list on every call."""
-    return list(_field(value, width))
+    return list(_bits(value, width))
+
+
+def _bits(value: int, width: int) -> tuple[int, ...]:
+    """fixed(value, width) as a tuple: _field's shared one when the field is at
+    most 64 bits wide, else a new one, so that the cache holds no wide field."""
+    return (_field if width <= 64 else _field.__wrapped__)(value, width)
 
 
 @lru_cache(maxsize=256, typed=True)

@@ -19,6 +19,7 @@ import sys
 from . import harness, oracle
 from .algorithms import ALGORITHMS
 from .errors import DomainError, MalformedManifestError, MultiColorError
+from .instance import validate_full
 
 _DEFAULT_BUDGET = f"{oracle.DEFAULT_MAX_NODES},{oracle.DEFAULT_MAX_REQUESTS}"
 
@@ -101,7 +102,7 @@ def cmd_batch(args):
 def cmd_verify(args):
     instance = harness.load_instance(args.instance)
     actions = harness.load_log(args.log)
-    violation = harness.validate_full(instance, actions)
+    violation = validate_full(instance, actions)
     if violation is None:
         _write_out(json.dumps({"verdict": "ok"}) + "\n", args.out)
         return 0

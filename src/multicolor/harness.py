@@ -34,19 +34,6 @@ from . import oracle
 # ---------------------------------------------------------------------------
 # serialization
 
-def instance_to_dict(instance: Instance) -> dict:
-    g = instance.graph
-    gd = {"kind": g.kind, "nodes": list(g.nodes)}
-    if g.kind in ("path", "bipartite"):
-        gd["edges"] = [list(e) for e in g.edge_list()]
-        gd["partition"] = {v: g.partition[v] for v in g.nodes}
-    else:
-        gd["cells"] = {v: list(g.cell_of[v]) for v in g.nodes}
-    reqs = [{"node": r.node, "op": "color"} if r.op == "color" else
-            {"node": r.node, "op": "cancel", "color": r.cancel_color} for r in instance.requests]
-    return {"graph": gd, "requests": reqs, "name": instance.name}
-
-
 def _field(record, key, where, error=MalformedInstanceError):
     """record[key], or an `error` saying that `where` must be an object or
     naming the missing field."""
@@ -189,10 +176,10 @@ def _block(brackets, items, pad):
 
 
 def instance_text(instance: Instance) -> str:
-    """The text of the instance's file: json.dumps(instance_to_dict(instance),
-    indent=2, sort_keys=True) and a newline, written field by field with the C
-    string encoder, each distinct request rendered once.  A node, name or cell
-    that the file could not hold raises MalformedInstanceError naming it."""
+    """The text of the instance's file (the layout above, and a newline),
+    written field by field with the C string encoder, each distinct request
+    rendered once.  A node, name or cell that the file could not hold raises
+    MalformedInstanceError naming it."""
     g, enc = instance.graph, encode_basestring_ascii
     for v in g.nodes:
         if not isinstance(v, str):
@@ -229,8 +216,8 @@ def save_instance(instance: Instance, path: str) -> None:
 
 def _load_json(path: str, error=MalformedInstanceError):
     """The JSON document in the file at path, read as bytes and decoded as
-    UTF-8, with the newlines that text mode translates (a lone \r or \r\n)
-    read as \n; `error` if it is not JSON."""
+    UTF-8, with the newlines that text mode translates (a lone \\r or \\r\\n)
+    read as \\n; `error` if it is not JSON."""
     with open(path, "rb", buffering=0) as fh:
         data = fh.read()
     try:

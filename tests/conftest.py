@@ -20,6 +20,21 @@ def brute_force_maximal_cliques(g: Graph):
     return {c for c in cliques if not any(c < d for d in cliques)}
 
 
+def instance_to_dict(instance: Instance) -> dict:
+    """The instance as the loader reads it back: the reference whose
+    json.dumps(..., indent=2, sort_keys=True) the writer's text must equal."""
+    g = instance.graph
+    gd = {"kind": g.kind, "nodes": list(g.nodes)}
+    if g.kind in ("path", "bipartite"):
+        gd["edges"] = [list(e) for e in g.edge_list()]
+        gd["partition"] = {v: g.partition[v] for v in g.nodes}
+    else:
+        gd["cells"] = {v: list(g.cell_of[v]) for v in g.nodes}
+    reqs = [{"node": r.node, "op": "color"} if r.op == "color" else
+            {"node": r.node, "op": "cancel", "color": r.cancel_color} for r in instance.requests]
+    return {"graph": gd, "requests": reqs, "name": instance.name}
+
+
 def witness_actions(instance: Instance, coloring):
     """Per-request ColorActions replaying a witness coloring, giving each
     node its colors in increasing order."""

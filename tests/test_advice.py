@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -192,6 +195,31 @@ def test_a_float_argument_fails_as_uncached():
                         (lambda: enc(1.0), AttributeError)):
         with pytest.raises(error):
             call()
+
+
+def test_a_wide_field_is_built_but_not_kept():
+    """A field or codeword wider than 64 bits bypasses the cache, so a
+    greedy_truncated run with a wide b leaves no b-bit field behind."""
+    from multicolor.adversary import path_family
+    from multicolor.harness import run
+
+    for width in (65, 200):
+        before = advice._field.cache_info()
+        assert fixed(3, width) == reference_fixed(3, width)
+        assert enc(2 ** width) == reference_enc(2 ** width)
+        assert advice._field.cache_info() == before
+    instance = path_family(40)[2]
+    run(instance, "greedy_truncated", b=10 ** 5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = run(instance, "greedy_truncated", b=10 ** 5 + 1)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.advice_bits_read > 10 ** 5
+    assert held < 2 * 10 ** 5, held  # a kept 10**5-bit field would hold 800 kB
 
 
 def test_tape_string_round_trip():

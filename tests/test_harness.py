@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import copy
 import csv
 import importlib.util
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from multicolor import harness
 from multicolor.adversary import (hex_54, hex_chain, path_family, random_cancel_instance,
                                   random_instance)
-from multicolor.algorithms import ALGORITHMS
+from multicolor.algorithms import ALGORITHMS, run_player
 from multicolor.cli import build_parser, main
 from multicolor.errors import (DomainError, MalformedInstanceError, MalformedLogError,
                                MalformedManifestError, MultiColorError, NotBipartiteError)
@@ -30,14 +31,16 @@ from multicolor.harness import (
     csv_writer,
     instance_from_dict,
     instance_text,
-    instance_to_dict,
     load_instance,
+    load_log,
     report_row,
     run,
     save_instance,
 )
-from multicolor.instance import CancelAction, ColorAction, Instance, Request, demand
+from multicolor.instance import (CancelAction, ColorAction, Instance, Request, demand,
+                                 validate_full)
 from multicolor.oracle import Optimum
+from conftest import instance_to_dict
 
 
 # nested far deeper than the JSON decoder's recursion limit
@@ -277,6 +280,13 @@ def json_places(tree, path=()):
         yield from json_places(value, path + (key,))
 
 
+def at(data, path):
+    """The value at path (keys and indices from the root) inside data."""
+    for step in path:
+        data = data[step]
+    return data
+
+
 @st.composite
 def mutated_instance_dicts(draw):
     """A valid decoded instance file with one to three mutations: a field or
@@ -292,18 +302,24 @@ def mutated_instance_dicts(draw):
                 copied = copy.deepcopy(draw(st.sampled_from(requests)))
                 requests.insert(draw(st.integers(0, len(requests))), copied)
             continue
-        places = list(json_places(data))
-        if not places:
+        if not mutate(draw, data, how, JUNK + names):
             break
-        *path, key = draw(st.sampled_from(places))
-        parent = data
-        for step in path:
-            parent = parent[step]
-        if how == "delete":
-            del parent[key]
-        else:
-            parent[key] = copy.deepcopy(draw(st.sampled_from(JUNK + names)))
     return data
+
+
+def mutate(draw, data, how, values):
+    """Delete a value drawn from inside the document data when how is
+    "delete", else replace it by one of values; False when data holds none."""
+    places = list(json_places(data))
+    if not places:
+        return False
+    *path, key = draw(st.sampled_from(places))
+    parent = at(data, path)
+    if how == "delete":
+        del parent[key]
+    else:
+        parent[key] = copy.deepcopy(draw(st.sampled_from(values)))
+    return True
 
 
 @settings(max_examples=150, deadline=None)
@@ -323,6 +339,96 @@ def test_malformed_instances_raise_only_multicolor_errors(data):
                 run(instance, algo, b=b, optimum=optimum)
             except MultiColorError:
                 pass
+
+
+# valid decoded logs and manifests, the documents that the fuzzers below mutate
+LOG_INSTANCE = random_cancel_instance(seed=1, n_nodes=6, n_requests=12)
+LOG_SEEDS = [{"actions": actions_to_dicts(run_player(
+    "greedy_cancel", LOG_INSTANCE.graph, harness.make_advice(LOG_INSTANCE, "greedy_cancel"),
+    LOG_INSTANCE.requests))}]
+MANIFEST_SEEDS = [{"runs": [{"instance": "i.json", "algo": "greedy_opt"},
+                            {"instance": "i.json", "algo": "greedy_truncated", "b": 2},
+                            {"instance": "c.json", "algo": "greedy_cancel"},
+                            {"instance": "h.json", "algo": "hex43"}]}]
+NESTED_JUNK = [[[None]], {"op": ["color"]}, [{"color": {"x": [1]}}], {"runs": {}},
+               {"actions": [[]]}, False, 0, 3, "color", "cancel", "fpa", "nope", "i.json",
+               "h.json", "missing.json", [1, 2], [2, 1, 0], [True, 1]]
+
+
+@st.composite
+def mutated(draw, seeds):
+    """A document of seeds with one to three mutations: a field or item
+    deleted, a value replaced by junk (bools for ints, wrong types, nested
+    junk), or a list item duplicated."""
+    data = copy.deepcopy(draw(st.sampled_from(seeds)))
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["delete", "replace", "duplicate"]))
+        if how == "duplicate":
+            lists = [p for p in [(), *json_places(data)] if isinstance(at(data, p), list)]
+            items = at(data, draw(st.sampled_from(lists))) if lists else []
+            if items:
+                items.insert(draw(st.integers(0, len(items))),
+                             copy.deepcopy(draw(st.sampled_from(items))))
+        elif not mutate(draw, data, how, JUNK + NESTED_JUNK):
+            break
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory with the instance files that LOG_SEEDS and MANIFEST_SEEDS name."""
+    base = tmp_path_factory.mktemp("fuzz")
+    for name, inst in (("i.json", path_family(40)[1]), ("c.json", LOG_INSTANCE),
+                       ("h.json", hex_chain(2, (1, 0)))):
+        save_instance(inst, str(base / name))
+    return base
+
+
+def main_quietly(argv):
+    """cli.main(argv)'s exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(LOG_SEEDS))
+def test_malformed_logs_raise_only_multicolor_errors(fuzz_dir, doc):
+    """A mutated log fails only with MultiColorError in process, and `multicolor
+    verify` exits 0, 1 or 2 with no traceback."""
+    if isinstance(doc.get("actions"), list):
+        try:
+            validate_full(LOG_INSTANCE, actions_from_dicts(doc["actions"]))
+        except MultiColorError:
+            pass
+    path = fuzz_dir / "log.json"
+    path.write_text(json.dumps(doc))
+    try:
+        load_log(str(path))
+    except MultiColorError:
+        pass
+    code, err = main_quietly(["verify", str(fuzz_dir / "c.json"), str(path),
+                              "--out", str(fuzz_dir / "verdict.json")])
+    assert code in (0, 1, 2) and "Traceback" not in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(MANIFEST_SEEDS))
+def test_malformed_manifests_fail_only_in_error_rows(fuzz_dir, doc):
+    """A mutated manifest fails only with MultiColorError or in error rows in
+    process, and `multicolor batch` exits 0, 1 or 2 with no traceback."""
+    try:
+        text, ok = batch(doc, base_dir=str(fuzz_dir))
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == list(harness.CSV_COLUMNS) and len(rows) == 1 + len(doc["runs"])
+        assert not ok or all(row[-1] == "ok" for row in rows[1:])
+    except MultiColorError:
+        pass
+    path = fuzz_dir / "manifest.json"
+    path.write_text(json.dumps(doc))
+    code, err = main_quietly(["batch", str(path), "--out", str(fuzz_dir / "report.csv")])
+    assert code in (0, 1, 2) and "Traceback" not in err
 
 
 class TestRun:

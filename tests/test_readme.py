@@ -117,6 +117,38 @@ def test_player_table_lists_the_registry_in_order():
     assert names == list(ALGORITHMS)
 
 
+# The cases each Graphs cell of the player table accepts, keyed by the cell's
+# exact text: a player must run on these and refuse the others.
+GRAPHS = {
+    "path/bipartite": {"path", "bipartite"},
+    "path/bipartite, with cancellations": {"path", "bipartite", "cancellation"},
+    "any, no cancellations": {"path", "bipartite", "hexagonal"},
+    "hexagonal": {"hexagonal"},
+}
+
+
+def test_each_graphs_cell_is_what_the_player_accepts():
+    from multicolor.adversary import (hex_chain, path_family, random_cancel_instance,
+                                      random_instance)
+    from multicolor.errors import DomainError
+    from multicolor.harness import run
+
+    cases = {"path": path_family(40)[2], "hexagonal": hex_chain(3, (1, 0, 1)),
+             "bipartite": random_instance("bipartite", seed=5, n_nodes=8, n_requests=24),
+             "cancellation": random_cancel_instance(seed=2)}
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section("### The players"), re.M)
+    assert {cell for _, cell in rows} <= set(GRAPHS), "a Graphs cell has no case set here"
+    for algo, cell in rows:
+        accepted = set()
+        for case, inst in cases.items():
+            try:
+                assert run(inst, algo, b=2).ok, (algo, case)
+            except DomainError:  # the player refuses the graph kind or a cancellation
+                continue
+            accepted.add(case)
+        assert accepted == GRAPHS[cell], algo
+
+
 # The largest color each Guarantee cell of the player table allows, keyed by
 # the cell's exact text, so that an edited cell fails the test below; f holds
 # Opt (from exact search), the peak clique load, omega and the width b.

@@ -49,12 +49,20 @@ sides alternate, base first on even repetitions, so drift in the machine's
 speed falls on both.  Each time is a median over the workers, in CPU seconds
 (`cpu_s`) and scaled (`scaled_s`).
 
-The cold-start split is the median wall time of --reps runs each, and the
-same scaled by the kernel run just before and after each, the sides
+The cold-start split is the median wall time of --reps runs each, the sides
 alternating as above: `python -c pass`, `python -S -c pass`, and
 `import multicolor.cli` from a copy of the package with its bytecode
 compiled and from one where no bytecode is written (PYTHONDONTWRITEBYTECODE=1,
-as perfbench's batches may run).  The script pins itself, and so every
+as perfbench's batches may run).  The kernel runs before every command and
+once at the end; each median is also given scaled by the median of all
+those kernel runs (`cold_start_kernel_s`), one factor for every command of
+both sides.  A command takes a few tens of milliseconds, so the kernels just
+around it catch the core's speed at one instant: scaled by them, the same
+code's figure swung by 8% either way.
+
+Each side is keyed by `code_sha256`, the sha256 of its multicolor/*.py
+files (each file's name, a NUL and its bytes, in name order): the code that
+ran, whether or not it is committed.  The script pins itself, and so every
 process it starts, to one core, as perfbench does.  The last line of stdout
 is the path of the JSON file.
 """
@@ -63,6 +71,8 @@ from __future__ import annotations
 
 import argparse
 import gc
+import glob
+import hashlib
 import json
 import os
 import platform
@@ -81,19 +91,14 @@ LAYERS = ("read", "decode", "facts", "tape", "player", "validation", "metrics", 
 SEED = 1  # the seed of the perfbench small-exact-batch runs that CHANGES.md reports
 
 
-def _commit(src):
-    """The commit checked out at src, marked when src differs from it."""
-    def git(*args):
-        return subprocess.run(["git", *args], cwd=src, capture_output=True, text=True,
-                              timeout=30)
-
-    try:
-        head, dirty = git("rev-parse", "HEAD"), git("status", "--porcelain", "--", ".")
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    if head.returncode != 0:
-        return "unknown (not a git checkout)"
-    return head.stdout.strip() + (" with uncommitted changes" if dirty.stdout else "")
+def _code_sha256(src):
+    """The sha256 of src's multicolor/*.py files: per file in name order, its
+    name, a NUL and its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(src, "multicolor", "*.py"))):
+        with open(path, "rb") as fh:
+            digest.update(os.path.basename(path).encode() + b"\0" + fh.read())
+    return digest.hexdigest()
 
 
 def _machine():
@@ -285,13 +290,13 @@ def _cold_start_commands(src, scratch):
     return commands
 
 
-def _wall_s(argv, env, calibrate):
-    """(wall seconds, the same scaled by the kernel run just before and after)."""
-    before = calibrate.kernel()
+def _wall_s(argv, env, calibrate, kernels):
+    """The command's wall seconds; the kernel's time, run just before it, is
+    appended to kernels."""
+    kernels.append(calibrate.kernel())
     start = time.perf_counter()
     subprocess.run(argv, env=env, check=True)
-    wall = time.perf_counter() - start
-    return wall, wall * calibrate.REF_S * 2 / (before + calibrate.kernel())
+    return time.perf_counter() - start
 
 
 def main(argv=None):
@@ -323,17 +328,22 @@ def main(argv=None):
         commands = {side: _cold_start_commands(src, os.path.join(scratch, side))
                     for side, src in sides.items()}
         cold = {side: {label: [] for label in commands[side]} for side in sides}
+        kernels = []
         for side in _alternate(list(sides), args.reps):
             for label, (command, env) in commands[side].items():
-                cold[side][label].append(_wall_s(command, env, calibrate))
+                cold[side][label].append(_wall_s(command, env, calibrate, kernels))
+        kernels.append(calibrate.kernel())
+        kernel_s = statistics.median(kernels)
+        scale = calibrate.REF_S / kernel_s
     result = {"python": sys.version.split()[0], "machine": _machine(),
-              "workload": f"small-exact-batch seed {SEED}", "sides": {}}
+              "workload": f"small-exact-batch seed {SEED}", "cold_start_kernel_s": kernel_s,
+              "sides": {}}
     for side, src in sides.items():
         result["sides"][side] = {
-            "commit": _commit(src), **_summary(samples[side]),
-            "cold_start": {label: {"wall_s": statistics.median(w for w, _ in runs),
-                                   "scaled_s": statistics.median(x for _, x in runs)}
-                           for label, runs in cold[side].items()}}
+            "code_sha256": _code_sha256(src), **_summary(samples[side]),
+            "cold_start": {label: {"wall_s": statistics.median(walls),
+                                   "scaled_s": statistics.median(walls) * scale}
+                           for label, walls in cold[side].items()}}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")

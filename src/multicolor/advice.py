@@ -36,11 +36,12 @@ def enc_len(x: int) -> int:
 
 
 def _width(b) -> int:
-    """greedy_truncated's truncation width b, refused unless it is at least 1."""
+    """greedy_truncated's truncation width b, refused unless 1 <= b <= 64: every
+    bit past Opt's bit length is zero padding, and Opt is far below 2**64."""
     if b is None:
         raise DomainError("greedy_truncated needs the truncation width b")
-    if b < 1:
-        raise DomainError(f"b must be >= 1, got {b}")
+    if not 1 <= b <= 64:
+        raise DomainError(f"b must be {'>= 1' if b < 1 else '<= 64'}, got {b}")
     return b
 
 

@@ -18,40 +18,44 @@ from .value import Value
 _color = cache(ColorAction)  # one shared action per color: a run has many colors, few distinct
 
 
-def _greedy(algo, graph: Graph, tape: AdviceTape, requests, read_m, cancels=False) -> list:
-    """GreedyOptAdvice with m = read_m(tape): bottom-up for L nodes, top-down
-    for U.  A cancellation recolors at most the request holding the node's
-    extreme color, so an L node with k live colors holds exactly {1..k} and
-    a U node {m-k+1..m}; the player keeps only k = live[v]."""
-    refuse_outside(algo, graph, requests, ("path", "bipartite"), cancels)
-    m = read_m(tape)
-    live = dict.fromkeys(graph.nodes, 0)
+def _ordered(requests, group, orders, capacity) -> list:
+    """The fixed-preference player.  A node of group g takes its colors in the
+    order orders[g] = (up, n_up, down, n_down): up, up+1, ... for n_up colors,
+    then down, down-1, ... for n_down; with k live colors it holds the first k.
+    A request past the order raises the text capacity(v, down - n_down).
+    Cancelling any held color but the k-th moves the k-th to it."""
+    live = dict.fromkeys(group, 0)
     out = []
     for r in requests:
         v = r.node
-        upper = graph.partition[v] == "U"
+        up, n_up, down, n_down = orders[group[v]]
         k = live[v]
         if r.op == "color":
-            color = m - k if upper else k + 1
-            if color < 1 or color > m:
-                raise CapacityExceededError(
-                    f"node {v!r} needs color {color} outside 1..{m}; advice value too small"
-                )
+            color = up + k if k < n_up else down + n_up - k
+            if k >= n_up + n_down:
+                raise CapacityExceededError(capacity(v, color))
             live[v] = k + 1
             out.append(_color(color))
             continue
         c = r.cancel_color
-        lowest, highest = (m - k + 1, m) if upper else (1, k)
-        if not lowest <= c <= highest:
+        i = c - up if up <= c < up + n_up else n_up + down - c if down - n_down < c <= down else k
+        if i >= k:
             raise DomainError(f"cancel of absent color {c} at {v!r}")
-        extreme = lowest if upper else highest
-        if c == extreme:
-            out.append(CancelAction())
-        else:
-            # the request holding the extreme color takes the freed color
-            out.append(CancelAction(recolor=(extreme, c)))
+        last = up + k - 1 if k <= n_up else down + n_up - k + 1
+        out.append(CancelAction() if c == last else CancelAction(recolor=(last, c)))
         live[v] = k - 1
     return out
+
+
+def _greedy(algo, graph: Graph, tape: AdviceTape, requests, read_m, cancels=False) -> list:
+    """GreedyOptAdvice with m = read_m(tape): an L node takes 1, 2, ..., m
+    (bottom-up), a U node m, m-1, ..., 1 (top-down).  Past m, an L node asks
+    for m+1, where its empty down run starts, and a U node for 0."""
+    refuse_outside(algo, graph, requests, ("path", "bipartite"), cancels)
+    m = read_m(tape)
+    return _ordered(requests, graph.partition, {"L": (1, m, m + 1, 0), "U": (0, 0, m, m)},
+                    lambda v, color: f"node {v!r} needs color {color} outside 1..{m}; "
+                                     "advice value too small")
 
 
 def greedy_opt(graph: Graph, tape: AdviceTape, requests) -> list:
@@ -62,12 +66,10 @@ def greedy_opt(graph: Graph, tape: AdviceTape, requests) -> list:
 def greedy_truncated(graph: Graph, tape: AdviceTape, requests, b: int) -> list:
     """Reads the b high-order bits of Opt and enc(a); reconstructs
     m = 2^a * Opt_b + 2^a - 1 (or m = Opt exactly when a = 0) and plays
-    greedy_opt with that m; a b that is None or below 1 is refused before a
-    bit is read."""
-    def read_m(tape):
-        raw = tape.read_fixed(_width(b))
-        a = dec(tape)
-        return ((raw + 1) << a) - 1
+    greedy_opt with that m; a b that is None, below 1 or above 64 is refused
+    before a bit is read."""
+    def read_m(tape):  # the b-bit field, then enc(a)
+        return ((tape.read_fixed(_width(b)) + 1) << dec(tape)) - 1
 
     return _greedy("greedy_truncated", graph, tape, requests, read_m)
 
@@ -104,29 +106,17 @@ def trivial(graph: Graph, tape: AdviceTape, requests) -> list:
 def fpa(graph: Graph, tape: AdviceTape, requests) -> list:
     """Fixed preference allocation with advice c = ceil(omega/2).
 
-    Private palettes: R = 1..c, G = c+1..2c, B = 2c+1..3c.  A node holding
-    k = held[v] colors takes base + k + 1 from its own block while k < c, then
-    borrows the next class's block top-down, base' + 2c - k, while k < 2c.
+    Private palettes: R = 1..c, G = c+1..2c, B = 2c+1..3c.  A node of class X
+    takes its own block bottom-up, base[X]+1, ..., base[X]+c, then borrows
+    the next class's block top-down, base[X']+c, ..., base[X']+1.
     Neighbors' colors are not consulted, as the pseudocode states.
     """
     refuse_outside("fpa", graph, requests, ("hexagonal",))
     c = dec(tape)
     base = {"R": 0, "G": c, "B": 2 * c}
-    held = dict.fromkeys(graph.nodes, 0)
-    out = []
-    for r in requests:
-        v = r.node
-        k = held[v]
-        cls = graph.class_of[v]
-        if k < c:
-            color = base[cls] + k + 1
-        elif k < 2 * c:
-            color = base[BORROW_FROM[cls]] + 2 * c - k
-        else:
-            raise CapacityExceededError(f"no borrowable color left at {v!r}")
-        held[v] = k + 1
-        out.append(_color(color))
-    return out
+    return _ordered(requests, graph.class_of,
+                    {x: (base[x] + 1, c, base[BORROW_FROM[x]] + c, c) for x in base},
+                    lambda v, color: f"no borrowable color left at {v!r}")
 
 
 def hex43(graph: Graph, tape: AdviceTape, requests) -> list:

@@ -293,12 +293,19 @@ class RunReport(Value):
         return self._fields()[:-1]  # all but runtime_millis
 
     @property
+    def status(self) -> str:
+        """ok, or the first rule broken: invalid, over advice bound N, over color bound N."""
+        if not self.valid:
+            return "invalid"
+        if self.advice_bound is not None and self.advice_bits_read > self.advice_bound:
+            return f"over advice bound {self.advice_bound}"
+        if self.color_bound is not None and self.max_color > self.color_bound:
+            return f"over color bound {self.color_bound}"
+        return "ok"
+
+    @property
     def ok(self) -> bool:
-        """Valid, and within the declared advice bound and the guaranteed
-        color bound, each when there is one."""
-        return (self.valid
-                and (self.advice_bound is None or self.advice_bits_read <= self.advice_bound)
-                and (self.color_bound is None or self.max_color <= self.color_bound))
+        return self.status == "ok"
 
 
 def make_advice(instance: Instance, algo: str, b: int | None = None,
@@ -361,11 +368,11 @@ CSV_COLUMNS = ("algorithm", "instance", "max_color", "distinct_colors",
 
 
 def report_row(report: RunReport) -> list:
-    """The CSV row of a successful run, in CSV_COLUMNS order."""
+    """The CSV row of a run that raised nothing, in CSV_COLUMNS order."""
     return [report.algorithm, report.instance, report.max_color, report.distinct_colors,
             report.advice_bits_read, "" if report.opt_value is None else report.opt_value,
             "" if report.strict_ratio is None else f"{report.strict_ratio:.6f}",
-            "true" if report.valid else "false", "ok"]
+            "true" if report.valid else "false", report.status]
 
 
 def csv_writer(out):

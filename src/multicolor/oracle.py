@@ -277,8 +277,8 @@ def advice_truncated(optimum: Optimum, b: int) -> AdviceTape:
     """b raw high-order bits of Opt followed by enc(a), a = bits(Opt) - b.
 
     If Opt fits in b bits the raw field is Opt left-padded with zeros and
-    a = 0, which the reader uses to detect the exact case.  A b that is None
-    or below 1 is refused (DomainError) before Opt is computed."""
+    a = 0, which the reader uses to detect the exact case.  A b that is None,
+    below 1 or above 64 is refused (DomainError) before Opt is computed."""
     b = _width(b)
     opt = optimum.peak_load
     a = max(0, opt.bit_length() - b)

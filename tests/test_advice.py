@@ -1,6 +1,3 @@
-import gc
-import tracemalloc
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -198,9 +195,10 @@ def test_a_float_argument_fails_as_uncached():
 
 
 def test_a_wide_field_is_built_but_not_kept():
-    """A field or codeword wider than 64 bits bypasses the cache, so a
-    greedy_truncated run with a wide b leaves no b-bit field behind."""
+    """A field or codeword wider than 64 bits bypasses the cache; a
+    greedy_truncated run refuses any width above 64 before it writes a bit."""
     from multicolor.adversary import path_family
+    from multicolor.errors import DomainError
     from multicolor.harness import run
 
     for width in (65, 200):
@@ -209,17 +207,11 @@ def test_a_wide_field_is_built_but_not_kept():
         assert enc(2 ** width) == reference_enc(2 ** width)
         assert advice._field.cache_info() == before
     instance = path_family(40)[2]
-    run(instance, "greedy_truncated", b=10 ** 5)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        report = run(instance, "greedy_truncated", b=10 ** 5 + 1)
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert report.ok and report.advice_bits_read > 10 ** 5
-    assert held < 2 * 10 ** 5, held  # a kept 10**5-bit field would hold 800 kB
+    for b in (65, 10 ** 5, 10 ** 5 + 1):
+        with pytest.raises(DomainError, match=f"^b must be <= 64, got {b}$"):
+            run(instance, "greedy_truncated", b=b)
+    report = run(instance, "greedy_truncated", b=64)
+    assert report.ok and report.advice_bits_read == 64 + enc_len(0)
 
 
 def test_tape_string_round_trip():

@@ -651,7 +651,7 @@ class TestWorkCounts:
 
 class TestColorBoundMiss:
     """A valid run above its guaranteed color bound is not ok: `run` and
-    `batch` exit 1, and the CSV row is the same as for any valid run."""
+    `batch` exit 1, and the CSV row's status names the bound."""
 
     @pytest.fixture(autouse=True)
     def overshooting_greedy_opt(self, monkeypatch):
@@ -682,7 +682,39 @@ class TestColorBoundMiss:
         out_path = tmp_path / "report.csv"
         assert main(["batch", str(manifest_path), "--out", str(out_path)]) == 1
         row = out_path.read_text().splitlines()[1]
-        assert row == "greedy_opt,path_family_n40_i2,13,12,11,12,1.083333,true,ok"
+        assert row == ("greedy_opt,path_family_n40_i2,13,12,11,12,1.083333,true,"
+                       "over color bound 12")
+
+
+class TestStatus:
+    """A run that raised nothing reports "ok" or the first rule it breaks, and
+    its CSV row says which."""
+
+    @pytest.mark.parametrize("valid, bits, colors, status", [
+        (True, 5, 7, "ok"), (False, 9, 9, "invalid"), (True, 9, 9, "over advice bound 8"),
+        (True, 8, 9, "over color bound 8"),
+    ])
+    def test_status_names_the_first_rule_broken(self, valid, bits, colors, status):
+        report = harness.RunReport("greedy_opt", "i", colors, colors, bits, 8, colors / 8,
+                                   valid, advice_bound=8, color_bound=8)
+        assert (report.status, report.ok) == (status, status == "ok")
+        assert harness.report_row(report)[-1] == status
+
+    def test_a_run_over_a_patched_color_bound_is_named_and_batch_exits_1(self, tmp_path,
+                                                                         monkeypatch):
+        from multicolor.algorithms import Algorithm
+
+        entry = ALGORITHMS["greedy_opt"]
+        monkeypatch.setitem(ALGORITHMS, "greedy_opt",
+                            Algorithm(entry.play, entry.advise, entry.bound, lambda opt, b: 0))
+        save_instance(path_family(40)[2], str(tmp_path / "i2.json"))
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps({"runs": [{"instance": "i2.json",
+                                                       "algo": "greedy_opt"}]}))
+        out_path = tmp_path / "report.csv"
+        assert main(["batch", str(manifest_path), "--out", str(out_path)]) == 1
+        row = out_path.read_text().splitlines()[1]
+        assert row == "greedy_opt,path_family_n40_i2,12,12,11,12,1.000000,true,over color bound 0"
 
 
 def _run_benchmarks():

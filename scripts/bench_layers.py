@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Per-layer CPU times of `multicolor batch` on the small-exact-batch corpus,
-and the cold-start split of a batch process, written as one JSON file.
+of the corpus's set-up, and the cold-start split of a batch process, written
+as one JSON file.
 
   python3 scripts/bench_layers.py --out bench.json
   python3 scripts/bench_layers.py --out bench.json --base ../parent/src
@@ -26,6 +27,15 @@ that step summed over the corpus:
   metrics     the rest of harness.run: max and distinct colors, the advice
               and color bounds, and the RunReport
   csv         harness.report_row and the CSV writer over every report
+
+Each worker first times the corpus's set-up (`generation`), before any
+batch and with the garbage collector on, as perfbench times it:
+
+  setup       workloads.generate of the corpus into a fresh temporary
+              directory: what perfbench's setup_s times
+  gen_build   the corpus's instances, built from multicolor.adversary as
+              workloads.generate builds them
+  gen_text    harness.instance_text of each of those instances
 
 The replay holds the whole corpus at once, which a batch never does, so the
 garbage collector is off while a layer is timed.  `batch` is the CPU time of
@@ -88,6 +98,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 PERFBENCH = os.path.join(ROOT, "perfbench")
 LAYERS = ("read", "decode", "facts", "tape", "player", "validation", "metrics", "csv")
+GENERATION = ("setup", "gen_build", "gen_text")
 SEED = 1  # the seed of the perfbench small-exact-batch runs that CHANGES.md reports
 
 
@@ -119,6 +130,19 @@ def _machine():
 
 def _times(timing):
     return {"cpu_s": timing.run_s, "scaled_s": timing.scaled_s}
+
+
+def _generation(calibrate):
+    """{step: {"cpu_s", "scaled_s"}} for the corpus's set-up and its split
+    into building the instances and rendering their text."""
+    import workloads
+    from multicolor import harness
+
+    with tempfile.TemporaryDirectory() as out_dir:
+        setup = calibrate.run_inline(workloads.generate, "small-exact-batch", SEED, out_dir)[1]
+    built, gen_build = calibrate.run_inline(workloads._small_exact_batch, SEED)
+    gen_text = calibrate.run_inline(lambda: [harness.instance_text(inst) for inst, _ in built])[1]
+    return {"setup": _times(setup), "gen_build": _times(gen_build), "gen_text": _times(gen_text)}
 
 
 def _batch(manifest_path, calibrate):
@@ -235,10 +259,11 @@ def _worker(src, manifest_path):
     sys.path.insert(0, PERFBENCH)
     import calibrate
 
+    generation = _generation(calibrate)
     peak_mb = _batch_peak_mb(manifest_path)  # the warm-up batch, untimed
     batch = _times(_batch(manifest_path, calibrate))
-    print(json.dumps({"layers": _layers(manifest_path, calibrate), "batch": batch,
-                      "tracemalloc_peak_mb": peak_mb}))
+    print(json.dumps({"generation": generation, "layers": _layers(manifest_path, calibrate),
+                      "batch": batch, "tracemalloc_peak_mb": peak_mb}))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +285,8 @@ def _summary(samples):
             "layers_total": {key: sum(v[key] for v in layers.values())
                              for key in ("cpu_s", "scaled_s")},
             "batch": medians([s["batch"] for s in samples]),
+            "generation": {step: medians([s["generation"][step] for s in samples])
+                           for step in GENERATION},
             "tracemalloc_peak_mb": statistics.median(s["tracemalloc_peak_mb"] for s in samples)}
 
 
@@ -347,12 +374,14 @@ def main(argv=None):
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    def cells(times):
+        return " ".join(f"{k} {v['cpu_s'] * 1e3:.1f}/{v['scaled_s'] * 1e3:.1f}"
+                        for k, v in times.items())
+
     for side, data in result["sides"].items():
-        cells = " ".join(f"{k} {v['cpu_s'] * 1e3:.1f}/{v['scaled_s'] * 1e3:.1f}"
-                         for k, v in data["layers"].items())
-        batch = data["batch"]
-        print(f"{side}: {cells}; batch {batch['cpu_s'] * 1e3:.1f}/{batch['scaled_s'] * 1e3:.1f}"
-              f" ms (cpu/scaled); tracemalloc peak {data['tracemalloc_peak_mb']:.2f} MiB")
+        print(f"{side}: {cells(data['layers'])}; {cells({'batch': data['batch']})} ms "
+              f"(cpu/scaled); tracemalloc peak {data['tracemalloc_peak_mb']:.2f} MiB; "
+              f"set-up: {cells(data['generation'])}")
     print(args.out)
     return 0
 

@@ -5,11 +5,10 @@ and seeded random instances for stress corpora.
 from __future__ import annotations
 
 import random
-from functools import cache, partial
 
 from .errors import DomainError
 from .graph import build_bipartite, build_hexagonal, build_path
-from .instance import Instance, Request, peak_clique_load
+from .instance import Instance, _Requests, peak_clique_load
 
 # chance that a request to a node with a live color cancels one (random_cancel_instance)
 CANCEL_PROB = 0.3
@@ -38,13 +37,13 @@ def path_instance(n: int, i: int) -> Instance:
     m = _path_m(n)
     if not 0 <= i <= m:
         raise DomainError(f"path_family --n {n} has indices 0..{m}, got --i {i}")
-    color = cache(partial(Request, op="color"))  # one shared color Request per node
-    reqs = [color("v1")] * m + [color("v4")] * m + [color("v2")] * i + [color("v3")] * i
     t = n - 2 * m - 2 * i
     c6 = -(-t // 3)
     c8 = -(-(t - c6) // 2)
-    c10 = t - c6 - c8
-    reqs += [color("v6")] * c6 + [color("v8")] * c8 + [color("v10")] * c10
+    made, reqs = _Requests(), []
+    for v, k in (("v1", m), ("v4", m), ("v2", i), ("v3", i),
+                 ("v6", c6), ("v8", c8), ("v10", t - c6 - c8)):
+        reqs += [made[v, "color", None]] * k
     return Instance(graph=build_path(10), requests=tuple(reqs), name=f"path_family_n{n}_i{i}")
 
 
@@ -84,12 +83,12 @@ def hex_chain(k: int, branch, pad_requests: int = 0) -> Instance:
     if len(branch) != k or any(b not in (0, 1) for b in branch):
         raise DomainError(f"branch must be a {{0,1}}-tuple of length {k}")
     graph = build_hexagonal(_chain_cells(k))
-    color = cache(partial(Request, op="color"))
-    reqs = [color(f"O{j}") for j in range(k + 1)]
+    made = _Requests()
+    reqs = [made[f"O{j}", "color", None] for j in range(k + 1)]
     for j in range(1, k + 1):
         pair = "D" if branch[j - 1] == 1 else "S"
-        reqs += [color(f"{pair}{2 * j - 1}"), color(f"{pair}{2 * j}")]
-    reqs += [color("R")] * pad_requests
+        reqs += [made[f"{pair}{2 * j - 1}", "color", None], made[f"{pair}{2 * j}", "color", None]]
+    reqs += [made["R", "color", None]] * pad_requests
     name = f"hex_chain_k{k}_b{''.join(map(str, branch))}"
     return Instance(graph=graph, requests=tuple(reqs), name=name)
 
@@ -135,8 +134,8 @@ def random_instance(kind: str, seed: int, n_nodes: int = 8, n_requests: int = 20
         graph = build_hexagonal({f"n{i}": cell for i, cell in enumerate(chosen)})
     else:
         raise DomainError(f"random_instance supports bipartite/hexagonal, got {kind!r}")
-    color = cache(partial(Request, op="color"))
-    reqs = [color(rng.choice(graph.nodes)) for _ in range(n_requests)]
+    made, nodes = _Requests(), graph.nodes
+    reqs = [made[rng.choice(nodes), "color", None] for _ in range(n_requests)]
     return Instance(graph=graph, requests=tuple(reqs),
                     name=f"random_{kind}_s{seed}")
 
@@ -151,39 +150,33 @@ def random_cancel_instance(seed: int, n_nodes: int = 8, n_requests: int = 24,
     """
     _check_sizes(n_nodes, n_requests)
     rng = random.Random(seed)
-    base = random_instance("bipartite", seed=seed ^ 0x5EED, n_nodes=n_nodes,
-                           n_requests=0, edge_density=edge_density)
-    graph = base.graph
+    graph = random_instance("bipartite", seed=seed ^ 0x5EED, n_nodes=n_nodes, n_requests=0,
+                            edge_density=edge_density).graph
 
-    # op pattern first; live counts (and hence the peak load) do not depend
-    # on which colors get cancelled
-    ops = []
-    live = {v: 0 for v in graph.nodes}
+    # the op pattern first, as (node, k): k = 0 for a color request, else the
+    # node's live count that the cancellation lowers; live counts (and hence
+    # the peak load) do not depend on which colors get cancelled
+    nodes, live, ops = graph.nodes, dict.fromkeys(graph.nodes, 0), []
     for _ in range(n_requests):
-        v = rng.choice(graph.nodes)
-        if live[v] > 0 and rng.random() < CANCEL_PROB:
-            ops.append((v, "cancel"))
-            live[v] -= 1
+        v = rng.choice(nodes)
+        k = live[v]
+        if k > 0 and rng.random() < CANCEL_PROB:
+            ops.append((v, k))
+            live[v] = k - 1
         else:
-            ops.append((v, "color"))
-            live[v] += 1
+            ops.append((v, 0))
+            live[v] = k + 1
 
-    color = cache(partial(Request, op="color"))
-    pattern = Instance(graph=graph, name="pattern", requests=tuple(
-        color(v) if op == "color" else Request(node=v, op="cancel", cancel_color=1)
-        for v, op in ops))
-    m = peak_clique_load(pattern)
+    made = _Requests()
+    pattern = [made[v, "cancel", 1] if k else made[v, "color", None] for v, k in ops]
+    m = peak_clique_load(Instance(graph, tuple(pattern)))
 
-    # replay the interval invariant to pick concrete live colors to cancel
-    counts = {v: 0 for v in graph.nodes}
+    # a cancellation picks one of the k colors live under the interval invariant
     reqs = []
-    for v, op in ops:
-        if op == "color":
-            counts[v] += 1
-            reqs.append(color(v))
-        else:
-            k = counts[v]
+    for v, k in ops:
+        if k:
             interval = range(1, k + 1) if graph.partition[v] == "L" else range(m - k + 1, m + 1)
-            reqs.append(Request(node=v, op="cancel", cancel_color=rng.choice(list(interval))))
-            counts[v] -= 1
+            reqs.append(made[v, "cancel", rng.choice(interval)])
+        else:
+            reqs.append(made[v, "color", None])
     return Instance(graph=graph, requests=tuple(reqs), name=f"random_cancel_s{seed}")

@@ -18,7 +18,6 @@ import io
 import json
 import os
 import time
-from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .advice import AdviceTape
@@ -26,7 +25,7 @@ from .algorithms import ALGORITHMS, run_player
 from .errors import (MalformedInstanceError, MalformedLogError, MalformedManifestError,
                      MultiColorError)
 from .graph import Graph, build_bipartite, build_hexagonal
-from .instance import CancelAction, ColorAction, Instance, Request, validate_full
+from .instance import CancelAction, ColorAction, Instance, Request, _shared_request, validate_full
 from .value import Value
 from . import oracle
 
@@ -81,24 +80,18 @@ def _request(r, i):
     return Request(node=node, op=op, cancel_color=color)  # checks op; a color op has no color
 
 
-# Requests are immutable values, so the files one process loads share one per
-# (node, op, color): a batch of small files repeats the same few names.
-_shared_request = lru_cache(maxsize=4096)(Request)
-
-
 def _requests(items):
-    """The requests of an instance file, one Request per distinct (node, op,
-    color), shared with earlier files while _shared_request holds it.  Only
-    fields of exact types are looked up and built directly: True and 2.0
-    equal the ints 1 and 2, and _request names a cancel's missing color, so
-    these go through _request and its checks."""
+    """The requests of an instance file, one per distinct (node, op, color),
+    from instance._shared_request.  Only fields of exact types are looked up
+    and built directly: True and 2.0 equal the ints 1 and 2, and _request
+    names a cancel's missing color, so these go through _request's checks."""
     made, out = {}, []
     for i, r in enumerate(items, 1):
         if type(r) is dict:
             key = node, op, color = r.get("node"), r.get("op"), r.get("color")
             if type(node) is type(op) is str and (
                     type(color) is int or color is None and op != "cancel"):
-                request = made.get(key)
+                request = made.get(key)  # not a _Requests: its __missing__ is a call per miss
                 if request is None:
                     request = made[key] = _shared_request(node, op, color)
                 out.append(request)
@@ -176,10 +169,10 @@ def _block(brackets, items, pad):
 
 
 def instance_text(instance: Instance) -> str:
-    """The text of the instance's file (the layout above, and a newline),
-    written field by field with the C string encoder, each distinct request
-    rendered once.  A node, name or cell that the file could not hold raises
-    MalformedInstanceError naming it."""
+    """The text of the instance's file (the layout above, and a newline): the
+    strings by the C encoder, each leaf (an edge, a cell, a request) by one
+    %-format, and each distinct request once.  A node, name or cell that the
+    file could not hold raises MalformedInstanceError naming it."""
     g, enc = instance.graph, encode_basestring_ascii
     for v in g.nodes:
         if not isinstance(v, str):
@@ -187,24 +180,22 @@ def instance_text(instance: Instance) -> str:
     name = _name(instance.name)
     node = {v: enc(v) for v in g.nodes}
     if g.kind in ("path", "bipartite"):
-        edges = [_block("[]", (node[u], node[w]), " " * 8) for u, w in g.edge_list()]
+        edges = ["[\n        %s,\n        %s\n      ]" % (node[u], node[w])
+                 for u, w in g.edge_list()]
         sides = [node[v] + ": " + enc(g.partition[v]) for v in sorted(g.nodes)]
         fields = {"edges": _block("[]", edges, " " * 6), "partition": _block("{}", sides, " " * 6)}
     else:
-        cells = [node[v] + ": " + _block("[]", [str(x) for x in _cell(v, g.cell_of[v])], " " * 8)
+        cells = ["%s: [\n        %d,\n        %d\n      ]" % (node[v], *_cell(v, g.cell_of[v]))
                  for v in sorted(g.nodes)]
         fields = {"cells": _block("{}", cells, " " * 6)}
     fields["kind"] = enc(g.kind)
     fields["nodes"] = _block("[]", [node[v] for v in g.nodes], " " * 6)
     graph = _block("{}", ['"%s": %s' % (k, fields[k]) for k in sorted(fields)], " " * 4)
-
-    @cache  # keyed by (node, cancel color), not by the Request: a Request hashes slowly
-    def render(v, color):
-        parts = ['"node": ' + node[v], '"op": "color"'] if color is None else [
-            '"color": %d' % color, '"node": ' + node[v], '"op": "cancel"']
-        return _block("{}", parts, " " * 6)
-
-    requests = _block("[]", [render(r.node, r.cancel_color) for r in instance.requests], " " * 4)
+    keys = [(r.node, r.cancel_color) for r in instance.requests]  # a Request hashes slowly
+    text = {(v, c): '{\n      "node": %s,\n      "op": "color"\n    }' % node[v] if c is None
+            else '{\n      "color": %d,\n      "node": %s,\n      "op": "cancel"\n    }'
+            % (c, node[v]) for v, c in set(keys)}
+    requests = _block("[]", [text[key] for key in keys], " " * 4)
     return '{\n  "graph": %s,\n  "name": %s,\n  "requests": %s\n}\n' % (graph, enc(name), requests)
 
 

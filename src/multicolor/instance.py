@@ -8,6 +8,8 @@ color of the same node (Algorithm-2 style 0-recoloring).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import DomainError, MalformedInstanceError, MalformedLogError
 from .graph import Graph, maximal_cliques, clique_weight
 from .value import Value
@@ -25,6 +27,20 @@ class Request(Value):
         elif cancel_color is not None:
             raise MalformedInstanceError(f"color request takes no color, got {cancel_color!r}")
         self._init(node, op, cancel_color)
+
+
+# Requests are immutable values, so the instances one process builds or loads
+# share one per (node, op, color) while this table holds it, and each keeps a
+# dict in front of it to hold one per triple after the table drops it.
+_shared_request = lru_cache(maxsize=4096)(Request)
+
+
+class _Requests(dict):
+    """An instance's (node, op, color) -> Request, filled from _shared_request."""
+
+    def __missing__(self, key):
+        request = self[key] = _shared_request(*key)
+        return request
 
 
 class Instance(Value):

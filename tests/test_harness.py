@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multicolor import harness
-from multicolor.adversary import (hex_54, hex_chain, path_family, random_cancel_instance,
-                                  random_instance)
+from multicolor.adversary import (hex_54, hex_chain, path_family, path_instance,
+                                  random_cancel_instance, random_instance)
 from multicolor.algorithms import ALGORITHMS, run_player
 from multicolor.cli import build_parser, main
 from multicolor.errors import (DomainError, MalformedInstanceError, MalformedLogError,
@@ -37,8 +37,8 @@ from multicolor.harness import (
     run,
     save_instance,
 )
-from multicolor.instance import (CancelAction, ColorAction, Instance, Request, demand,
-                                 validate_full)
+from multicolor.instance import (CancelAction, ColorAction, Instance, Request, _shared_request,
+                                 demand, validate_full)
 from multicolor.oracle import Optimum
 from conftest import instance_to_dict
 
@@ -167,11 +167,35 @@ class TestSerialization:
         assert not path.exists()
 
     def test_generated_color_requests_are_shared(self):
+        # more requested nodes than the process-wide table holds
+        big = random_instance("hexagonal", seed=1, n_nodes=5000, n_requests=20000,
+                              grid_extent=71)
+        assert len({r.node for r in big.requests}) > _shared_request.cache_info().maxsize
         for inst in (random_instance("bipartite", seed=2, n_requests=50),
                      random_instance("hexagonal", seed=2, n_requests=50),
-                     random_cancel_instance(seed=2, n_requests=80), path_family(40)[3]):
+                     random_cancel_instance(seed=2, n_requests=80), path_family(40)[3],
+                     hex_chain(3, (1, 0, 1), pad_requests=4), big):
             colors = [r for r in inst.requests if r.op == "color"]
             assert len({id(r) for r in colors}) == len({r.node for r in colors})
+
+    def test_generated_cancel_requests_are_shared(self):
+        inst = random_cancel_instance(seed=2, n_nodes=4, n_requests=300)
+        cancels = [r for r in inst.requests if r.op == "cancel"]
+        distinct = {(r.node, r.cancel_color) for r in cancels}
+        assert len(cancels) > len(distinct)  # some (node, color) is cancelled twice
+        assert len({id(r) for r in cancels}) == len(distinct)
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_cancel_instance(seed=3, n_requests=80),
+        lambda: random_instance("hexagonal", seed=3, n_requests=40),
+        lambda: path_family(40)[2],
+    ])
+    def test_a_saved_file_loads_the_generated_requests(self, tmp_path, make):
+        inst = make()
+        save_instance(inst, str(tmp_path / "inst.json"))
+        loaded = load_instance(str(tmp_path / "inst.json"))
+        assert loaded == inst
+        assert all(a is b for a, b in zip(loaded.requests, inst.requests, strict=True))
 
     def test_actions_round_trip(self):
         acts = [ColorAction(3), CancelAction(), CancelAction(recolor=(5, 2))]
@@ -390,6 +414,69 @@ def main_quietly(argv):
     with contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()
+
+
+def gen_reference(args):
+    """The instance that `multicolor gen` writes for the parsed args, made by
+    the adversary call it stands for; a MultiColorError or ValueError where
+    the call, or the --branch digits, are refused."""
+    if args.family == "path_family":
+        return path_instance(args.n, args.i)
+    if args.family == "hex_chain":
+        branch = tuple(int(ch) for ch in args.branch)
+        return hex_chain(len(branch), branch, pad_requests=args.pad)
+    if args.family == "hex_54":
+        return hex_54(args.p, args.i)
+    if args.family == "random":
+        return random_instance(args.kind, seed=args.seed, n_nodes=args.nodes,
+                               n_requests=args.requests)
+    return random_cancel_instance(seed=args.seed, n_nodes=args.nodes, n_requests=args.requests)
+
+
+# each gen family's options, with small sizes and values on both sides of each refusal
+GEN_OPTIONS = {
+    "path_family": {"--n": st.integers(-2, 80), "--i": st.integers(-2, 22)},
+    "hex_chain": {"--branch": st.text("0123a ", max_size=6), "--pad": st.integers(-2, 60)},
+    "hex_54": {"--p": st.integers(-4, 80), "--i": st.integers(-1, 2)},
+    "random": {"--kind": st.sampled_from(["bipartite", "hexagonal"]),
+               "--seed": st.integers(-10 ** 6, 10 ** 6), "--nodes": st.integers(-1, 20),
+               "--requests": st.integers(-1, 60)},
+    "random_cancel": {"--seed": st.integers(-10 ** 6, 10 ** 6), "--nodes": st.integers(-1, 20),
+                      "--requests": st.integers(-1, 60)},
+}
+
+
+@st.composite
+def gen_argv(draw):
+    """`multicolor gen` argv: a family and any subset of its options."""
+    family = draw(st.sampled_from(sorted(GEN_OPTIONS)))
+    argv = ["gen", family]
+    for option, values in GEN_OPTIONS[family].items():
+        if draw(st.booleans()):
+            argv += [option, str(draw(values))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(gen_argv())
+def test_gen_argv_writes_the_api_instance_or_one_error_line(argv):
+    """`multicolor gen` exits 0 with the text of the adversary call's instance,
+    which loads back equal, or exits 2 with one error line, where the call
+    is refused too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    args = build_parser().parse_args(argv)
+    if code == 0:
+        inst = gen_reference(args)
+        assert err.getvalue() == "" and out.getvalue() == instance_text(inst)
+        assert instance_from_dict(json.loads(out.getvalue())) == inst
+    else:
+        assert out.getvalue() == "" and "Traceback" not in err.getvalue()
+        assert re.fullmatch(r"error: [^\n]+\n", err.getvalue())
+        with pytest.raises((MultiColorError, ValueError)):
+            gen_reference(args)
 
 
 @settings(max_examples=100, deadline=None)

@@ -38,12 +38,13 @@ batch and with the garbage collector on, as perfbench times it:
   gen_text    harness.instance_text of each of those instances
 
 The replay holds the whole corpus at once, which a batch never does, so the
-garbage collector is off while a layer is timed.  `batch` is the CPU time of
-harness.batch on the same manifest, in the same worker before the replay and
-after one untimed warm-up batch, with the collector on.  It is more than the
-sum of the layers: it also pays the batch loop, harness.run's own code and
-the collector.  The warm-up batch runs under tracemalloc, whose peak
-(`tracemalloc_peak_mb`, MiB) is the most memory the package's objects took
+garbage collector is off while a layer is timed.  `batch` is the median of
+five (BATCH_TIMINGS) timings of harness.batch on the same manifest, in the
+same worker before the replay and after one untimed warm-up batch, with the
+collector on; one timing per worker could not resolve a few percent.  It is
+more than the sum of the layers: it also pays the batch loop, harness.run's
+own code and the collector.  The warm-up batch runs under tracemalloc, whose
+peak (`tracemalloc_peak_mb`, MiB) is the most memory the package's objects took
 at once during a process's first batch, its caches filling included; unlike
 perfbench's peak_rss_mb, it leaves out the interpreter and the allocator's
 slack, which move with the checkout's path.
@@ -100,6 +101,7 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 LAYERS = ("read", "decode", "facts", "tape", "player", "validation", "metrics", "csv")
 GENERATION = ("setup", "gen_build", "gen_text")
 SEED = 1  # the seed of the perfbench small-exact-batch runs that CHANGES.md reports
+BATCH_TIMINGS = 5  # timings of the in-process batch per worker, of which the median is kept
 
 
 def _code_sha256(src):
@@ -146,13 +148,16 @@ def _generation(calibrate):
 
 
 def _batch(manifest_path, calibrate):
-    """The calibrate.Timing of harness.batch on the manifest."""
+    """{"cpu_s", "scaled_s"}: each the median over BATCH_TIMINGS timings of
+    harness.batch on the manifest."""
     from multicolor import harness
 
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    return calibrate.run_inline(harness.batch, manifest,
-                                os.path.dirname(manifest_path))[1]
+    timings = [_times(calibrate.run_inline(harness.batch, manifest,
+                                           os.path.dirname(manifest_path))[1])
+               for _ in range(BATCH_TIMINGS)]
+    return {key: statistics.median(t[key] for t in timings) for key in ("cpu_s", "scaled_s")}
 
 
 def _batch_peak_mb(manifest_path):
@@ -261,7 +266,7 @@ def _worker(src, manifest_path):
 
     generation = _generation(calibrate)
     peak_mb = _batch_peak_mb(manifest_path)  # the warm-up batch, untimed
-    batch = _times(_batch(manifest_path, calibrate))
+    batch = _batch(manifest_path, calibrate)
     print(json.dumps({"generation": generation, "layers": _layers(manifest_path, calibrate),
                       "batch": batch, "tracemalloc_peak_mb": peak_mb}))
 

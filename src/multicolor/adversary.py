@@ -5,6 +5,7 @@ and seeded random instances for stress corpora.
 from __future__ import annotations
 
 import random
+from math import isqrt
 
 from .errors import DomainError
 from .graph import build_bipartite, build_hexagonal, build_path
@@ -112,8 +113,10 @@ def _check_sizes(n_nodes, n_requests):
 
 
 def random_instance(kind: str, seed: int, n_nodes: int = 8, n_requests: int = 20,
-                    edge_density: float = 0.5, grid_extent: int = 4) -> Instance:
-    """Seeded random bipartite or hexagonal instance; identical for equal seeds."""
+                    edge_density: float = 0.5, grid_extent: int | None = None) -> Instance:
+    """Seeded random bipartite or hexagonal instance; identical for equal seeds.
+    A hexagonal one takes n_nodes cells of a square grid of side grid_extent,
+    by default the smallest side from 4 up that has n_nodes cells."""
     _check_sizes(n_nodes, n_requests)
     rng = random.Random(seed)
     if kind == "bipartite":
@@ -127,6 +130,8 @@ def random_instance(kind: str, seed: int, n_nodes: int = 8, n_requests: int = 20
         ]
         graph = build_bipartite(nodes, edges, partition)
     elif kind == "hexagonal":
+        if grid_extent is None:
+            grid_extent = max(4, isqrt(n_nodes - 1) + 1)
         all_cells = [(q, r) for q in range(grid_extent) for r in range(grid_extent)]
         if n_nodes > len(all_cells):
             raise DomainError(f"grid_extent {grid_extent} has fewer than {n_nodes} cells")

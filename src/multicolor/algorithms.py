@@ -139,33 +139,33 @@ def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
     phase = dict.fromkeys(graph.nodes, 1)
     upper = {}
     nxt = {}          # node -> its next phase-3 color
-    f = {v: set() for v in graph.nodes}
-    class_of, read_bit = graph.class_of, tape.read_bit
+    own = dict.fromkeys(graph.nodes, 0)   # v holds the first own[v] colors of its private palette
+    lent = dict.fromkeys(graph.nodes, 0)  # and the top lent[v] of its lender's first `size`
+    adjacency, class_of, read_bit = graph.adjacency, graph.class_of, tape.read_bit
     out = []
 
     for r in requests:
         v = r.node
-        held = f[v]
         if phase[v] == 1:
-            if frozen and len(held) == size:
+            if frozen and own[v] == size:
                 phase[v] = 2
             elif read_bit() == 0:
-                # held is the first len(held) colors of the private palette
-                color = PALETTE_START[class_of[v]] + 3 * len(held)
-                if len(held) >= size:  # size = max(size, len(held) + 1)
-                    size = len(held) + 1
+                color = PALETTE_START[class_of[v]] + 3 * own[v]
+                own[v] += 1
+                if own[v] > size:
+                    size = own[v]
             else:
                 phase[v] = 2
                 frozen = True
         if phase[v] == 2:
             if read_bit() == 0:
-                # the first `size` colors of the lender's interleaved private palette
-                lender = set(range(PALETTE_START[BORROW_FROM[class_of[v]]], 3 * size + 1, 3)) - held
-                for u in graph.adjacency[v]:
-                    lender -= f[u]
-                if not lender:
+                # size is frozen and >= each own[u]; of the lender's first size colors, lender-class
+                # neighbours u hold the first own[u], v the top lent[v], and no other node any
+                lender, i = BORROW_FROM[class_of[v]], size - 1 - lent[v]
+                if i < max([own[u] for u in adjacency[v] if class_of[u] == lender], default=0):
                     raise CapacityExceededError(f"no borrowable color left at {v!r}")
-                color = max(lender)
+                color = PALETTE_START[lender] + 3 * i
+                lent[v] += 1
             else:
                 upper[v] = read_bit()
                 if upper[v] and top is None:
@@ -180,7 +180,6 @@ def hex43(graph: Graph, tape: AdviceTape, requests) -> list:
             if color <= 3 * size:
                 raise CapacityExceededError(f"phase-3 window exhausted at {v!r}")
             nxt[v] += -1 if upper[v] else 1
-        held.add(color)
         out.append(_color(color))
     return out
 

@@ -48,10 +48,9 @@ def cmd_gen(args):
     if args.family == "path_family":
         instance = adversary.path_instance(args.n, args.i)
     elif args.family == "hex_chain":
-        try:
-            branch = tuple(int(ch) for ch in args.branch)
-        except ValueError:
-            raise DomainError(f"--branch must be digits, got {args.branch!r}") from None
+        if not args.branch or args.branch.strip("01"):
+            raise DomainError(f"--branch must be one or more 0s and 1s, got {args.branch!r}")
+        branch = tuple(map(int, args.branch))
         instance = adversary.hex_chain(len(branch), branch, pad_requests=args.pad)
     elif args.family == "hex_54":
         instance = adversary.hex_54(args.p, args.i)
@@ -83,7 +82,8 @@ def cmd_run(args):
     optimum = oracle.Optimum(instance, max_nodes=max_nodes, max_requests=max_requests)
     report = harness.run(instance, args.algo, b=args.b, optimum=optimum)
     if args.format == "json":
-        text = json.dumps(report.asdict(), indent=2, sort_keys=True) + "\n"
+        text = json.dumps({**report.asdict(), "status": report.status},
+                          indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
         harness.csv_writer(buf).writerow(harness.report_row(report))
@@ -111,9 +111,14 @@ def cmd_verify(args):
     return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one error line and exit code 2, as other bad input gets
+        # argparse quotes an unrecognized argument as given, newlines and all
+        raise DomainError(f"{self.prog}: {message}".replace("\n", "\\n"))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="multicolor",
-                                     description="online multi-coloring with advice")
+    parser = _Parser(prog="multicolor", description="online multi-coloring with advice")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate an instance file")
@@ -160,8 +165,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (MultiColorError, OSError) as exc:  # bad input, or a file that cannot be used
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from .algorithms import ALGORITHMS, run_player
 from .errors import (MalformedInstanceError, MalformedLogError, MalformedManifestError,
                      MultiColorError)
 from .graph import Graph, build_bipartite, build_hexagonal
-from .instance import CancelAction, ColorAction, Instance, Request, _shared_request, validate_full
+from .instance import CancelAction, ColorAction, Instance, Request, _Requests, validate_full
 from .value import Value
 from . import oracle
 
@@ -82,19 +82,16 @@ def _request(r, i):
 
 def _requests(items):
     """The requests of an instance file, one per distinct (node, op, color),
-    from instance._shared_request.  Only fields of exact types are looked up
+    from an instance._Requests.  Only fields of exact types are looked up
     and built directly: True and 2.0 equal the ints 1 and 2, and _request
     names a cancel's missing color, so these go through _request's checks."""
-    made, out = {}, []
+    made, out = _Requests(), []
     for i, r in enumerate(items, 1):
         if type(r) is dict:
             key = node, op, color = r.get("node"), r.get("op"), r.get("color")
             if type(node) is type(op) is str and (
                     type(color) is int or color is None and op != "cancel"):
-                request = made.get(key)  # not a _Requests: its __missing__ is a call per miss
-                if request is None:
-                    request = made[key] = _shared_request(node, op, color)
-                out.append(request)
+                out.append(made[key])
                 continue
         out.append(_request(r, i))
     return tuple(out)
@@ -208,7 +205,10 @@ def save_instance(instance: Instance, path: str) -> None:
 def _load_json(path: str, error=MalformedInstanceError):
     """The JSON document in the file at path, read as bytes and decoded as
     UTF-8, with the newlines that text mode translates (a lone \\r or \\r\\n)
-    read as \\n; `error` if it is not JSON."""
+    read as \\n; `error` if it is not JSON, or if path holds a NUL, which no
+    file name does."""
+    if "\0" in path:  # open() would raise ValueError
+        raise error(f"no file name holds a NUL, got {path!r}")
     with open(path, "rb", buffering=0) as fh:
         data = fh.read()
     try:

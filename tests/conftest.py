@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from multicolor.graph import Graph
+from multicolor.errors import AdviceError, CapacityExceededError
+from multicolor.graph import BORROW_FROM, PALETTE_START, Graph
 from multicolor.instance import ColorAction, Instance
 
 
@@ -60,6 +61,55 @@ def all_two_colorings(instance: Instance):
             if w in g.adjacency[u]
         ):
             out.append(coloring)
+    return out
+
+
+def hex43_with_sets(graph: Graph, tape, requests) -> list:
+    """Reference 4/3 hexagonal player: algorithms.hex43 as it was written with
+    a set of colors per node, each borrow taking the largest of the lender's
+    first `size` colors that neither the node nor any neighbour holds."""
+    size, frozen, top = 0, False, None
+    phase = dict.fromkeys(graph.nodes, 1)
+    upper, nxt = {}, {}
+    f = {v: set() for v in graph.nodes}
+    class_of, read_bit = graph.class_of, tape.read_bit
+    out = []
+    for r in requests:
+        v = r.node
+        held = f[v]
+        if phase[v] == 1:
+            if frozen and len(held) == size:
+                phase[v] = 2
+            elif read_bit() == 0:
+                color = PALETTE_START[class_of[v]] + 3 * len(held)
+                size = max(size, len(held) + 1)
+            else:
+                phase[v] = 2
+                frozen = True
+        if phase[v] == 2:
+            if read_bit() == 0:
+                lender = set(range(PALETTE_START[BORROW_FROM[class_of[v]]], 3 * size + 1, 3)) - held
+                for u in graph.adjacency[v]:
+                    lender -= f[u]
+                if not lender:
+                    raise CapacityExceededError(f"no borrowable color left at {v!r}")
+                color = max(lender)
+            else:
+                upper[v] = read_bit()
+                if upper[v] and top is None:
+                    d = tape.read_fixed(2)
+                    if d == 3:
+                        raise AdviceError("hex43 header d must be 0, 1 or 2, got 3")
+                    top = 4 * size - 1 + d
+                nxt[v] = top if upper[v] else 3 * size + 1
+                phase[v] = 3
+        if phase[v] == 3:
+            color = nxt[v]
+            if color <= 3 * size:
+                raise CapacityExceededError(f"phase-3 window exhausted at {v!r}")
+            nxt[v] += -1 if upper[v] else 1
+        held.add(color)
+        out.append(ColorAction(color))
     return out
 
 

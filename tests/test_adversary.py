@@ -137,6 +137,18 @@ class TestRandomInstances:
             random_instance("hexagonal", seed=0, n_nodes=n_nodes, grid_extent=grid_extent)
         assert len(random_instance("hexagonal", seed=0, n_nodes=16).graph.nodes) == 16
 
+    @pytest.mark.parametrize("n_nodes, side", [(1, 4), (16, 4), (17, 5), (25, 5), (26, 6),
+                                               (200, 15)])
+    def test_hexagonal_default_grid_is_the_smallest_from_4_that_holds_the_nodes(self, n_nodes,
+                                                                                 side):
+        inst = random_instance("hexagonal", seed=n_nodes, n_nodes=n_nodes, n_requests=30)
+        assert len(inst.graph.nodes) == n_nodes
+        assert inst == random_instance("hexagonal", seed=n_nodes, n_nodes=n_nodes, n_requests=30,
+                                       grid_extent=side)
+        if side > 4:
+            with pytest.raises(DomainError, match=f"grid_extent {side - 1} has fewer than"):
+                random_instance("hexagonal", seed=0, n_nodes=n_nodes, grid_extent=side - 1)
+
     def test_cancel_instances_servable_and_deterministic(self):
         a = random_cancel_instance(seed=11)
         b = random_cancel_instance(seed=11)

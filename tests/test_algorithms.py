@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -19,7 +21,13 @@ from multicolor.algorithms import (
     run_player,
     trivial,
 )
-from multicolor.errors import AdviceError, CapacityExceededError, DomainError, TapeUnderrunError
+from multicolor.errors import (
+    AdviceError,
+    CapacityExceededError,
+    DomainError,
+    MultiColorError,
+    TapeUnderrunError,
+)
 from multicolor.graph import build_bipartite, build_hexagonal, build_path
 from multicolor.harness import make_advice
 from multicolor.instance import (
@@ -34,6 +42,8 @@ from multicolor.instance import (
     validate_full,
 )
 from multicolor.oracle import Optimum, opt_exact
+
+from conftest import hex43_with_sets
 
 
 def colors(actions):
@@ -349,6 +359,37 @@ class TestHex43:
     ], ids=lambda inst: inst.name)
     def test_former_misses(self, inst):
         assert hex43_misses(inst) is None
+
+    def test_counts_play_as_the_set_based_reference(self):
+        # random grids of side 3..8, each with its oracle tape, that tape with
+        # one bit flipped, and random bits at three rates of 1s: hex43 must
+        # give the reference's actions and cursor, or its error at its cursor
+        rng, outcomes = random.Random(43), Counter()
+        for seed in range(600):
+            side = 3 + seed % 6
+            inst = random_instance("hexagonal", seed=seed, n_nodes=rng.randint(1, side * side),
+                                   n_requests=rng.randint(0, 5 * side * side), grid_extent=side)
+            oracle_bits = make_advice(inst, "hex43").bits
+            flipped = list(oracle_bits)
+            if flipped:
+                flipped[rng.randrange(len(flipped))] ^= 1
+            length = inst.n + 2 * len(inst.graph.nodes) + 2
+            tapes = [oracle_bits, flipped] + [[int(rng.random() < p) for _ in range(length)]
+                                              for p in (0.05, 0.2, 0.5)]
+            for bits in tapes:
+                played = []
+                for player in (hex43, hex43_with_sets):
+                    tape = AdviceTape(bits=list(bits))
+                    try:
+                        played.append((player(inst.graph, tape, inst.requests), tape.cursor))
+                    except MultiColorError as exc:
+                        played.append((type(exc), str(exc), tape.cursor))
+                assert played[0] == played[1], (inst.name, bits)
+                outcomes["ok" if len(played[0]) == 2 else played[0][1].split(" at ")[0]] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+        assert set(outcomes) == {"ok", "no borrowable color left", "phase-3 window exhausted",
+                                 "hex43 header d must be 0, 1 or 2, got 3",
+                                 "read past written prefix"}, outcomes
 
     def test_exhaustive_small_shapes(self):
         # every demand vector in 0..7 on six shapes of 2-4 cells, requests

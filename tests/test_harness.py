@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multicolor import harness
 from multicolor.adversary import (hex_54, hex_chain, path_family, path_instance,
@@ -479,6 +479,93 @@ def test_gen_argv_writes_the_api_instance_or_one_error_line(argv):
             gen_reference(args)
 
 
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    """The files that command_argv names: small instances, a log of c.json,
+    a manifest (with an entry whose path holds a NUL, and one with a huge b),
+    a file that is not JSON and one nested too deep; missing.json is not
+    there, and "." is a directory."""
+    base = tmp_path_factory.mktemp("argv")
+    for name, inst in (("i.json", path_family(40)[1]), ("c.json", LOG_INSTANCE),
+                       ("h.json", hex_chain(2, (1, 0))),
+                       ("x.json", random_instance("hexagonal", seed=3, n_nodes=10, n_requests=30))):
+        save_instance(inst, str(base / name))
+    runs = MANIFEST_SEEDS[0]["runs"] + [{"instance": "x.json", "algo": "trivial"},
+                                        {"instance": "i\0.json", "algo": "greedy_opt"},
+                                        {"instance": "i.json", "algo": "greedy_truncated",
+                                         "b": 10 ** 9}]
+    (base / "m.json").write_text(json.dumps({"runs": runs}))
+    (base / "log.json").write_text(json.dumps(LOG_SEEDS[0]))
+    (base / "bad.json").write_text("{")
+    (base / "deep.json").write_text(DEEP_JSON)
+    return base
+
+
+ARGV_FILES = st.sampled_from(["i.json", "c.json", "h.json", "x.json", "m.json", "log.json",
+                              "bad.json", "deep.json", "missing.json", "."])
+ARGV_INTS = st.one_of(st.integers(-3, 70), st.integers(-10 ** 30, 10 ** 30)).map(str)
+# no NUL: an argv from the OS cannot hold one
+ARGV_JUNK = st.one_of(
+    st.sampled_from(["--junk", "-x", "--", "-", "--b", "--budget", "--algo", "--format", "json",
+                     "csv", "fpa", "i.json", "--b=", "--budget=1,2,3", "1e3", "٣"]),
+    st.text(st.characters(blacklist_characters="\0", codec="utf-8"), max_size=6))
+ARGV_INSTANCES = ["i.json", "c.json", "h.json", "x.json"]
+# each command's positional arguments, as the files of the right kind for each
+ARGV_POSITIONALS = {"run": [ARGV_INSTANCES], "opt": [ARGV_INSTANCES], "batch": [["m.json"]],
+                    "verify": [ARGV_INSTANCES, ["log.json"]]}
+
+
+@st.composite
+def command_argv(draw):
+    """`multicolor run`, `opt`, `batch` or `verify` argv: each command's files,
+    half of the time of the right kind and at times one too few or too many,
+    its options with values from negative to huge, and at times junk
+    anywhere."""
+    command = draw(st.sampled_from(sorted(ARGV_POSITIONALS)))
+    argv = [draw(st.sampled_from(right) if draw(st.booleans()) else ARGV_FILES)
+            for right in ARGV_POSITIONALS[command]]
+    wrong_count = draw(st.sampled_from([0] * 6 + [-1, 1]))
+    argv = argv[:len(argv) + wrong_count] + [draw(ARGV_FILES)] * (wrong_count > 0)
+    options = {"run": ["--algo", "--b", "--budget", "--format"], "opt": ["--budget"]}
+    for option in options.get(command, []):
+        if option == "--algo" and draw(st.integers(0, 9)) or draw(st.booleans()):
+            argv += [option, draw({
+                "--algo": st.sampled_from(list(ALGORITHMS) + ["nope"]),
+                "--b": ARGV_INTS,
+                "--budget": st.one_of(st.tuples(ARGV_INTS, ARGV_INTS).map(",".join), ARGV_JUNK),
+                "--format": st.sampled_from(["json", "csv", "xml"])}[option])]
+    if draw(st.integers(0, 3)) == 0:
+        for token in draw(st.lists(ARGV_JUNK, min_size=1, max_size=2)):
+            argv.insert(draw(st.integers(0, len(argv))), token)
+    return [command] + argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_argv())
+@example(["run", "i.json", "--algo", "fpa", "a\nb"])  # argparse echoes an unknown argument
+@example(["batch", "m.json"])  # an entry's path holds a NUL
+def test_command_argv_exits_0_1_or_2_with_one_error_line_at_most(argv_dir, argv):
+    """`multicolor run`, `opt`, `batch` and `verify` exit 0 or 1 with nothing
+    on stderr, or 2 with one error line; nothing prints a traceback.  The
+    commands run in argv_dir, so that no junk --out can write elsewhere."""
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(argv_dir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # only --help, which junk may abbreviate
+                code = exc.code
+                assert code == 0 and out.getvalue().startswith("usage: multicolor")
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert re.fullmatch(r"error: [^\n]+\n", err.getvalue()), err.getvalue()
+    else:
+        assert err.getvalue() == ""
+
+
 @settings(max_examples=100, deadline=None)
 @given(mutated(LOG_SEEDS))
 def test_malformed_logs_raise_only_multicolor_errors(fuzz_dir, doc):
@@ -802,6 +889,19 @@ class TestStatus:
         assert main(["batch", str(manifest_path), "--out", str(out_path)]) == 1
         row = out_path.read_text().splitlines()[1]
         assert row == "greedy_opt,path_family_n40_i2,12,12,11,12,1.000000,true,over color bound 0"
+
+    def test_run_json_names_the_patched_color_bound_and_exits_1(self, tmp_path, capsys,
+                                                                monkeypatch):
+        from multicolor.algorithms import Algorithm
+
+        entry = ALGORITHMS["greedy_opt"]
+        monkeypatch.setitem(ALGORITHMS, "greedy_opt",
+                            Algorithm(entry.play, entry.advise, entry.bound, lambda opt, b: 0))
+        inst_path = str(tmp_path / "i2.json")
+        save_instance(path_family(40)[2], inst_path)
+        assert main(["run", inst_path, "--algo", "greedy_opt", "--format", "json"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert (out["status"], out["color_bound"], out["max_color"]) == ("over color bound 0", 0, 12)
 
 
 def _run_benchmarks():
@@ -1427,13 +1527,19 @@ class TestCli:
         (["random", "--kind", "hexagonal", "--nodes", "0"], "got 0 and 20"),
         (["random", "--requests", "-5"], "got 8 and -5"),
         (["random_cancel", "--requests", "-5"], "got 8 and -5"),
-        (["random", "--kind", "hexagonal", "--nodes", "30"], "fewer than 30 cells"),
     ])
     def test_gen_random_bad_size_exits_2(self, tmp_path, capsys, args, error):
         out = tmp_path / "i.json"
         assert main(["gen", *args, "--out", str(out)]) == 2
         assert error in capsys.readouterr().err
         assert not out.exists()
+
+    def test_gen_random_hexagonal_takes_a_grid_with_a_cell_per_node(self, capsys):
+        assert main(["gen", "random", "--kind", "hexagonal", "--nodes", "30", "--requests",
+                     "50"]) == 0
+        inst = instance_from_dict(json.loads(capsys.readouterr().out))
+        assert inst == random_instance("hexagonal", seed=0, n_nodes=30, n_requests=50,
+                                       grid_extent=6)
 
     def test_node_listed_twice_exits_2(self, tmp_path, capsys):
         data = {"graph": {"kind": "bipartite", "nodes": ["n0", "n1", "n0"],
@@ -1489,8 +1595,10 @@ class TestCli:
         assert expected.graph.nodes == ("a", "b")
 
     def test_bad_branch_exits_2(self, capsys):
-        assert main(["gen", "hex_chain", "--branch", "1x"]) == 2
-        assert "--branch must be digits, got '1x'" in capsys.readouterr().err
+        for branch in ("1x", "", "2", "0 1", "-1"):
+            assert main(["gen", "hex_chain", "--branch", branch]) == 2
+            assert capsys.readouterr().err == (
+                f"error: --branch must be one or more 0s and 1s, got {branch!r}\n")
 
     def test_batch_does_not_import_adversary(self, tmp_path):
         save_instance(path_family(40)[2], str(tmp_path / "i2.json"))

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+import time
 
 from . import harness, oracle
 from .algorithms import ALGORITHMS
@@ -35,8 +36,11 @@ def _parse_budget(text):
 
 
 def _write_out(text, out):
+    """Write text to the file out, or to stdout; a string that UTF-8 cannot
+    encode (a lone surrogate) is written as its \\uXXXX escape."""
+    text = text.encode("utf-8", "backslashreplace").decode()
     if out:
-        with open(out, "w") as fh:
+        with open(harness._file_name(out), "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -80,9 +84,11 @@ def cmd_run(args):
     instance = harness.load_instance(args.instance)
     max_nodes, max_requests = _parse_budget(args.budget)
     optimum = oracle.Optimum(instance, max_nodes=max_nodes, max_requests=max_requests)
+    start = time.perf_counter()
     report = harness.run(instance, args.algo, b=args.b, optimum=optimum)
+    millis = (time.perf_counter() - start) * 1000.0
     if args.format == "json":
-        text = json.dumps({**report.asdict(), "status": report.status},
+        text = json.dumps({**report.asdict(), "status": report.status, "runtime_millis": millis},
                           indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()

@@ -17,13 +17,12 @@ import csv
 import io
 import json
 import os
-import time
 from json.encoder import encode_basestring_ascii
 
 from .advice import AdviceTape
 from .algorithms import ALGORITHMS, run_player
-from .errors import (MalformedInstanceError, MalformedLogError, MalformedManifestError,
-                     MultiColorError)
+from .errors import (DomainError, MalformedInstanceError, MalformedLogError,
+                     MalformedManifestError, MultiColorError)
 from .graph import Graph, build_bipartite, build_hexagonal
 from .instance import CancelAction, ColorAction, Instance, Request, _Requests, validate_full
 from .value import Value
@@ -196,20 +195,25 @@ def instance_text(instance: Instance) -> str:
     return '{\n  "graph": %s,\n  "name": %s,\n  "requests": %s\n}\n' % (graph, enc(name), requests)
 
 
+def _file_name(path: str, error=DomainError) -> str:
+    """path, or `error` if it holds a NUL, which no file name does (open()
+    would raise ValueError)."""
+    if "\0" in path:
+        raise error(f"no file name holds a NUL, got {path!r}")
+    return path
+
+
 def save_instance(instance: Instance, path: str) -> None:
     text = instance_text(instance)  # checked before the file is opened
-    with open(path, "w") as fh:
+    with open(_file_name(path), "w") as fh:
         fh.write(text)
 
 
 def _load_json(path: str, error=MalformedInstanceError):
     """The JSON document in the file at path, read as bytes and decoded as
     UTF-8, with the newlines that text mode translates (a lone \\r or \\r\\n)
-    read as \\n; `error` if it is not JSON, or if path holds a NUL, which no
-    file name does."""
-    if "\0" in path:  # open() would raise ValueError
-        raise error(f"no file name holds a NUL, got {path!r}")
-    with open(path, "rb", buffering=0) as fh:
+    read as \\n; `error` if it is not JSON, or if path holds a NUL."""
+    with open(_file_name(path, error), "rb", buffering=0) as fh:
         data = fh.read()
     try:
         text = data.decode()
@@ -266,22 +270,17 @@ def load_log(path: str) -> list:
 # running
 
 class RunReport(Value):
-    """The measurements of one run.  Equality ignores runtime_millis, so
-    reruns compare equal."""
+    """The measurements of one run."""
 
     __slots__ = __match_args__ = (
         "algorithm", "instance", "max_color", "distinct_colors", "advice_bits_read",
-        "opt_value", "strict_ratio", "valid", "advice_bound", "color_bound", "runtime_millis")
+        "opt_value", "strict_ratio", "valid", "advice_bound", "color_bound")
 
     def __init__(self, algorithm: str, instance: str, max_color: int, distinct_colors: int,
                  advice_bits_read: int, opt_value: int | None, strict_ratio: float | None,
-                 valid: bool, advice_bound: int | None, color_bound: int | None = None,
-                 runtime_millis: float = 0.0):
+                 valid: bool, advice_bound: int | None, color_bound: int | None = None):
         self._init(algorithm, instance, max_color, distinct_colors, advice_bits_read, opt_value,
-                   strict_ratio, valid, advice_bound, color_bound, runtime_millis)
-
-    def _key(self) -> tuple:
-        return self._fields()[:-1]  # all but runtime_millis
+                   strict_ratio, valid, advice_bound, color_bound)
 
     @property
     def status(self) -> str:
@@ -328,7 +327,6 @@ def run(instance: Instance, algo: str, b: int | None = None,
     the advice bound and the reported Opt share one oracle.Optimum of the
     instance: optimum when given (its budget bounds the exact search), else
     a fresh one with the default budget."""
-    start = time.perf_counter()
     optimum = optimum or oracle.Optimum(instance)
     tape = make_advice(instance, algo, b=b, optimum=optimum)
     actions = run_player(algo, instance.graph, tape, instance.requests, b=b)
@@ -338,7 +336,6 @@ def run(instance: Instance, algo: str, b: int | None = None,
     ratio = (max_color / opt) if opt else None
     bound = advice_bound(instance, algo, b=b, optimum=optimum)
     color_bound = ALGORITHMS[algo].color_bound(optimum, b)
-    elapsed = (time.perf_counter() - start) * 1000.0
     return RunReport(
         algorithm=algo,
         instance=instance.name,
@@ -350,7 +347,6 @@ def run(instance: Instance, algo: str, b: int | None = None,
         valid=violation is None,
         advice_bound=bound,
         color_bound=color_bound,
-        runtime_millis=elapsed,
     )
 
 
@@ -393,8 +389,7 @@ def batch(manifest: dict, base_dir: str = ".") -> tuple[str, bool]:
     """Run every manifest entry; returns (csv_text, all_ok).
 
     Rows keep manifest order.  A failing entry becomes an error row and the
-    batch continues.  runtime is deliberately not a CSV column so reruns are
-    byte-identical.  Consecutive entries on one instance file share its load
+    batch continues.  Consecutive entries on one instance file share its load
     and its offline optimum (one oracle.Optimum); only the last file loaded
     is kept.
     """
@@ -417,8 +412,8 @@ def batch(manifest: dict, base_dir: str = ".") -> tuple[str, bool]:
             writer.writerow(report_row(report))
             all_ok = all_ok and report.ok
         except (MultiColorError, OSError) as exc:
-            writer.writerow([algo, record.get("instance", "?"), "", "", "", "", "", "",
-                             f"error: {exc}"])
+            blanks = [""] * (len(CSV_COLUMNS) - 3)
+            writer.writerow([algo, record.get("instance", "?"), *blanks, f"error: {exc}"])
             all_ok = False
     return buf.getvalue(), all_ok
 

@@ -44,27 +44,21 @@ class _Requests(dict):
 
 
 class Instance(Value):
-    __match_args__ = ("graph", "requests", "name")
-    # _cancelling (whether any request is a cancellation) is derived from the
-    # fields, not one of them: equality, hash, repr and pickling ignore it
-    __slots__ = __match_args__ + ("_cancelling",)
+    __slots__ = __match_args__ = ("graph", "requests", "name")
 
     def __init__(self, graph: Graph, requests: tuple, name: str = "instance"):
-        adjacency, cancelling = graph.adjacency, False
+        adjacency = graph.adjacency
         for r in requests:
             if r.node not in adjacency:
                 raise MalformedInstanceError(f"request to unknown node {r.node!r}")
-            if r.op == "cancel":
-                cancelling = True
         self._init(graph, requests, name)
-        object.__setattr__(self, "_cancelling", cancelling)
 
     @property
     def n(self) -> int:
         return len(self.requests)
 
     def has_cancellations(self) -> bool:
-        return self._cancelling
+        return _cancels(self.requests)
 
 
 def _cancels(requests) -> bool:

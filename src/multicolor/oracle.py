@@ -1,10 +1,10 @@
 """Offline side: exact optimum search, the run's Optimum, and the
 advice-tape generators for every online player.
 
-An Optimum holds the offline facts of one instance, each computed once: its
-demand, omega, the peak clique load (Opt on a path or bipartite graph; omega
-when nothing is cancelled) and an optimal witness.  Every tape writer takes
-the run's Optimum and reads the instance from it.
+An Optimum holds the offline facts of one instance, each computed once:
+whether it cancels, its demand, omega, the peak clique load (Opt on a path or
+bipartite graph; omega when nothing is cancelled) and an optimal witness.
+Every tape writer takes the run's Optimum and reads the instance from it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _check_searchable(optimum: Optimum):
     """Raise what opt_exact raises instead of searching the optimum's instance:
     DomainError on a cancellation, BudgetExceededError (lower bound omega) beyond
     the optimum's budget."""
-    if optimum.instance.has_cancellations():
+    if optimum.cancelling:
         raise DomainError("opt_exact handles cancellation-free instances only")
     active, total = sum(k > 0 for k in optimum.demand.values()), sum(optimum.demand.values())
     if active > optimum.max_nodes or total > optimum.max_requests:
@@ -163,14 +163,20 @@ def _search(need, neighbors, cliques, palette_size):
 
 
 class Optimum:
-    """The offline facts about one instance's optimum: its demand, omega, the
-    peak clique load and an optimal witness.  Each is computed at most once,
-    on first use, so a run's tape, advice bound and report share them."""
+    """The offline facts about one instance's optimum: whether it cancels, its
+    demand, omega, the peak clique load and an optimal witness.  Each is
+    computed at most once, on first use, so a run's tape, advice bound and
+    report share them."""
 
     def __init__(self, instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
                  max_requests: int = DEFAULT_MAX_REQUESTS):
         self.instance = instance
         self.max_nodes, self.max_requests = max_nodes, max_requests
+
+    @cached_property
+    def cancelling(self) -> bool:
+        """Whether any request is a cancellation."""
+        return self.instance.has_cancellations()
 
     @cached_property
     def demand(self) -> dict:
@@ -180,7 +186,7 @@ class Optimum:
     def peak_load(self) -> int:
         """The peak clique load: Opt on a path or bipartite graph.  With no
         cancellation the load only grows, so it is omega."""
-        if self.instance.has_cancellations():
+        if self.cancelling:
             return peak_clique_load(self.instance)
         return self.omega
 
@@ -198,8 +204,8 @@ class Optimum:
         running opt_exact; else it is an omega-coloring from omega_coloring,
         which proves Opt = omega, or failing that opt_exact's witness, searched
         from this Optimum's demand and omega."""
-        inst, g, dem = self.instance, self.instance.graph, self.demand
-        if g.kind != "hexagonal" and not inst.has_cancellations():
+        g, dem = self.instance.graph, self.demand
+        if g.kind != "hexagonal" and not self.cancelling:
             m, side = self.peak_load, g.partition
             return OptWitness(opt_value=m, coloring={
                 v: frozenset(range(1, k + 1) if side[v] == "L" else range(m - k + 1, m + 1))
@@ -216,7 +222,8 @@ class Optimum:
         """Best available exact optimum: the peak load on a path or bipartite
         graph, and otherwise the opt_value of the witness: omega when an
         omega-coloring certifies it, else the exact search's.  None when the
-        instance exceeds the search budget."""
+        instance exceeds the search budget; on a hexagonal instance with a
+        cancellation, opt_exact's DomainError."""
         if self.instance.graph.kind != "hexagonal":
             return self.peak_load
         try:

@@ -5,8 +5,7 @@ __match_args__; Value gives each subclass its slot setters, in that order, as
 `_setters`.  An __init__ checks its arguments and ends in one `self._init(...)`
 call, which sets each field once through its setter, bypassing __setattr__.
 After __init__, assigning or deleting a field raises AttributeError.  Equality
-and hash go by _key() (every field, unless a type says otherwise), and repr
-lists the fields in order: `ColorAction(color=3)`.
+and hash go by the fields, and repr lists them in order: `ColorAction(color=3)`.
 """
 
 
@@ -36,17 +35,13 @@ class Value:
         """The field values, in constructor order."""
         return tuple(getattr(self, f) for f in self.__match_args__)
 
-    def _key(self) -> tuple:
-        """What equality and hash compare."""
-        return self._fields()
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return self._fields() == other._fields()
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._fields())
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)

@@ -596,6 +596,7 @@ def test_malformed_manifests_fail_only_in_error_rows(fuzz_dir, doc):
         text, ok = batch(doc, base_dir=str(fuzz_dir))
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == list(harness.CSV_COLUMNS) and len(rows) == 1 + len(doc["runs"])
+        assert all(len(row) == len(harness.CSV_COLUMNS) for row in rows)
         assert not ok or all(row[-1] == "ok" for row in rows[1:])
     except MultiColorError:
         pass
@@ -618,6 +619,16 @@ class TestRun:
         assert report.max_color == 4
         assert report.advice_bits_read == 5
         assert report.valid
+
+    @pytest.mark.parametrize("algo, make", [
+        ("greedy_opt", lambda: path_family(40)[2]),
+        ("hex43", lambda: random_instance("hexagonal", seed=3, n_nodes=10, n_requests=30)),
+        ("greedy_cancel", lambda: random_cancel_instance(seed=5)),
+    ], ids=["greedy_opt", "hex43", "greedy_cancel"])
+    def test_reruns_report_equal_fields(self, algo, make):
+        inst = make()
+        first, second = run(inst, algo), run(inst, algo)
+        assert first.asdict() == second.asdict() and first == second
 
     def test_empty_instance(self):
         inst = Instance(build_path(2), (), name="empty")
@@ -680,6 +691,7 @@ class TestRun:
             assert report.advice_bound == advice_bound(inst, algo, b=b)
 
 
+REFUSAL_IDS = ["path", "bipartite", "cancel", "hexagonal", "hexagonal-cancel"]
 REFUSAL_CORPUS = [
     lambda: path_family(40)[2],
     lambda: random_instance("bipartite", seed=3),
@@ -691,8 +703,7 @@ REFUSAL_CORPUS = [
 
 
 @pytest.mark.parametrize("algo", list(ALGORITHMS))
-@pytest.mark.parametrize("make", REFUSAL_CORPUS,
-                         ids=["path", "bipartite", "cancel", "hexagonal", "hexagonal-cancel"])
+@pytest.mark.parametrize("make", REFUSAL_CORPUS, ids=REFUSAL_IDS)
 def test_every_player_runs_ok_or_refuses_in_its_own_name(algo, make):
     try:
         report = run(make(), algo, b=3 if algo == "greedy_truncated" else None)
@@ -700,6 +711,20 @@ def test_every_player_runs_ok_or_refuses_in_its_own_name(algo, make):
         assert str(exc).startswith(f"{algo} "), str(exc)
     else:
         assert report.ok
+
+
+@pytest.mark.parametrize("algo", list(ALGORITHMS))
+@pytest.mark.parametrize("make", REFUSAL_CORPUS, ids=REFUSAL_IDS)
+def test_a_run_asks_the_instance_once_at_most_whether_it_cancels(monkeypatch, algo, make):
+    """The run's Optimum keeps the answer for its tape, bound and Opt."""
+    inst, calls, has_cancellations = make(), [], Instance.has_cancellations
+    monkeypatch.setattr(Instance, "has_cancellations",
+                        lambda self: calls.append(self) or has_cancellations(self))
+    try:
+        run(inst, algo, b=3 if algo == "greedy_truncated" else None)
+    except DomainError:
+        pass
+    assert len(calls) <= 1
 
 
 def test_metrics_count_a_recolor_target():
@@ -1208,6 +1233,52 @@ class TestCli:
         text = Path(out_path).read_text()
         assert text.splitlines()[0].startswith("algorithm,")
         assert "greedy_opt" in text
+
+    def test_run_json_prints_the_report_fields_status_and_runtime(self, tmp_path, capsys):
+        inst_path = str(tmp_path / "i.json")
+        save_instance(path_family(40)[2], inst_path)
+        assert main(["run", inst_path, "--algo", "greedy_opt"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert set(printed) == {*harness.RunReport.__match_args__, "status", "runtime_millis"}
+        assert printed["status"] == "ok"
+        millis = printed["runtime_millis"]
+        assert type(millis) in (int, float) and millis >= 0
+
+    def test_a_lone_surrogate_is_written_as_its_escape(self, tmp_path, capsys):
+        """An instance name, algorithm or instance path that UTF-8 cannot
+        encode is written as its \\uXXXX escape, to a file and to stdout."""
+        inst = path_family(40)[2]
+        save_instance(Instance(inst.graph, inst.requests, name="\udcff"), str(tmp_path / "s.json"))
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"runs": [{"instance": "s.json", "algo": "greedy_opt"},
+                                                  {"instance": "s.json", "algo": "\udcff"},
+                                                  {"instance": "\udcff", "algo": "fpa"}]}))
+        out = tmp_path / "r.csv"
+        assert main(["batch", str(manifest), "--out", str(out)]) == 1
+        text = out.read_bytes().decode()
+        assert main(["batch", str(manifest)]) == 1
+        assert capsys.readouterr().out == text
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[1][:2] == ["greedy_opt", "\\udcff"] and rows[1][-1] == "ok"
+        assert rows[2][0] == "\\udcff" and rows[2][-1] == "error: unknown algorithm '\\udcff'"
+        assert rows[3][1] == "\\udcff" and rows[3][-1].startswith("error: [Errno 2]")
+        argv = ["run", str(tmp_path / "s.json"), "--algo", "greedy_opt", "--format", "csv"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_bytes().decode()
+        assert list(csv.reader(io.StringIO(out.read_text())))[1][1] == "\\udcff"
+
+    @pytest.mark.parametrize("argv", [["gen", "path_family"], ["opt", "{instance}"],
+                                      ["run", "{instance}", "--algo", "greedy_opt"]])
+    def test_out_path_with_a_nul_exits_2(self, tmp_path, capsys, argv):
+        instance = str(tmp_path / "i.json")
+        save_instance(path_family(40)[2], instance)
+        assert main([arg.format(instance=instance) for arg in argv] + ["--out", "a\0b"]) == 2
+        assert capsys.readouterr() == ("", "error: no file name holds a NUL, got 'a\\x00b'\n")
+
+    def test_save_instance_refuses_a_nul_path(self):
+        with pytest.raises(MultiColorError, match="no file name holds a NUL"):
+            save_instance(path_family(40)[2], "a\0b")
 
     def test_run_csv_format(self, tmp_path, capsys):
         inst_path = str(tmp_path / "inst.json")

@@ -49,7 +49,7 @@ MAKERS = {
     "CancelAction": lambda x: CancelAction(recolor=(1, 2 + x)),
     "Violation": lambda x: Violation(1, "edge-conflict", "u", color=1, other_node="w" + "w" * x),
     "ColoringState": lambda x: ColoringState(build_path(1), {"v1": frozenset({1})}, step=x),
-    "RunReport": lambda x: RunReport("fpa", "i", 3 + x, 3, 5, 3, 1.0, True, 9, runtime_millis=2.0),
+    "RunReport": lambda x: RunReport("fpa", "i", 3 + x, 3, 5, 3, 1.0, True, 9),
     "OptWitness": lambda x: OptWitness(1 + x, {"v1": frozenset({1})}),
     "Algorithm": lambda x: Algorithm(len, sum, (repr, ascii)[x], max),
 }
@@ -131,7 +131,7 @@ def test_reprs():
     assert repr(RunReport("fpa", "i", 3, 3, 5, None, None, True, None)) == (
         "RunReport(algorithm='fpa', instance='i', max_color=3, distinct_colors=3, "
         "advice_bits_read=5, opt_value=None, strict_ratio=None, valid=True, "
-        "advice_bound=None, color_bound=None, runtime_millis=0.0)")
+        "advice_bound=None, color_bound=None)")
     assert repr(OptWitness(0, {})) == "OptWitness(opt_value=0, coloring={})"
     assert repr(AdviceTape()) == "AdviceTape(bits=[], cursor=0)"
 
@@ -146,7 +146,9 @@ def test_constructor_defaults():
         "step": 1, "kind": "invalid-color", "node": "u", "color": None, "other_node": None}
     state = ColoringState(g)
     assert (state.f, state.step) == ({}, 0)
-    assert RunReport("a", "i", 1, 1, 0, 1, 1.0, True, 4).runtime_millis == 0.0
+    report = RunReport("a", "i", 1, 1, 0, 1, 1.0, True, 4)
+    assert report.color_bound is None
+    assert list(report.asdict()) == list(RunReport.__match_args__)
     tape1, tape2 = AdviceTape(), AdviceTape()
     tape1.bits.append(1)
     assert tape2.bits == [] and tape2.cursor == 0  # each tape gets its own list
@@ -163,14 +165,6 @@ def test_init_needs_one_value_per_field():
     for values in [(1,), (1, 2, 3)]:
         with pytest.raises(ValueError):
             Pair(*values)
-
-
-def test_run_report_equality_ignores_runtime():
-    a = RunReport("fpa", "i", 3, 3, 5, 3, 1.0, True, 9, runtime_millis=1.0)
-    b = RunReport("fpa", "i", 3, 3, 5, 3, 1.0, True, 9, runtime_millis=250.0)
-    assert a == b and hash(a) == hash(b)
-    assert a.asdict()["runtime_millis"] == 1.0
-    assert list(a.asdict()) == list(RunReport.__match_args__)
 
 
 def test_advice_tape_is_mutable_and_unhashable():

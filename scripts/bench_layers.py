@@ -5,6 +5,7 @@ as one JSON file.
 
   python3 scripts/bench_layers.py --out bench.json
   python3 scripts/bench_layers.py --out bench.json --base ../parent/src
+  python3 scripts/bench_layers.py --out bench.json --base ../parent/src --counts
 
 Run from the repository root.  The corpus is perfbench's small-exact-batch
 workload at seed 1: 1,209 instance files and 2,827 runs of all
@@ -19,8 +20,9 @@ that step summed over the corpus:
 
   read        harness._load_json of each instance file
   decode      harness.instance_from_dict of each document
-  facts       each file's oracle.Optimum: demand, omega (and the cliques),
-              the peak load and Opt, and the witness when a trivial run asks
+  facts       each file's oracle.Optimum: demand, omega (and a hexagonal
+              graph's cliques), the peak load and Opt, and the witness when
+              a trivial run asks
   tape        harness.make_advice of each run, from its file's Optimum
   player      algorithms.run_player of each run
   validation  instance.validate_full of each run's actions
@@ -71,6 +73,22 @@ both sides.  A command takes a few tens of milliseconds, so the kernels just
 around it catch the core's speed at one instant: scaled by them, the same
 code's figure swung by 8% either way.
 
+With --counts, each side also gets exact work counts (`counts`): the
+opcodes executed in its multicolor modules, counted per module by a
+sys.settrace tracer that turns on opcode events in every frame of the
+package's code, over one fresh worker process each for
+
+  small_exact_batch       one harness.batch of the corpus's manifest, the
+                          worker's first, with every cache cold
+  bip_cancel_large_setup  workloads.generate of perfbench's bip-cancel-large
+                          workload at seed 1, as its setup_s times it
+
+The package is imported before the count starts.  A count does not move
+with the machine's load, but it prices each call into C code (a file read,
+a sort, a set operation) at one opcode, whatever that call does; it is a
+record, not a gate.  Bytecode differs between Python versions, so counts
+compare only under one version.
+
 Each side is keyed by `code_sha256`, the sha256 of its multicolor/*.py
 files (each file's name, a NUL and its bytes, in name order): the code that
 ran, whether or not it is committed.  The script pins itself, and so every
@@ -102,6 +120,7 @@ LAYERS = ("read", "decode", "facts", "tape", "player", "validation", "metrics", 
 GENERATION = ("setup", "gen_build", "gen_text")
 SEED = 1  # the seed of the perfbench small-exact-batch runs that CHANGES.md reports
 BATCH_TIMINGS = 5  # timings of the in-process batch per worker, of which the median is kept
+COUNTED = ("small_exact_batch", "bip_cancel_large_setup")  # the steps --counts counts
 
 
 def _code_sha256(src):
@@ -271,12 +290,67 @@ def _worker(src, manifest_path):
                       "batch": batch, "tracemalloc_peak_mb": peak_mb}))
 
 
+def _opcode_counts(fn, *args):
+    """{"total": n, "modules": {module: n}}: the opcodes that fn(*args)
+    executes in the multicolor package's modules."""
+    import multicolor
+
+    package = os.path.dirname(os.path.abspath(multicolor.__file__))
+    counts, tracers = {}, {}  # tracers: code file -> its module's tracer, or None
+
+    def tracer_for(path):
+        if os.path.dirname(os.path.abspath(path)) != package:
+            return None
+        module = os.path.splitext(os.path.basename(path))[0]
+        counts.setdefault(module, 0)
+
+        def count(frame, event, arg):
+            if event == "opcode":
+                counts[module] += 1
+            return count
+        return count
+
+    def on_call(frame, event, arg):
+        path = frame.f_code.co_filename
+        if path not in tracers:
+            tracers[path] = tracer_for(path)
+        tracer = tracers[path]
+        if tracer is not None:
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+        return tracer
+
+    sys.settrace(on_call)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+    return {"total": sum(counts.values()), "modules": dict(sorted(counts.items()))}
+
+
+def _count_worker(src, step, manifest_path):
+    """Print the opcode counts of one COUNTED step, run in this fresh process."""
+    sys.path.insert(0, src)
+    sys.path.insert(0, PERFBENCH)
+    import workloads  # imports every module the steps run, so no import is counted
+    from multicolor import harness
+
+    if step == "small_exact_batch":
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        counts = _opcode_counts(harness.batch, manifest, os.path.dirname(manifest_path))
+    else:
+        with tempfile.TemporaryDirectory() as out_dir:
+            counts = _opcode_counts(workloads.generate, "bip-cancel-large", SEED, out_dir)
+    print(json.dumps(counts))
+
+
 # ---------------------------------------------------------------------------
 # the main process: workers, cold start and the JSON file
 
-def _run_worker(src, manifest_path):
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", src,
-                          manifest_path], capture_output=True, text=True, check=True)
+def _run_worker(*args):
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), *args],
+                         capture_output=True, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
 
@@ -337,6 +411,8 @@ def main(argv=None):
     parser.add_argument("--base", help="the src directory of a base to compare with")
     parser.add_argument("--reps", type=int, default=7,
                         help="worker processes and cold-start runs per side")
+    parser.add_argument("--counts", action="store_true",
+                        help="also count the opcodes each side executes")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
@@ -356,7 +432,9 @@ def main(argv=None):
                                       os.path.join(scratch, "corpus"))
         samples = {side: [] for side in sides}
         for side in _alternate(list(sides), args.reps):
-            samples[side].append(_run_worker(sides[side], manifest))
+            samples[side].append(_run_worker("--worker", sides[side], manifest))
+        counts = {side: {step: _run_worker("--count-worker", src, step, manifest)
+                         for step in COUNTED} for side, src in sides.items()} if args.counts else {}
         commands = {side: _cold_start_commands(src, os.path.join(scratch, side))
                     for side, src in sides.items()}
         cold = {side: {label: [] for label in commands[side]} for side in sides}
@@ -376,6 +454,8 @@ def main(argv=None):
             "cold_start": {label: {"wall_s": statistics.median(walls),
                                    "scaled_s": statistics.median(walls) * scale}
                            for label, walls in cold[side].items()}}
+        if side in counts:
+            result["sides"][side]["counts"] = counts[side]
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -387,6 +467,9 @@ def main(argv=None):
         print(f"{side}: {cells(data['layers'])}; {cells({'batch': data['batch']})} ms "
               f"(cpu/scaled); tracemalloc peak {data['tracemalloc_peak_mb']:.2f} MiB; "
               f"set-up: {cells(data['generation'])}")
+        if "counts" in data:
+            print(f"{side} opcodes: " + " ".join(f"{step} {data['counts'][step]['total']:,}"
+                                                   for step in COUNTED))
     print(args.out)
     return 0
 
@@ -394,5 +477,7 @@ def main(argv=None):
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--worker":
         _worker(sys.argv[2], sys.argv[3])
+    elif len(sys.argv) == 5 and sys.argv[1] == "--count-worker":
+        _count_worker(*sys.argv[2:])
     else:
         sys.exit(main())

@@ -5,6 +5,7 @@ and seeded random instances for stress corpora.
 from __future__ import annotations
 
 import random
+from itertools import islice
 from math import isqrt
 
 from .errors import DomainError
@@ -122,12 +123,15 @@ def random_instance(kind: str, seed: int, n_nodes: int = 8, n_requests: int = 20
     if kind == "bipartite":
         nodes = [f"n{i}" for i in range(n_nodes)]
         partition = {v: rng.choice(("L", "U")) for v in nodes}
-        edges = [
-            (u, w)
-            for i, u in enumerate(nodes)
-            for w in nodes[i + 1:]
-            if partition[u] != partition[w] and rng.random() < edge_density
-        ]
+        # one draw per pair of nodes on opposite sides, u before w in node order
+        side, passed, edges, draw = {"L": [], "U": []}, {"L": 0, "U": 0}, [], rng.random
+        for v in nodes:
+            side[partition[v]].append(v)
+        for u in nodes:
+            passed[partition[u]] += 1
+            other = "U" if partition[u] == "L" else "L"
+            edges += [(u, w) for w in islice(side[other], passed[other], None)
+                      if draw() < edge_density]
         graph = build_bipartite(nodes, edges, partition)
     elif kind == "hexagonal":
         if grid_extent is None:

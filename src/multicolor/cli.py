@@ -36,14 +36,19 @@ def _parse_budget(text):
 
 
 def _write_out(text, out):
-    """Write text to the file out, or to stdout; a string that UTF-8 cannot
-    encode (a lone surrogate) is written as its \\uXXXX escape."""
+    """Write text as UTF-8 to the file out, or to stdout whatever the
+    stream's own encoding (a stream with no byte buffer, such as a StringIO,
+    takes the text); a string that UTF-8 cannot encode (a lone surrogate) is
+    written as its \\uXXXX escape."""
     text = text.encode("utf-8", "backslashreplace").decode()
     if out:
         with open(harness._file_name(out), "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
+    elif getattr(sys.stdout, "buffer", None) is None:
         sys.stdout.write(text)
+    else:
+        sys.stdout.flush()  # whatever went through the text layer goes first
+        sys.stdout.buffer.write(text.encode())
 
 
 def cmd_gen(args):

@@ -58,7 +58,9 @@ class Graph(Value):
         (u, w, x) once per common neighbour x > w (Chiba & Nishizeki), and is
         a maximal clique itself when u and w have none.  Only a hexagonal graph
         is searched for them, in O(|E| * max degree) time; the rest take O(|E|).
-        As tuples of sorted members they sort as the cliques do.
+        As tuples of sorted members they sort as the cliques do.  A path or
+        bipartite run never lists them: clique_weight and peak_clique_load
+        work from node and edge loads there.
         """
         adj, found = self.adjacency, []
         triangles = self.kind == "hexagonal"
@@ -147,8 +149,24 @@ def maximal_cliques(g: Graph) -> list[frozenset]:
 
 
 def clique_weight(g: Graph, demand: dict) -> int:
-    """omega: maximum total demand over the maximal cliques of g."""
-    get, weights = demand.get, []
+    """omega: maximum total demand over the maximal cliques of g.
+
+    The maximal cliques of a path or bipartite graph are its edges and its
+    isolated nodes, and a demand is never negative, so there omega is the
+    largest sum of a node's demand and its largest neighbour demand, found
+    without listing the cliques."""
+    get = demand.get
+    if g.kind in ("path", "bipartite"):
+        best = 0
+        for v, nbrs in g.adjacency.items():
+            own = get(v, 0)
+            top = best - own if best > own else 0  # a neighbour demand above it raises omega
+            for u in nbrs:
+                if get(u, 0) > top:
+                    top = get(u, 0)
+            best = own + top
+        return best
+    weights = []
     for c in maximal_cliques(g):  # plain loops: a generator per clique costs more than its sum
         total = 0
         for v in c:

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from multicolor.errors import AdviceError, CapacityExceededError
+from multicolor.errors import AdviceError, CapacityExceededError, MalformedInstanceError
 from multicolor.graph import BORROW_FROM, PALETTE_START, Graph
 from multicolor.instance import ColorAction, Instance
 
@@ -19,6 +19,28 @@ def brute_force_maximal_cliques(g: Graph):
             if all(w in g.adjacency[u] for u, w in combinations(subset, 2)):
                 cliques.append(frozenset(subset))
     return {c for c in cliques if not any(c < d for d in cliques)}
+
+
+def clique_weight_by_cliques(g: Graph, demand: dict) -> int:
+    """Reference omega: the largest total demand over the listed maximal
+    cliques (Graph.cliques)."""
+    return max((sum(demand.get(v, 0) for v in c) for c in g.cliques), default=0)
+
+
+def peak_load_by_cliques(instance: Instance) -> int:
+    """Reference peak clique load: every listed maximal clique re-summed
+    after every request; a cancellation with no live request raises the
+    error peak_clique_load raises."""
+    cliques = instance.graph.cliques
+    live = {v: 0 for v in instance.graph.nodes}
+    peak = 0
+    for step, r in enumerate(instance.requests, 1):
+        if r.op == "cancel" and live[r.node] == 0:
+            raise MalformedInstanceError(
+                f"step {step}: cancellation at {r.node!r} with no live request")
+        live[r.node] += 1 if r.op == "color" else -1
+        peak = max(peak, max((sum(live[v] for v in c) for c in cliques), default=0))
+    return peak
 
 
 def instance_to_dict(instance: Instance) -> dict:

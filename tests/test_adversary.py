@@ -1,3 +1,5 @@
+import hashlib
+import os
 from itertools import product
 
 import pytest
@@ -157,3 +159,21 @@ class TestRandomInstances:
         from multicolor.instance import peak_clique_load
 
         assert peak_clique_load(a) >= 1
+
+    def test_bipartite_generators_are_pinned(self):
+        """sha256 over harness.instance_text of random_instance("bipartite")
+        and then random_cancel_instance, per node count, edge density and
+        seed, equals the digest in tests/data/random_bipartite_text.sha256,
+        which the all-pairs scan of the nodes wrote: scanning only the
+        cross-side pairs draws the same numbers."""
+        from multicolor.harness import instance_text
+
+        h = hashlib.sha256()
+        for n_nodes, density, seed in product((1, 2, 3, 8, 30), (0, 0.06, 0.5, 1), range(5)):
+            h.update(instance_text(random_instance("bipartite", seed=seed, n_nodes=n_nodes,
+                                                   edge_density=density)).encode())
+            h.update(instance_text(random_cancel_instance(seed=seed, n_nodes=n_nodes,
+                                                          edge_density=density)).encode())
+        with open(os.path.join(os.path.dirname(__file__), "data",
+                               "random_bipartite_text.sha256")) as fh:
+            assert h.hexdigest() == fh.read().split()[0]

@@ -790,6 +790,23 @@ class TestWorkCounts:
         assert len(calls) == 1
         assert report.valid and report.ok
 
+    @pytest.mark.parametrize("algo, b", [("greedy_opt", None), ("greedy_truncated", 2),
+                                         ("greedy_cancel", None), ("trivial", None)])
+    def test_path_and_bipartite_runs_list_no_cliques(self, monkeypatch, algo, b):
+        """omega and the peak load of a path or bipartite run come from node
+        and edge loads: no run of a player that serves them lists cliques."""
+        instances = [path_family(40)[2], random_instance("bipartite", seed=3, n_nodes=30,
+                                                         n_requests=200)]
+        if algo == "greedy_cancel":
+            instances.append(random_cancel_instance(seed=5, n_nodes=30, n_requests=200))
+
+        def refuse(graph):
+            raise AssertionError(f"the cliques of a {graph.kind} graph were listed")
+
+        monkeypatch.setattr(Graph, "cliques", property(refuse))
+        for inst in instances:
+            assert run(inst, algo, b=b).ok
+
     def test_hex43_computes_omega_once(self, monkeypatch):
         from multicolor.graph import clique_weight
 
@@ -1685,6 +1702,22 @@ class TestCli:
                               env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False"]
+
+    def test_batch_writes_utf8_to_an_ascii_stdout(self, tmp_path):
+        """Under an ASCII stdout, a batch on an instance with a non-ASCII name
+        exits 0 and writes its report as UTF-8 bytes."""
+        inst = path_family(40)[2]
+        save_instance(Instance(inst.graph, inst.requests, name="é€"), str(tmp_path / "i.json"))
+        (tmp_path / "m.json").write_text(json.dumps({"runs": [{"instance": "i.json",
+                                                               "algo": "greedy_opt"}]}))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-m", "multicolor.cli", "batch",
+                               str(tmp_path / "m.json")], capture_output=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "ascii"})
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert main(["batch", str(tmp_path / "m.json"), "--out", str(tmp_path / "r.csv")]) == 0
+        assert proc.stdout == (tmp_path / "r.csv").read_bytes()
+        assert list(csv.reader(io.StringIO(proc.stdout.decode())))[1][:2] == ["greedy_opt", "é€"]
 
     def test_verify_output_independent_of_hash_seed(self, tmp_path):
         leaves = ["a", "b", "d", "e"]

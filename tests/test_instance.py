@@ -19,6 +19,8 @@ from multicolor.instance import (
     peak_clique_load,
     validate_full,
 )
+from multicolor.oracle import Optimum
+from conftest import clique_weight_by_cliques, peak_load_by_cliques
 
 
 def edge_graph():
@@ -191,25 +193,94 @@ def test_replay_determinism(path_i2):
 
 # -- incremental peak load and in-place validation --------------------------
 
-def brute_force_peak(inst):
-    """Re-sum every maximal clique after every request."""
-    from multicolor.graph import maximal_cliques
-
-    cliques = maximal_cliques(inst.graph)
-    live = {v: 0 for v in inst.graph.nodes}
-    peak = 0
-    for r in inst.requests:
-        live[r.node] += 1 if r.op == "color" else -1
-        peak = max(peak, max((sum(live[v] for v in c) for c in cliques), default=0))
-    return peak
-
-
 @pytest.mark.parametrize("seed", range(100))
 def test_peak_clique_load_matches_brute_force(seed):
     from multicolor.adversary import random_cancel_instance
 
     inst = random_cancel_instance(seed=seed, n_nodes=3 + seed % 12, n_requests=10 + seed)
-    assert peak_clique_load(inst) == brute_force_peak(inst)
+    assert peak_clique_load(inst) == peak_load_by_cliques(inst)
+
+
+@st.composite
+def triangle_free_instances(draw):
+    """A path, or a bipartite graph whose nodes may be isolated, with up to
+    30 color and cancel requests; a cancel may find no live request."""
+    if draw(st.booleans()):
+        graph = build_path(draw(st.integers(1, 8)))
+    else:
+        nodes = [f"n{i}" for i in range(draw(st.integers(1, 8)))]
+        partition = {v: draw(st.sampled_from("LU")) for v in nodes}
+        pairs = [(u, w) for i, u in enumerate(nodes) for w in nodes[i + 1:]
+                 if partition[u] != partition[w]]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        graph = build_bipartite(nodes, edges, partition)
+    ops = draw(st.lists(st.tuples(st.sampled_from(graph.nodes), st.sampled_from("cccx")),
+                        max_size=30))
+    idle_cancels = draw(st.booleans())
+    live, requests = dict.fromkeys(graph.nodes, 0), []
+    for v, op in ops:
+        if op == "x" and (live[v] or idle_cancels):
+            requests.append(Request(v, "cancel", cancel_color=1))
+            live[v] -= 1
+        else:
+            requests.append(Request(v, "color"))
+            live[v] += 1
+    return Instance(graph, tuple(requests))
+
+
+@given(triangle_free_instances())
+@settings(max_examples=300)
+def test_triangle_free_peak_load_equals_the_clique_reference(inst):
+    """peak_clique_load from node loads equals the clique re-sum, or raises
+    its error, same text and same step."""
+    try:
+        expected = peak_load_by_cliques(inst)
+    except MalformedInstanceError as exc:
+        with pytest.raises(MalformedInstanceError) as raised:
+            peak_clique_load(inst)
+        assert str(raised.value) == str(exc)
+    else:
+        assert peak_clique_load(inst) == expected
+
+
+@given(triangle_free_instances(), st.data())
+@settings(max_examples=300)
+def test_triangle_free_omega_equals_the_clique_reference(inst, data):
+    """omega from node and edge demands equals the largest clique sum, for
+    the instance's demand (also through Optimum) and for any demand of
+    some of the nodes."""
+    from multicolor.graph import clique_weight
+
+    g, dem = inst.graph, demand(inst)
+    assert clique_weight(g, dem) == clique_weight_by_cliques(g, dem) == Optimum(inst).omega
+    some = data.draw(st.dictionaries(st.sampled_from(g.nodes), st.integers(0, 50)))
+    assert clique_weight(g, some) == clique_weight_by_cliques(g, some)
+
+
+@pytest.mark.parametrize("requests, expected", [
+    ((), 0),
+    ((("a", "color"),), 1),
+    ((("a", "color"), ("a", "color"), ("z", "color")), 2),
+    ((("z", "color"),) * 3 + (("a", "color"), ("b", "color")), 3),
+    ((("a", "color"), ("b", "color"), ("a", "cancel"), ("b", "color"), ("z", "color")), 2),
+    ((("a", "color"), ("b", "color"), ("b", "cancel"), ("b", "cancel")),
+     "step 4: cancellation at 'b' with no live request"),
+])
+def test_triangle_free_loads_with_an_isolated_node(requests, expected):
+    """The edge a-b and the isolated node z: omega and the peak load agree
+    with the clique reference, and a second cancel at b names step 4."""
+    g = build_bipartite(["a", "b", "z"], [("a", "b")], {"a": "L", "b": "U", "z": "L"})
+    inst = Instance(g, tuple(Request(v, op, cancel_color=1 if op == "cancel" else None)
+                             for v, op in requests))
+    if isinstance(expected, str):
+        with pytest.raises(MalformedInstanceError, match=f"^{expected}$"):
+            peak_clique_load(inst)
+        with pytest.raises(MalformedInstanceError, match=f"^{expected}$"):
+            peak_load_by_cliques(inst)
+        return
+    assert peak_clique_load(inst) == peak_load_by_cliques(inst) == expected
+    if not inst.has_cancellations():
+        assert demand_clique_weight(inst) == clique_weight_by_cliques(g, demand(inst)) == expected
 
 
 def star():

@@ -9,8 +9,8 @@ from itertools import islice
 from math import isqrt
 
 from .errors import DomainError
-from .graph import build_bipartite, build_hexagonal, build_path
-from .instance import Instance, _Requests, peak_clique_load
+from .graph import build_bipartite, build_hexagonal, build_path, peak_load
+from .instance import Instance, _Requests
 
 # chance that a request to a node with a live color cancels one (random_cancel_instance)
 CANCEL_PROB = 0.3
@@ -176,12 +176,10 @@ def random_cancel_instance(seed: int, n_nodes: int = 8, n_requests: int = 24,
             ops.append((v, 0))
             live[v] = k + 1
 
-    made = _Requests()
-    pattern = [made[v, "cancel", 1] if k else made[v, "color", None] for v, k in ops]
-    m = peak_clique_load(Instance(graph, tuple(pattern)))
+    m = peak_load(graph, ((v, -1 if k else 1) for v, k in ops))
 
     # a cancellation picks one of the k colors live under the interval invariant
-    reqs = []
+    made, reqs = _Requests(), []
     for v, k in ops:
         if k:
             interval = range(1, k + 1) if graph.partition[v] == "L" else range(m - k + 1, m + 1)

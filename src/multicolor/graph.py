@@ -10,10 +10,12 @@ of the six axial offsets.  Every cell gets one of three classes R/G/B via
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 
 from .errors import (
     InvalidEmbeddingError,
     InvalidSizeError,
+    MalformedInstanceError,
     NotBipartiteError,
     UnknownNodeError,
 )
@@ -58,9 +60,10 @@ class Graph(Value):
         (u, w, x) once per common neighbour x > w (Chiba & Nishizeki), and is
         a maximal clique itself when u and w have none.  Only a hexagonal graph
         is searched for them, in O(|E| * max degree) time; the rest take O(|E|).
-        As tuples of sorted members they sort as the cliques do.  A path or
-        bipartite run never lists them: clique_weight and peak_clique_load
-        work from node and edge loads there.
+        As tuples of sorted members they sort as the cliques do.  peak_load,
+        the one clique-load walk behind clique_weight and peak_clique_load,
+        reads them on a hexagonal graph only: on a path or bipartite graph it
+        works from node and edge loads, so a run there never lists them.
         """
         adj, found = self.adjacency, []
         triangles = self.kind == "hexagonal"
@@ -149,27 +152,54 @@ def maximal_cliques(g: Graph) -> list[frozenset]:
 
 
 def clique_weight(g: Graph, demand: dict) -> int:
-    """omega: maximum total demand over the maximal cliques of g.
+    """omega: maximum total demand over the maximal cliques of g, the
+    peak_load of one step per node, by its demand (a negative demand raises
+    its error)."""
+    return peak_load(g, zip(g.nodes, map(demand.get, g.nodes, repeat(0))))
 
-    The maximal cliques of a path or bipartite graph are its edges and its
-    isolated nodes, and a demand is never negative, so there omega is the
-    largest sum of a node's demand and its largest neighbour demand, found
-    without listing the cliques."""
-    get = demand.get
-    if g.kind in ("path", "bipartite"):
-        best = 0
-        for v, nbrs in g.adjacency.items():
-            own = get(v, 0)
-            top = best - own if best > own else 0  # a neighbour demand above it raises omega
-            for u in nbrs:
-                if get(u, 0) > top:
-                    top = get(u, 0)
-            best = own + top
-        return best
-    weights = []
-    for c in maximal_cliques(g):  # plain loops: a generator per clique costs more than its sum
-        total = 0
+
+def peak_load(g: Graph, steps) -> int:
+    """The largest total load over a maximal clique of g at any time: every
+    node's load starts at 0, and each (node, change) of the steps, streamed
+    in order, moves that node's load by change.  A step that would take a
+    load below 0 is a cancellation with no live request, and raises
+    MalformedInstanceError naming it (steps count from 1).
+
+    Only a rise can raise the peak.  A path or bipartite graph is
+    triangle-free: its maximal cliques are its edges and isolated nodes, so
+    after a rise at v the peak is v's load plus its largest neighbour load,
+    and no clique is listed.  A hexagonal graph keeps one running load per
+    maximal clique, and a step moves those of the cliques through its node."""
+    adj, peak = g.adjacency, 0
+    load = dict.fromkeys(adj, 0)  # from a dict it is sized once: a lower memory peak
+    if g.kind != "hexagonal":
+        for step, (v, change) in enumerate(steps, 1):
+            k = load[v] = load[v] + change
+            if change > 0:
+                top = peak - k if peak > k else 0  # a neighbour load above it raises the peak
+                for u in adj[v]:  # plain loops: a max() per step costs more
+                    if load[u] > top:
+                        top = load[u]
+                peak = k + top
+            elif k < 0:
+                raise _no_live_request(step, v)
+        return peak
+    cliques = maximal_cliques(g)
+    through = {v: [] for v in load}  # node -> indices of the cliques containing it
+    for i, c in enumerate(cliques):
         for v in c:
-            total += get(v, 0)
-        weights.append(total)
-    return max(weights, default=0)
+            through[v].append(i)
+    total = [0] * len(cliques)
+    for step, (v, change) in enumerate(steps, 1):
+        k = load[v] = load[v] + change
+        if k < 0:
+            raise _no_live_request(step, v)
+        for i in through[v]:
+            t = total[i] = total[i] + change
+            if t > peak:
+                peak = t
+    return peak
+
+
+def _no_live_request(step, v):
+    return MalformedInstanceError(f"step {step}: cancellation at {v!r} with no live request")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DomainError, MalformedInstanceError, MalformedLogError
-from .graph import Graph, maximal_cliques, clique_weight
+from .graph import Graph, clique_weight, peak_load
 from .value import Value
 
 
@@ -225,62 +225,11 @@ def demand(instance: Instance) -> dict:
 
 
 def peak_clique_load(instance: Instance) -> int:
-    """Maximum over time and maximal cliques of the live request count, kept
-    as one running load per clique: a request moves the loads of the
-    cliques through its node by one, and only a color request can raise
-    the peak.  A path or bipartite graph keeps only its nodes' loads
-    (_peak_edge_load)."""
-    if instance.graph.kind in ("path", "bipartite"):
-        return _peak_edge_load(instance)
-    cliques = maximal_cliques(instance.graph)
-    through = {v: [] for v in instance.graph.nodes}  # node -> indices of the cliques containing it
-    for i, c in enumerate(cliques):
-        for v in c:
-            through[v].append(i)
-    load = [0] * len(cliques)
-    live = {v: 0 for v in instance.graph.nodes}
-    peak = 0
-    for step, r in enumerate(instance.requests, 1):
-        v = r.node
-        if r.op == "color":
-            live[v] += 1
-            for i in through[v]:
-                load[i] += 1
-                if load[i] > peak:
-                    peak = load[i]
-        else:
-            if live[v] == 0:
-                raise _no_live_request(step, v)
-            live[v] -= 1
-            for i in through[v]:
-                load[i] -= 1
-    return peak
-
-
-def _peak_edge_load(instance: Instance) -> int:
-    """peak_clique_load of a path or bipartite instance, whose maximal
-    cliques are its edges and its isolated nodes: one live count per node,
-    and a color request at v raises the peak to v's count and to v's count
-    plus each neighbour's."""
-    adj, live, peak = instance.graph.adjacency, dict.fromkeys(instance.graph.nodes, 0), 0
-    for step, r in enumerate(instance.requests, 1):
-        v = r.node
-        if r.op == "color":
-            k = live[v] = live[v] + 1
-            top = peak - k if peak > k else 0  # a neighbour count above it raises the peak
-            for u in adj[v]:  # plain loops: a max() per request costs more
-                if live[u] > top:
-                    top = live[u]
-            peak = k + top
-        elif live[v] == 0:
-            raise _no_live_request(step, v)
-        else:
-            live[v] -= 1
-    return peak
-
-
-def _no_live_request(step, v):
-    return MalformedInstanceError(f"step {step}: cancellation at {v!r} with no live request")
+    """Maximum over time and maximal cliques of the live request count: the
+    peak_load of the requests, a color request a rise by 1 at its node and
+    a cancellation a drop by 1."""
+    return peak_load(instance.graph, ((r.node, 1 if r.op == "color" else -1)
+                                      for r in instance.requests))
 
 
 def demand_clique_weight(instance: Instance) -> int:

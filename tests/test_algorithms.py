@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from itertools import product
 
@@ -72,10 +73,13 @@ class TestGreedyOpt:
         assert colors(greedy_opt(g, tape_for(5), reqs)) == [5, 4, 3]
 
     def test_m_too_small_errors(self):
+        """Past m = 2, the L node v1 asks for color 3 and the U node v2 for 0."""
         g = build_path(2)
-        reqs = tuple(Request("v2", "color") for _ in range(3))
-        with pytest.raises(CapacityExceededError):
-            greedy_opt(g, tape_for(2), reqs)
+        for node, color in (("v1", 3), ("v2", 0)):
+            reqs = tuple(Request(node, "color") for _ in range(3))
+            message = f"node '{node}' needs color {color} outside 1..2; advice value too small"
+            with pytest.raises(CapacityExceededError, match=f"^{re.escape(message)}$"):
+                greedy_opt(g, tape_for(2), reqs)
 
 
 class TestGreedyTruncated:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multicolor.errors import MalformedInstanceError, MalformedLogError
-from multicolor.graph import build_bipartite, build_path
+from multicolor.graph import build_bipartite, build_hexagonal, build_path, clique_weight
 from multicolor.instance import (
     CancelAction,
     ColorAction,
@@ -214,6 +214,12 @@ def triangle_free_instances(draw):
                  if partition[u] != partition[w]]
         edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         graph = build_bipartite(nodes, edges, partition)
+    return Instance(graph, draw_requests(draw, graph))
+
+
+def draw_requests(draw, graph):
+    """Up to 30 color and cancel requests to the graph's nodes; a cancel
+    may find no live request."""
     ops = draw(st.lists(st.tuples(st.sampled_from(graph.nodes), st.sampled_from("cccx")),
                         max_size=30))
     idle_cancels = draw(st.booleans())
@@ -225,14 +231,12 @@ def triangle_free_instances(draw):
         else:
             requests.append(Request(v, "color"))
             live[v] += 1
-    return Instance(graph, tuple(requests))
+    return tuple(requests)
 
 
-@given(triangle_free_instances())
-@settings(max_examples=300)
-def test_triangle_free_peak_load_equals_the_clique_reference(inst):
-    """peak_clique_load from node loads equals the clique re-sum, or raises
-    its error, same text and same step."""
+def check_peak_load_by_cliques(inst):
+    """peak_clique_load equals the clique re-sum, or raises its error, same
+    text and same step."""
     try:
         expected = peak_load_by_cliques(inst)
     except MalformedInstanceError as exc:
@@ -243,14 +247,19 @@ def test_triangle_free_peak_load_equals_the_clique_reference(inst):
         assert peak_clique_load(inst) == expected
 
 
+@given(triangle_free_instances())
+@settings(max_examples=300)
+def test_triangle_free_peak_load_equals_the_clique_reference(inst):
+    """peak_clique_load from node loads equals the clique re-sum."""
+    check_peak_load_by_cliques(inst)
+
+
 @given(triangle_free_instances(), st.data())
 @settings(max_examples=300)
 def test_triangle_free_omega_equals_the_clique_reference(inst, data):
     """omega from node and edge demands equals the largest clique sum, for
     the instance's demand (also through Optimum) and for any demand of
     some of the nodes."""
-    from multicolor.graph import clique_weight
-
     g, dem = inst.graph, demand(inst)
     assert clique_weight(g, dem) == clique_weight_by_cliques(g, dem) == Optimum(inst).omega
     some = data.draw(st.dictionaries(st.sampled_from(g.nodes), st.integers(0, 50)))
@@ -270,6 +279,13 @@ def test_triangle_free_loads_with_an_isolated_node(requests, expected):
     """The edge a-b and the isolated node z: omega and the peak load agree
     with the clique reference, and a second cancel at b names step 4."""
     g = build_bipartite(["a", "b", "z"], [("a", "b")], {"a": "L", "b": "U", "z": "L"})
+    check_loads(g, requests, expected)
+
+
+def check_loads(g, requests, expected):
+    """The peak load of the (node, op) requests on g, and omega when none
+    cancels, equal the clique reference and expected, or both raise the
+    error text expected."""
     inst = Instance(g, tuple(Request(v, op, cancel_color=1 if op == "cancel" else None)
                              for v, op in requests))
     if isinstance(expected, str):
@@ -281,6 +297,46 @@ def test_triangle_free_loads_with_an_isolated_node(requests, expected):
     assert peak_clique_load(inst) == peak_load_by_cliques(inst) == expected
     if not inst.has_cancellations():
         assert demand_clique_weight(inst) == clique_weight_by_cliques(g, demand(inst)) == expected
+
+
+@st.composite
+def hexagonal_instances(draw):
+    """Up to 12 cells of a 6 x 6 patch, so triangles, edges in no triangle
+    and isolated cells all occur, with draw_requests' requests."""
+    cells = draw(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1,
+                         max_size=12))
+    graph = build_hexagonal({f"n{i}": cell for i, cell in enumerate(sorted(cells))})
+    return Instance(graph, draw_requests(draw, graph))
+
+
+@given(hexagonal_instances(), st.data())
+@settings(max_examples=300)
+def test_hexagonal_loads_equal_the_clique_reference(inst, data):
+    """On a hexagonal graph the peak load equals the clique re-sum, and
+    omega the largest clique sum for any demand of some of the nodes."""
+    check_peak_load_by_cliques(inst)
+    g = inst.graph
+    some = data.draw(st.dictionaries(st.sampled_from(g.nodes), st.integers(0, 50)))
+    assert clique_weight(g, some) == clique_weight_by_cliques(g, some)
+
+
+@pytest.mark.parametrize("requests, expected", [
+    ((), 0),
+    ((("z", "color"),) * 3 + (("a", "color"),), 3),
+    ((("d", "color"), ("d", "color"), ("e", "color"), ("a", "color")), 3),
+    ((("a", "color"), ("b", "color"), ("c", "color"), ("d", "color")), 3),
+    ((("a", "color"), ("b", "color"), ("a", "cancel"), ("c", "color"), ("e", "color")), 2),
+    ((("a", "color"), ("d", "color"), ("z", "color"), ("d", "cancel"), ("d", "cancel")),
+     "step 5: cancellation at 'd' with no live request"),
+])
+def test_hexagonal_loads_with_a_lone_edge_and_an_isolated_cell(requests, expected):
+    """The triangle a-b-c, the edge d-e in no triangle and the isolated cell
+    z: omega and the peak load agree with the clique reference, and a second
+    cancel at d names step 5."""
+    g = build_hexagonal({"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (4, 0), "e": (5, 0),
+                         "z": (8, 0)})
+    assert sorted(map(sorted, g.cliques)) == [["a", "b", "c"], ["d", "e"], ["z"]]
+    check_loads(g, requests, expected)
 
 
 def star():

@@ -71,6 +71,19 @@ class TestOptExact:
             opt_exact(inst, max_requests=2)
         assert exc.value.lower_bound == 3
 
+    @pytest.mark.parametrize("demanded", [14, 15])
+    def test_budget_counts_each_demanded_node(self, demanded):
+        """One request on each of `demanded` of 15 isolated cells: the gate
+        counts the demanded nodes only, and 15 are one more than the default
+        budget."""
+        g = build_hexagonal({f"n{i:02}": (2 * i, 0) for i in range(15)})
+        inst = Instance(g, tuple(Request(v, "color") for v in g.nodes[:demanded]))
+        if demanded == 14:
+            assert opt_exact(inst).opt_value == 1
+            return
+        with pytest.raises(BudgetExceededError, match=re.escape("(15 demanded nodes, 15 requests)")):
+            opt_exact(inst)
+
     def test_rejects_cancellations(self):
         g = build_path(1)
         inst = Instance(g, (Request("v1", "color"), Request("v1", "cancel", cancel_color=1)))

@@ -9,7 +9,6 @@ of the six axial offsets.  Every cell gets one of three classes R/G/B via
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import repeat
 
 from .errors import (
@@ -42,56 +41,29 @@ class Graph(Value):
     """
 
     __match_args__ = ("kind", "nodes", "adjacency", "partition", "cell_of", "class_of")
-    __slots__ = __match_args__ + ("__dict__",)  # __dict__ holds the cached cliques
+    __slots__ = __match_args__
 
     def __init__(self, kind: str, nodes: tuple, adjacency: dict, partition: dict | None = None,
                  cell_of: dict | None = None, class_of: dict | None = None):
         self._init(kind, nodes, adjacency, {} if partition is None else partition,
                    {} if cell_of is None else cell_of, {} if class_of is None else class_of)
 
-    @cached_property
-    def cliques(self) -> list[frozenset]:
-        """All maximal cliques, sorted for determinism; enumerated once.
-
-        For the three supported kinds, every clique has size at most 3
-        (paths and bipartite graphs are triangle-free; hexagonal grids have
-        no K4), so isolated nodes, edges, and triangles are the only
-        candidates.  Each edge u < w of the adjacency gives the triangle
-        (u, w, x) once per common neighbour x > w (Chiba & Nishizeki), and is
-        a maximal clique itself when u and w have none.  Only a hexagonal graph
-        is searched for them, in O(|E| * max degree) time; the rest take O(|E|).
-        As tuples of sorted members they sort as the cliques do.  peak_load,
-        the one clique-load walk behind clique_weight and peak_clique_load,
-        reads them on a hexagonal graph only: on a path or bipartite graph it
-        works from node and edge loads, so a run there never lists them.
-        """
-        adj, found = self.adjacency, []
-        triangles = self.kind == "hexagonal"
-        for u, nbrs in adj.items():
-            if not nbrs:
-                found.append((u,))
-            for w in nbrs:
-                if w > u:
-                    common = triangles and nbrs.keys() & adj[w].keys()
-                    if not common:
-                        found.append((u, w))
-                        continue
-                    for x in common:
-                        if x > w:
-                            found.append((u, w, x))
-        found.sort()
-        return list(map(frozenset, found))
-
     def edge_list(self) -> list[tuple[str, str]]:
-        return sorted((u, w) for u, nbrs in self.adjacency.items() for w in nbrs if u < w)
+        """The edges (u, w), u < w, sorted: each neighbour dict already is."""
+        adj = self.adjacency
+        return [(u, w) for u in sorted(adj) for w in adj[u] if w > u]
 
 
 def _adjacency(nodes, pairs) -> dict:
-    """node -> {neighbour: None} for the node pairs: filled with the pairs
-    ordered and sorted, so each neighbour dict is in sorted order."""
-    adj = {v: {} for v in nodes}
-    for u, w in sorted((u, w) if u < w else (w, u) for u, w in pairs):
-        adj[u][w] = adj[w][u] = None
+    """node -> {neighbour: None} for the node pairs: each node's list of
+    pair partners, sorted once, keys its dict (a repeated pair collapses)."""
+    adj = {v: [] for v in nodes}
+    for u, w in pairs:
+        adj[u].append(w)
+        adj[w].append(u)
+    for v, nbrs in adj.items():  # one list at a time: a lower memory peak
+        nbrs.sort()
+        adj[v] = dict.fromkeys(nbrs)
     return adj
 
 
@@ -146,9 +118,35 @@ def build_hexagonal(cells: dict) -> Graph:
 
 
 def maximal_cliques(g: Graph) -> list[frozenset]:
-    """All maximal cliques of g, sorted for determinism: the list cached on
-    the graph (Graph.cliques), shared by every caller, so never mutate it."""
-    return g.cliques
+    """All maximal cliques of g, sorted for determinism, listed anew on
+    each call.
+
+    For the three supported kinds, every clique has size at most 3 (paths
+    and bipartite graphs are triangle-free; hexagonal grids have no K4), so
+    isolated nodes, edges, and triangles are the only candidates.  Each edge
+    u < w of the adjacency gives the triangle (u, w, x) once per common
+    neighbour x > w (Chiba & Nishizeki), and is a maximal clique itself when
+    u and w have none.  Only a hexagonal graph is searched for them, in
+    O(|E| * max degree) time; the rest take O(|E|).  As tuples of sorted
+    members they sort as the cliques do.  peak_load lists them once per
+    hexagonal walk; on a path or bipartite graph it needs none.
+    """
+    adj, found = g.adjacency, []
+    triangles = g.kind == "hexagonal"
+    for u, nbrs in adj.items():
+        if not nbrs:
+            found.append((u,))
+        for w in nbrs:
+            if w > u:
+                common = triangles and nbrs.keys() & adj[w].keys()
+                if not common:
+                    found.append((u, w))
+                    continue
+                for x in common:
+                    if x > w:
+                        found.append((u, w, x))
+    found.sort()
+    return list(map(frozenset, found))
 
 
 def clique_weight(g: Graph, demand: dict) -> int:

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from multicolor.errors import AdviceError, CapacityExceededError, MalformedInstanceError
-from multicolor.graph import BORROW_FROM, PALETTE_START, Graph
+from multicolor.graph import BORROW_FROM, PALETTE_START, Graph, maximal_cliques
 from multicolor.instance import ColorAction, Instance
 
 
@@ -23,15 +23,15 @@ def brute_force_maximal_cliques(g: Graph):
 
 def clique_weight_by_cliques(g: Graph, demand: dict) -> int:
     """Reference omega: the largest total demand over the listed maximal
-    cliques (Graph.cliques)."""
-    return max((sum(demand.get(v, 0) for v in c) for c in g.cliques), default=0)
+    cliques (maximal_cliques)."""
+    return max((sum(demand.get(v, 0) for v in c) for c in maximal_cliques(g)), default=0)
 
 
 def peak_load_by_cliques(instance: Instance) -> int:
     """Reference peak clique load: every listed maximal clique re-summed
     after every request; a cancellation with no live request raises the
     error peak_clique_load raises."""
-    cliques = instance.graph.cliques
+    cliques = maximal_cliques(instance.graph)
     live = {v: 0 for v in instance.graph.nodes}
     peak = 0
     for step, r in enumerate(instance.requests, 1):

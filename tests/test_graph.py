@@ -315,7 +315,7 @@ def assert_adjacency_from_pairs(g, pairs):
         (v, sorted(ref[v])) for v in g.nodes]
     assert all(u in g.adjacency[w] for u, nbrs in g.adjacency.items() for w in nbrs)
     assert g.edge_list() == sorted({(u, w) if u < w else (w, u) for u, w in pairs})
-    assert g.cliques == reference_cliques(ref)
+    assert maximal_cliques(g) == reference_cliques(ref)
 
 
 def file_pairs(gd):
@@ -344,7 +344,7 @@ def test_builder_adjacency_is_the_derived_one(g, pairs):
 ], ids=["path", "bipartite", "hexagonal", "path-file", "bipartite-file", "hexagonal-file"])
 def test_builders_hand_over_the_adjacency(make):
     g = make()
-    assert g.__dict__ == {}  # the adjacency is a field: nothing is derived or cached yet
+    assert not hasattr(g, "__dict__")  # the adjacency is a field: nothing is derived or cached
     assert list(g.adjacency) == list(g.nodes)
     assert all(list(nbrs) == sorted(nbrs) for nbrs in g.adjacency.values())
 
@@ -394,4 +394,24 @@ def test_copied_graph_derives_the_builder_adjacency(g, copy_of):
     assert twin == g and twin.adjacency is not g.adjacency  # rebuilt through __init__
     assert [(v, list(n)) for v, n in twin.adjacency.items()] == [
         (v, list(n)) for v, n in g.adjacency.items()]
-    assert twin.cliques == g.cliques
+    assert maximal_cliques(twin) == maximal_cliques(g)
+
+
+@pytest.mark.parametrize("g", [build_path(11), CROSS_CHECK_GRAPHS[6], CROSS_CHECK_GRAPHS[-1]],
+                         ids=lambda g: g.kind)
+def test_maximal_cliques_lists_anew_on_each_call(g):
+    first, second = maximal_cliques(g), maximal_cliques(g)
+    assert first == second and first is not second
+    first.clear()  # a caller may mutate its list: the next one is whole
+    assert second and second == maximal_cliques(g)
+
+
+@given(st.data())
+def test_bipartite_adjacency_from_repeated_reversed_shuffled_pairs(data):
+    nodes = data.draw(st.permutations([f"n{i}" for i in range(data.draw(st.integers(1, 12)))]))
+    sides = {v: data.draw(st.sampled_from("LU")) for v in nodes}
+    cross = [(u, w) for u, w in combinations(nodes, 2) if sides[u] != sides[w]]
+    pairs = data.draw(st.lists(st.sampled_from(cross), max_size=40)) if cross else []
+    pairs += [(w, u) for u, w in pairs if data.draw(st.booleans())]  # both orientations
+    pairs = data.draw(st.permutations(pairs))
+    assert_adjacency_from_pairs(build_bipartite(nodes, pairs, sides), pairs)

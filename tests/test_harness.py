@@ -800,10 +800,13 @@ class TestWorkCounts:
         if algo == "greedy_cancel":
             instances.append(random_cancel_instance(seed=5, n_nodes=30, n_requests=200))
 
-        def refuse(graph):
-            raise AssertionError(f"the cliques of a {graph.kind} graph were listed")
+        from multicolor import graph, oracle
 
-        monkeypatch.setattr(Graph, "cliques", property(refuse))
+        def refuse(g):
+            raise AssertionError(f"the cliques of a {g.kind} graph were listed")
+
+        for module in (graph, oracle):
+            monkeypatch.setattr(module, "maximal_cliques", refuse)
         for inst in instances:
             assert run(inst, algo, b=b).ok
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multicolor.errors import MalformedInstanceError, MalformedLogError
-from multicolor.graph import build_bipartite, build_hexagonal, build_path, clique_weight
+from multicolor.graph import (build_bipartite, build_hexagonal, build_path, clique_weight,
+                              maximal_cliques)
 from multicolor.instance import (
     CancelAction,
     ColorAction,
@@ -335,7 +336,7 @@ def test_hexagonal_loads_with_a_lone_edge_and_an_isolated_cell(requests, expecte
     cancel at d names step 5."""
     g = build_hexagonal({"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (4, 0), "e": (5, 0),
                          "z": (8, 0)})
-    assert sorted(map(sorted, g.cliques)) == [["a", "b", "c"], ["d", "e"], ["z"]]
+    assert sorted(map(sorted, maximal_cliques(g))) == [["a", "b", "c"], ["d", "e"], ["z"]]
     check_loads(g, requests, expected)
 
 

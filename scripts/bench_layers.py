@@ -45,9 +45,11 @@ five (BATCH_TIMINGS) timings of harness.batch on the same manifest, in the
 same worker before the replay and after one untimed warm-up batch, with the
 collector on; one timing per worker could not resolve a few percent.  It is
 more than the sum of the layers: it also pays the batch loop, harness.run's
-own code and the collector.  The warm-up batch runs under tracemalloc, whose
-peak (`tracemalloc_peak_mb`, MiB) is the most memory the package's objects took
-at once during a process's first batch, its caches filling included; unlike
+own code and the collector.  Every batch writes its report to os.devnull.
+The warm-up batch runs under tracemalloc, whose peak (`tracemalloc_peak_mb`,
+MiB) is the most memory the package's objects took at once during a
+process's first batch, its caches filling included, and the report left out
+(a side whose batch returns the report's text holds it all); unlike
 perfbench's peak_rss_mb, it leaves out the interpreter and the allocator's
 slack, which move with the checkout's path.
 
@@ -102,6 +104,7 @@ import argparse
 import gc
 import glob
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -166,31 +169,42 @@ def _generation(calibrate):
     return {"setup": _times(setup), "gen_build": _times(gen_build), "gen_text": _times(gen_text)}
 
 
-def _batch(manifest_path, calibrate):
-    """{"cpu_s", "scaled_s"}: each the median over BATCH_TIMINGS timings of
-    harness.batch on the manifest."""
+def _batch_into(sink):
+    """harness.batch as fn(manifest, base_dir), its report written to the
+    text stream sink; a side whose batch returns the report's text instead
+    (before it took a stream) gets no sink."""
     from multicolor import harness
 
+    if "out" not in inspect.signature(harness.batch).parameters:
+        return harness.batch
+    return lambda manifest, base_dir: harness.batch(manifest, sink, base_dir)
+
+
+def _batch(manifest_path, calibrate):
+    """{"cpu_s", "scaled_s"}: each the median over BATCH_TIMINGS timings of
+    harness.batch on the manifest, its report written to os.devnull."""
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    timings = [_times(calibrate.run_inline(harness.batch, manifest,
-                                           os.path.dirname(manifest_path))[1])
-               for _ in range(BATCH_TIMINGS)]
+    with open(os.devnull, "w") as sink:
+        timings = [_times(calibrate.run_inline(_batch_into(sink), manifest,
+                                               os.path.dirname(manifest_path))[1])
+                   for _ in range(BATCH_TIMINGS)]
     return {key: statistics.median(t[key] for t in timings) for key in ("cpu_s", "scaled_s")}
 
 
 def _batch_peak_mb(manifest_path):
-    """tracemalloc's peak, in MiB, over one harness.batch on the manifest."""
-    from multicolor import harness
-
+    """tracemalloc's peak, in MiB, over one harness.batch on the manifest,
+    its report written to os.devnull."""
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    tracemalloc.start()
-    try:
-        harness.batch(manifest, os.path.dirname(manifest_path))
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
+    with open(os.devnull, "w") as sink:
+        batch = _batch_into(sink)
+        tracemalloc.start()
+        try:
+            batch(manifest, os.path.dirname(manifest_path))
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
 
 
 def _layers(manifest_path, calibrate):
@@ -333,12 +347,12 @@ def _count_worker(src, step, manifest_path):
     sys.path.insert(0, src)
     sys.path.insert(0, PERFBENCH)
     import workloads  # imports every module the steps run, so no import is counted
-    from multicolor import harness
 
     if step == "small_exact_batch":
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-        counts = _opcode_counts(harness.batch, manifest, os.path.dirname(manifest_path))
+        with open(os.devnull, "w") as sink:
+            counts = _opcode_counts(_batch_into(sink), manifest, os.path.dirname(manifest_path))
     else:
         with tempfile.TemporaryDirectory() as out_dir:
             counts = _opcode_counts(workloads.generate, "bip-cancel-large", SEED, out_dir)

@@ -54,10 +54,9 @@ def main():
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
 
-    csv_text, all_ok = harness.batch(manifest, base_dir=args.out)
     report_path = os.path.join(args.out, "report.csv")
     with open(report_path, "w") as fh:
-        fh.write(csv_text)
+        all_ok = harness.batch(manifest, fh, base_dir=args.out)
     print(f"{len(manifest['runs'])} runs -> {report_path} "
           f"({'all valid and within advice and color bounds' if all_ok else 'FAILURES present'})")
     return 0 if all_ok else 1

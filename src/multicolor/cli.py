@@ -11,7 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import os
 import sys
@@ -35,20 +35,35 @@ def _parse_budget(text):
     return nodes, requests
 
 
-def _write_out(text, out):
-    """Write text as UTF-8 to the file out, or to stdout whatever the
-    stream's own encoding (a stream with no byte buffer, such as a StringIO,
-    takes the text); a string that UTF-8 cannot encode (a lone surrogate) is
-    written as its \\uXXXX escape."""
-    text = text.encode("utf-8", "backslashreplace").decode()
+class _Stdout:
+    """stdout as a write-only text stream: each string goes as UTF-8 bytes to
+    its byte buffer, whatever the stream's own encoding, or as text to a
+    stdout with no byte buffer (such as a StringIO); a character that UTF-8
+    cannot encode (a lone surrogate) goes as its \\uXXXX escape."""
+
+    def __init__(self):
+        self.buffer = getattr(sys.stdout, "buffer", None)
+        if self.buffer is not None:
+            sys.stdout.flush()  # whatever went through the text layer goes first
+
+    def write(self, text):
+        data = text.encode("utf-8", "backslashreplace")
+        return sys.stdout.write(data.decode()) if self.buffer is None else self.buffer.write(data)
+
+
+def _output(out):
+    """A context manager giving a text stream that writes UTF-8 to the file
+    out, or to stdout as _Stdout writes; either way a character that UTF-8
+    cannot encode goes as its \\uXXXX escape."""
     if out:
-        with open(harness._file_name(out), "w", encoding="utf-8") as fh:
-            fh.write(text)
-    elif getattr(sys.stdout, "buffer", None) is None:
-        sys.stdout.write(text)
-    else:
-        sys.stdout.flush()  # whatever went through the text layer goes first
-        sys.stdout.buffer.write(text.encode())
+        return open(harness._file_name(out), "w", encoding="utf-8", errors="backslashreplace")
+    return contextlib.nullcontext(_Stdout())
+
+
+def _write_out(text, out):
+    """Write text to the file out, or to stdout, as _output writes."""
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def cmd_gen(args):
@@ -95,18 +110,18 @@ def cmd_run(args):
     if args.format == "json":
         text = json.dumps({**report.asdict(), "status": report.status, "runtime_millis": millis},
                           indent=2, sort_keys=True) + "\n"
+        _write_out(text, args.out)
     else:
-        buf = io.StringIO()
-        harness.csv_writer(buf).writerow(harness.report_row(report))
-        text = buf.getvalue()
-    _write_out(text, args.out)
+        with _output(args.out) as out:
+            harness.csv_writer(out).writerow(harness.report_row(report))
     return 0 if report.ok else 1
 
 
 def cmd_batch(args):
     manifest = harness._load_json(args.manifest, MalformedManifestError)
-    text, ok = harness.batch(manifest, base_dir=os.path.dirname(args.manifest) or ".")
-    _write_out(text, args.out)
+    harness._manifest_runs(manifest)  # a refused manifest leaves --out as it was
+    with _output(args.out) as out:
+        ok = harness.batch(manifest, out, base_dir=os.path.dirname(args.manifest) or ".")
     return 0 if ok else 1
 
 

@@ -14,7 +14,6 @@ sort_keys=True) gives, without the pure-Python encoder; save_instance and
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 from json.encoder import encode_basestring_ascii
@@ -213,10 +212,9 @@ def _load_json(path: str, error=MalformedInstanceError):
     """The JSON document in the file at path, read as bytes and decoded as
     UTF-8, with the newlines that text mode translates (a lone \\r or \\r\\n)
     read as \\n; `error` if it is not JSON, or if path holds a NUL."""
-    with open(_file_name(path, error), "rb", buffering=0) as fh:
-        data = fh.read()
     try:
-        text = data.decode()
+        with open(_file_name(path, error), "rb", buffering=0) as fh:
+            text = fh.read().decode()  # the bytes are dropped once decoded
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         return json.loads(text)
@@ -385,19 +383,25 @@ def _run_entry(entry, i):
     return path, algo, b
 
 
-def batch(manifest: dict, base_dir: str = ".") -> tuple[str, bool]:
-    """Run every manifest entry; returns (csv_text, all_ok).
-
-    Rows keep manifest order.  A failing entry becomes an error row and the
-    batch continues.  Consecutive entries on one instance file share its load
-    and its offline optimum (one oracle.Optimum); only the last file loaded
-    is kept.
-    """
+def _manifest_runs(manifest) -> list:
+    """The manifest's field 'runs', refused unless it is a list."""
     runs = _field(manifest, "runs", "manifest", MalformedManifestError)
     if not isinstance(runs, list):
         raise _wrong_type("manifest field 'runs'", "a list", runs, MalformedManifestError)
-    buf = io.StringIO()
-    writer = csv_writer(buf)
+    return runs
+
+
+def batch(manifest: dict, out, base_dir: str = ".") -> bool:
+    """Run every manifest entry, writing the CSV report to the text stream
+    out row by row, each as its run finishes; returns all_ok.
+
+    Rows keep manifest order.  A failing entry becomes an error row and the
+    batch continues; an error in writing to out ends it.  Consecutive entries
+    on one instance file share its load and its offline optimum (one
+    oracle.Optimum); only the last file loaded is kept.
+    """
+    runs = _manifest_runs(manifest)
+    writer = csv_writer(out)
     all_ok = True
     loaded, instance, optimum = None, None, None  # the last file loaded, its instance and Optimum
     for i, entry in enumerate(runs, 1):
@@ -409,11 +413,12 @@ def batch(manifest: dict, base_dir: str = ".") -> tuple[str, bool]:
                 instance = load_instance(os.path.join(base_dir, path))
                 loaded, optimum = path, oracle.Optimum(instance)
             report = run(instance, algo, b=b, optimum=optimum)
-            writer.writerow(report_row(report))
-            all_ok = all_ok and report.ok
         except (MultiColorError, OSError) as exc:
             blanks = [""] * (len(CSV_COLUMNS) - 3)
-            writer.writerow([algo, record.get("instance", "?"), *blanks, f"error: {exc}"])
+            row = [algo, record.get("instance", "?"), *blanks, f"error: {exc}"]
             all_ok = False
-    return buf.getvalue(), all_ok
-
+        else:
+            row = report_row(report)
+            all_ok = all_ok and report.ok
+        writer.writerow(row)  # outside the try: a failed write is no run's error
+    return all_ok

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,13 @@ from multicolor.instance import (CancelAction, ColorAction, Instance, Request, _
                                  demand, validate_full)
 from multicolor.oracle import Optimum
 from conftest import instance_to_dict
+
+
+def batch_text(manifest, base_dir="."):
+    """(report text, all_ok) of a batch written into a StringIO."""
+    out = io.StringIO()
+    ok = batch(manifest, out, base_dir=base_dir)
+    return out.getvalue(), ok
 
 
 # nested far deeper than the JSON decoder's recursion limit
@@ -593,7 +601,7 @@ def test_malformed_manifests_fail_only_in_error_rows(fuzz_dir, doc):
     """A mutated manifest fails only with MultiColorError or in error rows in
     process, and `multicolor batch` exits 0, 1 or 2 with no traceback."""
     try:
-        text, ok = batch(doc, base_dir=str(fuzz_dir))
+        text, ok = batch_text(doc, base_dir=str(fuzz_dir))
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == list(harness.CSV_COLUMNS) and len(rows) == 1 + len(doc["runs"])
         assert all(len(row) == len(harness.CSV_COLUMNS) for row in rows)
@@ -862,7 +870,7 @@ class TestWorkCounts:
                              for algo in ("fpa", "hex43", "trivial")]}
         loads = count_calls(monkeypatch, harness.load_instance)
         builds = count_witness_builds(monkeypatch)
-        text, ok = batch(manifest, base_dir=str(tmp_path))
+        text, ok = batch_text(manifest, base_dir=str(tmp_path))
         assert ok and len(text.splitlines()) == 4
         assert len(loads) == 1
         assert len(builds) == 1
@@ -999,8 +1007,8 @@ class TestBatch:
 
     def test_rows_and_determinism(self, tmp_path):
         manifest = self._manifest(tmp_path)
-        text1, ok1 = batch(manifest, base_dir=str(tmp_path))
-        text2, ok2 = batch(manifest, base_dir=str(tmp_path))
+        text1, ok1 = batch_text(manifest, base_dir=str(tmp_path))
+        text2, ok2 = batch_text(manifest, base_dir=str(tmp_path))
         assert text1 == text2
         assert ok1 and ok2
         lines = text1.strip().split("\n")
@@ -1010,7 +1018,7 @@ class TestBatch:
     def test_error_row_continues(self, tmp_path):
         manifest = self._manifest(tmp_path)
         manifest["runs"].insert(1, {"instance": "missing.json", "algo": "fpa"})
-        text, ok = batch(manifest, base_dir=str(tmp_path))
+        text, ok = batch_text(manifest, base_dir=str(tmp_path))
         lines = text.strip().split("\n")
         assert len(lines) == 5
         assert "error" in lines[2]
@@ -1021,7 +1029,7 @@ class TestBatch:
         manifest = self._manifest(tmp_path)
         (tmp_path / "junk.json").write_text("not json")
         manifest["runs"].insert(1, {"instance": "junk.json", "algo": "fpa"})
-        text, ok = batch(manifest, base_dir=str(tmp_path))
+        text, ok = batch_text(manifest, base_dir=str(tmp_path))
         assert not ok
         assert text.split("\n")[2] == ("fpa,junk.json,,,,,,,"
                                        "error: Expecting value: line 1 column 1 (char 0)")
@@ -1031,7 +1039,7 @@ class TestBatch:
         (tmp_path / "deep.json").write_text(DEEP_JSON)
         manifest = {"runs": [{"instance": "i2.json", "algo": "greedy_opt"},
                              {"instance": "deep.json", "algo": "fpa"}]}
-        text, ok = batch(manifest, base_dir=str(tmp_path))
+        text, ok = batch_text(manifest, base_dir=str(tmp_path))
         rows = text.splitlines()
         assert not ok and len(rows) == 3
         assert rows[1].startswith("greedy_opt,path_family_n40_i2,12,")
@@ -1044,7 +1052,7 @@ class TestBatch:
         for entry in manifest["runs"]:
             instance = load_instance(str(tmp_path / entry["instance"]))
             writer.writerow(report_row(run(instance, entry["algo"], b=entry.get("b"))))
-        text, _ = batch(manifest, base_dir=str(tmp_path))
+        text, _ = batch_text(manifest, base_dir=str(tmp_path))
         assert text == buf.getvalue()
 
     @pytest.mark.parametrize("name", ["missing.json", "junk.json"])
@@ -1052,7 +1060,7 @@ class TestBatch:
         manifest = self._manifest(tmp_path)
         (tmp_path / "junk.json").write_text("not json")
         manifest["runs"][1:1] = [{"instance": name, "algo": "fpa"}] * 2
-        text, ok = batch(manifest, base_dir=str(tmp_path))
+        text, ok = batch_text(manifest, base_dir=str(tmp_path))
         lines = text.split("\n")
         assert not ok
         assert lines[2] == lines[3]
@@ -1064,7 +1072,7 @@ class TestBatch:
         a, b = manifest["runs"][0], manifest["runs"][2]
         manifest["runs"] = [a, b, a]
         loads = count_calls(monkeypatch, harness.load_instance)
-        lines = batch(manifest, base_dir=str(tmp_path))[0].splitlines()
+        lines = batch_text(manifest, base_dir=str(tmp_path))[0].splitlines()
         assert len(loads) == 3
         assert lines[1] == lines[3]
         assert lines[1].startswith("greedy_opt,path_family_n40_i2,12,")
@@ -1085,7 +1093,7 @@ class TestBatch:
             odd,
             {"instance": manifest["runs"][0]["instance"], "algo": "greedy_truncated", "b": 0},
         ]
-        text, ok = batch(manifest, base_dir=str(tmp_path))
+        text, ok = batch_text(manifest, base_dir=str(tmp_path))
         assert not ok
         assert text == dict_writer_reference(manifest, str(tmp_path))
         assert '"x,""y""\n\u00e9\u20ac"' in text
@@ -1093,7 +1101,7 @@ class TestBatch:
     def test_golden_report(self, tmp_path):
         # the CSV of `scripts/run_benchmarks.py --seeds 25`, byte for byte
         manifest = _run_benchmarks().build_corpus(str(tmp_path), 25)
-        text, ok = batch(manifest, base_dir=str(tmp_path))
+        text, ok = batch_text(manifest, base_dir=str(tmp_path))
         assert ok
         with open(os.path.join(os.path.dirname(__file__), "data", "report_seeds25.csv")) as fh:
             assert text == fh.read()
@@ -1112,12 +1120,50 @@ class TestBatch:
     def test_wrong_type_entry_is_an_error_row(self, tmp_path, entry, error):
         manifest = self._manifest(tmp_path)
         manifest["runs"].insert(1, entry)
-        text, ok = batch(manifest, base_dir=str(tmp_path))
+        text, ok = batch_text(manifest, base_dir=str(tmp_path))
         rows = list(csv.DictReader(io.StringIO(text)))
         assert not ok
         assert len(rows) == 4
         assert rows[1]["status"].startswith(f"error: {error}")
         assert [r["status"] for r in rows[:1] + rows[2:]] == ["ok"] * 3  # the batch went on
+
+    @pytest.mark.parametrize("failing_write", [1, 2])  # the header, the first row
+    def test_a_write_error_ends_the_batch(self, tmp_path, monkeypatch, failing_write):
+        """An OSError from the report stream is no run's error row: batch
+        raises it, after at most one run."""
+        manifest = self._manifest(tmp_path)
+        runs = count_calls(monkeypatch, harness.run)
+        writes = []
+
+        class Full(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                if len(writes) == failing_write:
+                    raise OSError(28, "No space left on device")
+                return super().write(text)
+
+        with pytest.raises(OSError, match=r"\[Errno 28\]"):
+            batch(manifest, Full(), base_dir=str(tmp_path))
+        assert len(writes) == failing_write
+        assert len(runs) == failing_write - 1
+
+    def test_the_report_does_not_grow_memory(self, tmp_path):
+        """tracemalloc's peak over a batch into os.devnull is within 64 KB
+        for 4,000 runs of what it is for 400: no row is kept once written."""
+        save_instance(path_instance(40, 0), str(tmp_path / "p.json"))
+        manifests = {n: {"runs": [{"instance": "p.json", "algo": "greedy_opt"}] * n}
+                     for n in (10, 400, 4000)}
+        peaks = {}
+        with open(os.devnull, "w") as out:
+            assert batch(manifests.pop(10), out, base_dir=str(tmp_path))  # fills the caches
+            for n, manifest in manifests.items():
+                tracemalloc.start()
+                try:
+                    assert batch(manifest, out, base_dir=str(tmp_path))
+                    peaks[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert abs(peaks[4000] - peaks[400]) < 64 * 1024, peaks
 
 
 def text_mode_load(path, error):
@@ -1331,6 +1377,50 @@ class TestCli:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("manifest, error", [
+        ("runs: []", "error: Expecting value: line 1 column 1 (char 0)\n"),
+        ('{"run": []}', "error: manifest has no field 'runs'\n"),
+        ('{"runs": 5}', "error: manifest field 'runs' must be a list, got 5\n"),
+    ])
+    def test_a_refused_manifest_leaves_the_out_file_as_it_was(self, tmp_path, capsys,
+                                                              manifest, error):
+        manifest_path, out = tmp_path / "m.json", tmp_path / "report.csv"
+        manifest_path.write_text(manifest)
+        out.write_bytes(b"an earlier report\r\n\xff")
+        assert main(["batch", str(manifest_path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", error)
+        assert out.read_bytes() == b"an earlier report\r\n\xff"
+
+    @pytest.mark.parametrize("out, error", [
+        ("a\0b", "error: no file name holds a NUL, got 'a\\x00b'\n"),
+        ("{tmp}/no/dir/r.csv", "error: [Errno 2] No such file or directory: '{tmp}/no/dir/r.csv'\n"),
+    ])
+    def test_an_out_that_cannot_be_opened_exits_2_before_any_run(self, tmp_path, capsys,
+                                                                 monkeypatch, out, error):
+        save_instance(path_family(40)[2], str(tmp_path / "i2.json"))
+        manifest_path = tmp_path / "m.json"
+        manifest_path.write_text(json.dumps({"runs": [{"instance": "i2.json",
+                                                       "algo": "greedy_opt"}]}))
+        runs = count_calls(monkeypatch, harness.run)
+        assert main(["batch", str(manifest_path), "--out", out.format(tmp=tmp_path)]) == 2
+        assert capsys.readouterr() == ("", error.format(tmp=tmp_path))
+        assert runs == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_batch_to_a_full_device_exits_2_with_one_error_line(self, tmp_path, capsys,
+                                                                monkeypatch):
+        """The report's rows fill the file's buffer long before the last run:
+        its first failed write ends the batch."""
+        save_instance(path_family(40)[2], str(tmp_path / "i2.json"))
+        manifest_path = tmp_path / "m.json"
+        manifest_path.write_text(json.dumps({"runs": [{"instance": "i2.json",
+                                                       "algo": "greedy_opt"}] * 300}))
+        runs = count_calls(monkeypatch, harness.run)
+        assert main(["batch", str(manifest_path), "--out", "/dev/full"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(r"error: \[Errno 28\] [^\n]+\n", err), err
+        assert len(runs) < 300
+
     def test_batch_with_a_missing_instance_exits_1(self, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"
         manifest_path.write_text(json.dumps({"runs": [{"instance": "missing.json",
@@ -1466,8 +1556,8 @@ class TestCli:
                      ["verify", str(inst_path), str(log_path)]):
             assert main(argv) == 2
             assert field in capsys.readouterr().err
-        text, ok = batch({"runs": [{"instance": "bad.json", "algo": "trivial"}]},
-                         base_dir=str(tmp_path))
+        text, ok = batch_text({"runs": [{"instance": "bad.json", "algo": "trivial"}]},
+                              base_dir=str(tmp_path))
         assert not ok
         row = next(csv.DictReader(io.StringIO(text)))
         assert row["algorithm"] == "trivial" and row["instance"] == "bad.json"
@@ -1497,8 +1587,8 @@ class TestCli:
         (tmp_path / "bad.json").write_text(json.dumps(data))
         assert main(["run", str(tmp_path / "bad.json"), "--algo", "greedy_opt"]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
-        text, ok = batch({"runs": [{"instance": "bad.json", "algo": "greedy_opt"}]},
-                         base_dir=str(tmp_path))
+        text, ok = batch_text({"runs": [{"instance": "bad.json", "algo": "greedy_opt"}]},
+                              base_dir=str(tmp_path))
         assert not ok
         assert next(csv.DictReader(io.StringIO(text)))["status"] == f"error: {error}"
 
@@ -1642,8 +1732,8 @@ class TestCli:
         (tmp_path / "dup.json").write_text(json.dumps(data))
         assert main(["run", str(tmp_path / "dup.json"), "--algo", "greedy_opt"]) == 2
         assert error in capsys.readouterr().err
-        text, ok = batch({"runs": [{"instance": "dup.json", "algo": "greedy_opt"}]},
-                         base_dir=str(tmp_path))
+        text, ok = batch_text({"runs": [{"instance": "dup.json", "algo": "greedy_opt"}]},
+                              base_dir=str(tmp_path))
         assert not ok
         assert next(csv.DictReader(io.StringIO(text)))["status"] == f"error: {error}"
 
@@ -1672,8 +1762,8 @@ class TestCli:
         (tmp_path / "bad.json").write_text(json.dumps(data))
         assert main(["run", str(tmp_path / "bad.json"), "--algo", "fpa"]) == 2
         assert error in capsys.readouterr().err
-        text, ok = batch({"runs": [{"instance": "bad.json", "algo": "fpa"}]},
-                         base_dir=str(tmp_path))
+        text, ok = batch_text({"runs": [{"instance": "bad.json", "algo": "fpa"}]},
+                              base_dir=str(tmp_path))
         assert not ok
         assert next(csv.DictReader(io.StringIO(text)))["status"] == f"error: {error}"
 

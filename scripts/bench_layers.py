@@ -20,15 +20,18 @@ that step summed over the corpus:
 
   read        harness._load_json of each instance file
   decode      harness.instance_from_dict of each document
-  facts       each file's oracle.Optimum: demand, omega (and a hexagonal
-              graph's cliques), the peak load and Opt, and the witness when
-              a trivial run asks
+  facts       each file's oracle.Optimum: demand, omega, the peak load
+              and Opt, and the witness when a trivial run asks
   tape        harness.make_advice of each run, from its file's Optimum
   player      algorithms.run_player of each run
   validation  instance.validate_full of each run's actions
-  metrics     the rest of harness.run: max and distinct colors, the advice
-              and color bounds, and the RunReport
+  metrics     harness._report of each run, from its validation: the rest
+              of harness.run (max and distinct colors, the advice and color
+              bounds, and the RunReport)
   csv         harness.report_row and the CSV writer over every report
+
+A side whose harness has no _report (before it was split out of run) has
+neither of the last two layers, and its layers_total leaves them out.
 
 Each worker first times the corpus's set-up (`generation`), before any
 batch and with the garbage collector on, as perfbench times it:
@@ -48,10 +51,9 @@ more than the sum of the layers: it also pays the batch loop, harness.run's
 own code and the collector.  Every batch writes its report to os.devnull.
 The warm-up batch runs under tracemalloc, whose peak (`tracemalloc_peak_mb`,
 MiB) is the most memory the package's objects took at once during a
-process's first batch, its caches filling included, and the report left out
-(a side whose batch returns the report's text holds it all); unlike
-perfbench's peak_rss_mb, it leaves out the interpreter and the allocator's
-slack, which move with the checkout's path.
+process's first batch, its caches filling included, and the report left out;
+unlike perfbench's peak_rss_mb, it leaves out the interpreter and the
+allocator's slack, which move with the checkout's path.
 
 Each layer and the batch are timed by calibrate.run_inline, as perfbench
 times its in-process batch: the reference kernel runs before, after and
@@ -104,7 +106,6 @@ import argparse
 import gc
 import glob
 import hashlib
-import inspect
 import json
 import os
 import platform
@@ -171,12 +172,9 @@ def _generation(calibrate):
 
 def _batch_into(sink):
     """harness.batch as fn(manifest, base_dir), its report written to the
-    text stream sink; a side whose batch returns the report's text instead
-    (before it took a stream) gets no sink."""
+    text stream sink."""
     from multicolor import harness
 
-    if "out" not in inspect.signature(harness.batch).parameters:
-        return harness.batch
     return lambda manifest, base_dir: harness.batch(manifest, sink, base_dir)
 
 
@@ -211,7 +209,7 @@ def _layers(manifest_path, calibrate):
     """{layer: {"cpu_s", "scaled_s"}} for one layer-by-layer replay of the
     batch."""
     from multicolor import harness, oracle
-    from multicolor.algorithms import ALGORITHMS, run_player
+    from multicolor.algorithms import run_player
     from multicolor.errors import MultiColorError
     from multicolor.instance import validate_full
 
@@ -267,19 +265,16 @@ def _layers(manifest_path, calibrate):
     def validate(instance, optimum, algo, b, tape, actions):
         return validate_full(instance, actions)
 
-    def measure(instance, optimum, algo, b, tape, actions):
-        max_color, distinct = harness._metrics(actions)
-        opt = optimum.value
-        return harness.RunReport(
-            algo, instance.name, max_color, distinct, tape.high_water, opt,
-            max_color / opt if opt else None, True,
-            harness.advice_bound(instance, algo, b=b, optimum=optimum),
-            ALGORITHMS[algo].color_bound(optimum, b))
-
     # each step keeps the runs that the last one did not refuse, with its output
     runs = [(*run, t) for run, t in zip(runs, timed("tape", tape, runs)) if t is not None]
     runs = [(*run, a) for run, a in zip(runs, timed("player", play, runs)) if a is not None]
-    timed("validation", validate, runs)
+    runs = [(*run, v) for run, v in zip(runs, timed("validation", validate, runs))]
+    if not hasattr(harness, "_report"):
+        return spent
+
+    def measure(instance, optimum, algo, b, tape, actions, violation):
+        return harness._report(instance, algo, b, optimum, tape, actions, violation)
+
     reports = timed("metrics", measure, runs)
 
     def write_csv(reports):
@@ -373,7 +368,8 @@ def _summary(samples):
     def medians(times):
         return {key: statistics.median(t[key] for t in times) for key in ("cpu_s", "scaled_s")}
 
-    layers = {layer: medians([s["layers"][layer] for s in samples]) for layer in LAYERS}
+    layers = {layer: medians([s["layers"][layer] for s in samples])
+              for layer in LAYERS if layer in samples[0]["layers"]}
     return {"reps": len(samples), "layers": layers,
             "layers_total": {key: sum(v[key] for v in layers.values())
                              for key in ("cpu_s", "scaled_s")},

@@ -128,8 +128,8 @@ def maximal_cliques(g: Graph) -> list[frozenset]:
     neighbour x > w (Chiba & Nishizeki), and is a maximal clique itself when
     u and w have none.  Only a hexagonal graph is searched for them, in
     O(|E| * max degree) time; the rest take O(|E|).  As tuples of sorted
-    members they sort as the cliques do.  peak_load lists them once per
-    hexagonal walk; on a path or bipartite graph it needs none.
+    members they sort as the cliques do.  No run lists them: peak_load reads
+    a node's neighbours, and only exact search (oracle._opt_search) calls this.
     """
     adj, found = g.adjacency, []
     triangles = g.kind == "hexagonal"
@@ -163,39 +163,32 @@ def peak_load(g: Graph, steps) -> int:
     load below 0 is a cancellation with no live request, and raises
     MalformedInstanceError naming it (steps count from 1).
 
-    Only a rise can raise the peak.  A path or bipartite graph is
-    triangle-free: its maximal cliques are its edges and isolated nodes, so
-    after a rise at v the peak is v's load plus its largest neighbour load,
-    and no clique is listed.  A hexagonal graph keeps one running load per
-    maximal clique, and a step moves those of the cliques through its node."""
+    Loads are never negative, so only a rise can raise the peak, and only
+    through the cliques at its node v.  Every clique here is a node, an edge
+    or a triangle (maximal_cliques), so the peak after the rise is v's load
+    plus the larger of its largest neighbour load and, on a hexagonal graph,
+    the largest load[u] + load[w] over an edge u-w among v's neighbours.  No
+    clique is listed."""
     adj, peak = g.adjacency, 0
+    triangles = g.kind == "hexagonal"  # the rest are triangle-free
     load = dict.fromkeys(adj, 0)  # from a dict it is sized once: a lower memory peak
-    if g.kind != "hexagonal":
-        for step, (v, change) in enumerate(steps, 1):
-            k = load[v] = load[v] + change
-            if change > 0:
-                top = peak - k if peak > k else 0  # a neighbour load above it raises the peak
-                for u in adj[v]:  # plain loops: a max() per step costs more
-                    if load[u] > top:
-                        top = load[u]
-                peak = k + top
-            elif k < 0:
-                raise _no_live_request(step, v)
-        return peak
-    cliques = maximal_cliques(g)
-    through = {v: [] for v in load}  # node -> indices of the cliques containing it
-    for i, c in enumerate(cliques):
-        for v in c:
-            through[v].append(i)
-    total = [0] * len(cliques)
     for step, (v, change) in enumerate(steps, 1):
         k = load[v] = load[v] + change
-        if k < 0:
+        if change > 0:
+            top = peak - k if peak > k else 0  # a clique through v above it raises the peak
+            nbrs = adj[v]
+            for u in nbrs:  # plain loops: a max() per step costs more
+                if load[u] > top:
+                    top = load[u]
+            if triangles:
+                for u in nbrs:
+                    t = load[u]
+                    for w in adj[u]:
+                        if w in nbrs and t + load[w] > top:
+                            top = t + load[w]
+            peak = k + top
+        elif k < 0:
             raise _no_live_request(step, v)
-        for i in through[v]:
-            t = total[i] = total[i] + change
-            if t > peak:
-                peak = t
     return peak
 
 

@@ -328,12 +328,14 @@ def run(instance: Instance, algo: str, b: int | None = None,
     optimum = optimum or oracle.Optimum(instance)
     tape = make_advice(instance, algo, b=b, optimum=optimum)
     actions = run_player(algo, instance.graph, tape, instance.requests, b=b)
-    violation = validate_full(instance, actions)
+    return _report(instance, algo, b, optimum, tape, actions, validate_full(instance, actions))
+
+
+def _report(instance, algo, b, optimum, tape, actions, violation) -> RunReport:
+    """run's metrics step: the RunReport of the player's actions, the tape
+    it read and validate_full's violation (None when valid)."""
     max_color, distinct = _metrics(actions)
     opt = optimum.value
-    ratio = (max_color / opt) if opt else None
-    bound = advice_bound(instance, algo, b=b, optimum=optimum)
-    color_bound = ALGORITHMS[algo].color_bound(optimum, b)
     return RunReport(
         algorithm=algo,
         instance=instance.name,
@@ -341,10 +343,10 @@ def run(instance: Instance, algo: str, b: int | None = None,
         distinct_colors=distinct,
         advice_bits_read=tape.high_water,
         opt_value=opt,
-        strict_ratio=ratio,
+        strict_ratio=(max_color / opt) if opt else None,
         valid=violation is None,
-        advice_bound=bound,
-        color_bound=color_bound,
+        advice_bound=advice_bound(instance, algo, b=b, optimum=optimum),
+        color_bound=ALGORITHMS[algo].color_bound(optimum, b),
     )
 
 

@@ -760,6 +760,18 @@ def count_calls(monkeypatch, *fns):
     return calls
 
 
+def refuse_cliques(monkeypatch):
+    """Make maximal_cliques raise wherever multicolor.graph and
+    multicolor.oracle bind it."""
+    from multicolor import graph, oracle
+
+    def refuse(g):
+        raise AssertionError(f"the cliques of a {g.kind} graph were listed")
+
+    for module in (graph, oracle):
+        monkeypatch.setattr(module, "maximal_cliques", refuse)
+
+
 def count_witness_builds(monkeypatch):
     """One entry per attempt to build a hexagonal witness: by the
     omega-coloring certificate, or by the exact search behind it.  A
@@ -807,16 +819,28 @@ class TestWorkCounts:
                                                          n_requests=200)]
         if algo == "greedy_cancel":
             instances.append(random_cancel_instance(seed=5, n_nodes=30, n_requests=200))
-
-        from multicolor import graph, oracle
-
-        def refuse(g):
-            raise AssertionError(f"the cliques of a {g.kind} graph were listed")
-
-        for module in (graph, oracle):
-            monkeypatch.setattr(module, "maximal_cliques", refuse)
+        refuse_cliques(monkeypatch)
         for inst in instances:
             assert run(inst, algo, b=b).ok
+
+    @pytest.mark.parametrize("algo", ["fpa", "hex43"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hexagonal_runs_list_no_cliques(self, monkeypatch, algo, seed):
+        """omega of a hexagonal run comes from node loads and the edges among
+        a node's neighbours: an fpa or hex43 run beyond the search budget
+        lists no cliques."""
+        inst = random_instance("hexagonal", seed=seed, n_nodes=30, n_requests=200)
+        refuse_cliques(monkeypatch)
+        assert run(inst, algo).ok
+
+    def test_certified_trivial_hexagonal_run_lists_no_cliques(self, monkeypatch):
+        """An instance that omega_coloring certifies needs no exact search, so
+        its trivial run lists no cliques."""
+        builds = count_witness_builds(monkeypatch)
+        refuse_cliques(monkeypatch)
+        report = run(hex_edge_21(), "trivial")
+        assert report.ok and report.opt_value == report.max_color
+        assert len(builds) == 1
 
     def test_hex43_computes_omega_once(self, monkeypatch):
         from multicolor.graph import clique_weight

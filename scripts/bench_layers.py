@@ -49,11 +49,13 @@ same worker before the replay and after one untimed warm-up batch, with the
 collector on; one timing per worker could not resolve a few percent.  It is
 more than the sum of the layers: it also pays the batch loop, harness.run's
 own code and the collector.  Every batch writes its report to os.devnull.
-The warm-up batch runs under tracemalloc, whose peak (`tracemalloc_peak_mb`,
-MiB) is the most memory the package's objects took at once during a
-process's first batch, its caches filling included, and the report left out;
-unlike perfbench's peak_rss_mb, it leaves out the interpreter and the
-allocator's slack, which move with the checkout's path.
+The warm-up batch is the whole command, `cli.main(["batch", manifest,
+"--out", os.devnull])`, run under tracemalloc, whose peak
+(`tracemalloc_peak_mb`, MiB) is the most memory the package's objects took
+at once during a process's first batch, the manifest's read and decode and
+the caches filling included, and the report left out; unlike perfbench's
+peak_rss_mb, it leaves out the interpreter and the allocator's slack, which
+move with the checkout's path.
 
 Each layer and the batch are timed by calibrate.run_inline, as perfbench
 times its in-process batch: the reference kernel runs before, after and
@@ -191,18 +193,20 @@ def _batch(manifest_path, calibrate):
 
 
 def _batch_peak_mb(manifest_path):
-    """tracemalloc's peak, in MiB, over one harness.batch on the manifest,
-    its report written to os.devnull."""
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    with open(os.devnull, "w") as sink:
-        batch = _batch_into(sink)
-        tracemalloc.start()
-        try:
-            batch(manifest, os.path.dirname(manifest_path))
-            return tracemalloc.get_traced_memory()[1] / 2 ** 20
-        finally:
-            tracemalloc.stop()
+    """tracemalloc's peak, in MiB, over one `multicolor batch` of the
+    manifest, run in-process by cli.main with its report to os.devnull: the
+    manifest's read and decode count too."""
+    from multicolor import cli
+
+    tracemalloc.start()
+    try:
+        status = cli.main(["batch", manifest_path, "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    if status == 2:
+        raise SystemExit(f"multicolor batch {manifest_path} exited 2")
+    return peak
 
 
 def _layers(manifest_path, calibrate):

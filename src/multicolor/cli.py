@@ -19,7 +19,7 @@ import time
 
 from . import harness, oracle
 from .algorithms import ALGORITHMS
-from .errors import DomainError, MalformedManifestError, MultiColorError
+from .errors import DomainError, MultiColorError
 from .instance import validate_full
 
 _DEFAULT_BUDGET = f"{oracle.DEFAULT_MAX_NODES},{oracle.DEFAULT_MAX_REQUESTS}"
@@ -55,7 +55,7 @@ def _output(out):
     """A context manager giving a text stream that writes UTF-8 to the file
     out, or to stdout as _Stdout writes; either way a character that UTF-8
     cannot encode goes as its \\uXXXX escape."""
-    if out:
+    if out is not None:
         return open(harness._file_name(out), "w", encoding="utf-8", errors="backslashreplace")
     return contextlib.nullcontext(_Stdout())
 
@@ -118,8 +118,7 @@ def cmd_run(args):
 
 
 def cmd_batch(args):
-    manifest = harness._load_json(args.manifest, MalformedManifestError)
-    harness._manifest_runs(manifest)  # a refused manifest leaves --out as it was
+    manifest = harness.load_manifest(args.manifest)  # a refused one leaves --out as it was
     with _output(args.out) as out:
         ok = harness.batch(manifest, out, base_dir=os.path.dirname(args.manifest) or ".")
     return 0 if ok else 1

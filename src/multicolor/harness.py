@@ -24,6 +24,7 @@ from .errors import (DomainError, MalformedInstanceError, MalformedLogError,
                      MalformedManifestError, MultiColorError)
 from .graph import Graph, build_bipartite, build_hexagonal
 from .instance import CancelAction, ColorAction, Instance, Request, _Requests, validate_full
+from .jsonwalk import Items, array_field
 from .value import Value
 from . import oracle
 
@@ -208,18 +209,33 @@ def save_instance(instance: Instance, path: str) -> None:
         fh.write(text)
 
 
-def _load_json(path: str, error=MalformedInstanceError):
-    """The JSON document in the file at path, read as bytes and decoded as
-    UTF-8, with the newlines that text mode translates (a lone \\r or \\r\\n)
-    read as \\n; `error` if it is not JSON, or if path holds a NUL."""
+def _read_text(path: str, error=MalformedInstanceError) -> str:
+    """The text of the file at path, read as bytes and decoded as UTF-8,
+    with the newlines that text mode translates (a lone \\r or \\r\\n) read
+    as \\n; `error` if it is not UTF-8, or if path holds a NUL."""
     try:
         with open(_file_name(path, error), "rb", buffering=0) as fh:
             text = fh.read().decode()  # the bytes are dropped once decoded
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+    except ValueError as exc:  # not UTF-8
         raise error(str(exc)) from exc
+    if "\r" in text:  # one replace at a time, so at most two copies are held
+        text = text.replace("\r\n", "\n")
+        text = text.replace("\r", "\n")
+    return text
+
+
+def _parse(text: str, error=MalformedInstanceError):
+    """The JSON document text; `error` if it is not JSON or nests too deep."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(str(exc)) from exc
+
+
+def _load_json(path: str, error=MalformedInstanceError):
+    """The JSON document in the file at path, read as _read_text reads it;
+    `error` if it is not UTF-8 or not JSON, or if path holds a NUL."""
+    return _parse(_read_text(path, error), error)
 
 
 def load_instance(path: str) -> Instance:
@@ -385,17 +401,42 @@ def _run_entry(entry, i):
     return path, algo, b
 
 
-def _manifest_runs(manifest) -> list:
-    """The manifest's field 'runs', refused unless it is a list."""
+def _manifest_runs(manifest):
+    """The manifest's field 'runs', refused unless it is a list (or the
+    Items of a manifest's text that load_manifest gives)."""
     runs = _field(manifest, "runs", "manifest", MalformedManifestError)
-    if not isinstance(runs, list):
+    if not isinstance(runs, (list, Items)):
         raise _wrong_type("manifest field 'runs'", "a list", runs, MalformedManifestError)
     return runs
 
 
+def load_manifest(path: str) -> dict:
+    """The manifest file at path, for batch: {"runs": the jsonwalk.Items of
+    its text}, which decodes each run entry as it is reached.
+
+    The file is read as _load_json reads it, and its text is walked once,
+    each value decoded and dropped, so this raises what
+    _manifest_runs(_load_json(path, MalformedManifestError)) raises, with
+    the same text.  Where the walk does not reach the end of an object
+    whose last 'runs' is an array, the whole document is decoded, to say
+    why, or, should the walk have been too cautious, to be the manifest.
+    """
+    text = _read_text(path, MalformedManifestError)
+    try:
+        start = array_field(text, "runs")
+    except (ValueError, RecursionError):
+        start = None
+    if start is not None:
+        return {"runs": Items(text, start)}
+    manifest = _parse(text, MalformedManifestError)
+    _manifest_runs(manifest)
+    return manifest
+
+
 def batch(manifest: dict, out, base_dir: str = ".") -> bool:
     """Run every manifest entry, writing the CSV report to the text stream
-    out row by row, each as its run finishes; returns all_ok.
+    out row by row, each as its run finishes; returns all_ok.  manifest is
+    a decoded manifest document, or what load_manifest gives.
 
     Rows keep manifest order.  A failing entry becomes an error row and the
     batch continues; an error in writing to out ends it.  Consecutive entries

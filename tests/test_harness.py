@@ -1189,6 +1189,30 @@ class TestBatch:
                     tracemalloc.stop()
         assert abs(peaks[4000] - peaks[400]) < 64 * 1024, peaks
 
+    def test_the_manifest_does_not_grow_memory(self, tmp_path):
+        """tracemalloc's peak over `multicolor batch` into os.devnull, its
+        manifest read included, grows from 400 runs to 4,000 by at most the
+        growth of the manifest's text plus 16 B a run: the batch holds the
+        text, not the decoded entries.  (The read holds the file's bytes and
+        its text at once; at these sizes that stays under the runs' peak.)"""
+        save_instance(path_instance(40, 0), str(tmp_path / "p.json"))
+        paths = {}
+        for n in (10, 400, 4000):
+            paths[n] = tmp_path / f"m{n}.json"
+            paths[n].write_text(json.dumps({"runs": [{"instance": "p.json",
+                                                      "algo": "greedy_opt"}] * n}))
+        assert main(["batch", str(paths.pop(10)), "--out", os.devnull]) == 0  # fills the caches
+        peaks = {}
+        for n, path in paths.items():
+            tracemalloc.start()
+            try:
+                assert main(["batch", str(path), "--out", os.devnull]) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        text = paths[4000].stat().st_size - paths[400].stat().st_size
+        assert peaks[4000] - peaks[400] <= text + 16 * 3600, (peaks, text)
+
 
 def text_mode_load(path, error):
     """The reference reader: json.load on the file opened in text mode as
@@ -1215,6 +1239,82 @@ JSON_FILES = {
     "empty": b"",
     "too deep": DEEP_JSON.encode(),
 }
+
+
+ENTRY = b'{"instance": "i.json", "algo": "greedy_opt"}'
+
+# manifests on which `multicolor batch` must do what the reference batch does
+MANIFEST_FILES = {
+    "valid": b'{"runs": [' + ENTRY + b", " + ENTRY + b"]}",
+    "no runs": b'{"run": []}',
+    "empty object": b"{}",
+    "runs not a list": b'{"runs": {"instance": "i.json"}}',
+    "runs null": b'{"runs": null}',
+    "duplicate runs, the last a list": b'{"runs": 5, "runs": [' + ENTRY + b"]}",
+    "duplicate runs, the last not a list": b'{"runs": [' + ENTRY + b'], "runs": "x"}',
+    "duplicate runs, both lists": b'{"runs": [' + ENTRY + b'], "a": 1, "runs": []}',
+    "escaped runs key": b'{"r\\u0075ns": [' + ENTRY + b"]}",
+    "other fields": b'{"name": [1, {"runs": 2}], "runs": [' + ENTRY + b'], "z": null}',
+    "trailing data": b'{"runs": [' + ENTRY + b"]} x",
+    "a second document": b'{"runs": []}{"runs": []}',
+    "trailing comma in runs": b'{"runs": [' + ENTRY + b",]}",
+    "trailing comma in the object": b'{"runs": [' + ENTRY + b"],}",
+    "missing comma in runs": b'{"runs": [' + ENTRY + b" " + ENTRY + b"]}",
+    "a brace for a comma in runs": b'{"runs": [' + ENTRY + b"} " + ENTRY + b"]}",
+    "a bracket for a comma in the object": b'{"runs": [' + ENTRY + b'] ] "a": 1}',
+    "unclosed runs": b'{"runs": [' + ENTRY,
+    "bom": b"\xef\xbb\xbf" + b'{"runs": [' + ENTRY + b"]}",
+    "crlf": b'{\r\n  "runs": [\r\n    ' + ENTRY + b",\r\n    " + ENTRY + b"\r\n  ]\r\n}\r\n",
+    "lone cr": b'{\r"runs":\r[' + ENTRY + b"\r,\r" + ENTRY + b"]\r}\r",
+    "a cr in an entry's string": b'{"runs": [{"instance": "i\r.json", "algo": "fpa"}]}',
+    "malformed entry late": b'{"runs": [' + (ENTRY + b", ") * 50 + b'{"algo": }]}',
+    "invalid utf-8 late": b'{"runs": [' + (ENTRY + b", ") * 50 + b'"\xff"]}',
+    "too deep entry": b'{"runs": [' + ENTRY + b", " + DEEP_JSON.encode() + b"]}",
+    "entry 100 deep": b'{"runs": [' + b"[" * 100 + b"]" * 100 + b"]}",
+    "entry 101 deep": b'{"runs": [' + b"[" * 101 + b"]" * 101 + b"]}",
+    "entry 150 deep": b'{"runs": [' + ENTRY + b", " + b"[" * 150 + b"]" * 150 + b"]}",
+    "a long string of brackets": b'{"runs": [{"instance": "' + b"[" * 300 + b'", "algo": "fpa"}]}',
+    "an int too long to decode": b'{"runs": [' + b"1" * 5000 + b"]}",
+    "a control character in a key": b'{"ru\nns": []}',
+    "non-object top level": b'[{"runs": []}]',
+    "a string top level": b'"runs"',
+    "a number top level": b"5",
+    "wrong-type entries": b'{"runs": [5, "i.json", {"algo": "fpa"}, ' + ENTRY + b"]}",
+    "a lone surrogate name": b'{"runs": [{"instance": "\\udcff", "algo": "fpa"}]}',
+    "whitespace everywhere": b' \t\n{ "runs" : [ ' + ENTRY + b" , " + ENTRY + b" ] } \n",
+}
+
+
+def reference_batch(path):
+    """(exit code, stderr, report) of `multicolor batch path` by the
+    reference: text_mode_load, _manifest_runs, then batch on the document;
+    no report where the manifest is refused."""
+    try:
+        manifest = text_mode_load(path, MalformedManifestError)
+        harness._manifest_runs(manifest)
+    except MultiColorError as exc:
+        return 2, f"error: {exc}\n", None
+    out = io.StringIO()
+    ok = batch(manifest, out, base_dir=os.path.dirname(path))
+    return (0 if ok else 1), "", out.getvalue()
+
+
+EARLIER_REPORT = b"an earlier report\r\n\xff"
+
+
+def assert_batch_as_the_reference(manifest):
+    """`multicolor batch manifest --out report.csv`, beside the manifest,
+    exits as the reference does, with its stderr and its report; a refused
+    manifest leaves the earlier report.csv as it was."""
+    report = manifest.parent / "report.csv"
+    report.write_bytes(EARLIER_REPORT)
+    code, err, text = reference_batch(str(manifest))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert main(["batch", str(manifest), "--out", str(report)]) == code
+    assert (stdout.getvalue(), stderr.getvalue()) == ("", err)
+    expected = EARLIER_REPORT if text is None else text.encode("utf-8", "backslashreplace")
+    assert report.read_bytes() == expected
 
 
 def json_error(path, error):
@@ -1256,6 +1356,53 @@ class TestLoadJson:
         if expected is not None:
             assert main(["batch", str(path)]) == 2
             assert capsys.readouterr().err == f"error: {expected[1]}\n"
+
+    @pytest.mark.parametrize("name", sorted({**JSON_FILES, **MANIFEST_FILES}))
+    def test_batch_does_what_the_reference_does(self, tmp_path, name):
+        save_instance(path_family(40)[2], str(tmp_path / "i.json"))
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes({**JSON_FILES, **MANIFEST_FILES}[name])
+        assert_batch_as_the_reference(manifest)
+
+    def test_an_entry_at_the_recursion_limit_fails_as_the_whole_document(self, tmp_path):
+        """Around the nesting depth at which json.loads meets the recursion
+        limit, load_manifest gives what _manifest_runs(_load_json(...)) gives
+        when called as it is, though its walk decodes an entry from other
+        frames and two levels less deep than the whole document's decode."""
+        path = tmp_path / "m.json"
+
+        def load(whole, depth):
+            """The number of runs read, or the error text."""
+            path.write_text('{"runs": [' + "[" * depth + "]" * depth + "]}")
+            try:
+                if whole:  # each called straight from here, as cmd_batch calls it
+                    manifest = harness._load_json(str(path), MalformedManifestError)
+                else:
+                    manifest = harness.load_manifest(str(path))
+                return len(list(harness._manifest_runs(manifest)))
+            except MalformedManifestError as exc:
+                return str(exc)
+
+        low, high = 1, 200_000  # the whole document's decode takes depth low, refuses high
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if load(True, mid) == 1 else (low, mid)
+        for depth in range(high - 3, high + 4):
+            assert load(False, depth) == load(True, depth), depth
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([b"", b'{"runs": [', b'{"runs": 1, "runs": [']),
+           st.lists(st.sampled_from([ENTRY, b"{", b"}", b"[", b"]", b'"runs"', b'"a"', b":",
+                                     b",", b"1", b"null", b" ", b"\r", b"\n", b"\r\n", b"\xff",
+                                     b"\xef\xbb\xbf", b'"\r"', b"[" * 101, b"]" * 101]),
+                    max_size=10),
+           st.sampled_from([b"", b"]}", b"]} ", b"]}\r\n", b"]}]"]))
+    def test_batch_on_manifest_fragments_does_what_the_reference_does(
+            self, tmp_path_factory, head, parts, tail):
+        base = tmp_path_factory.mktemp("manifest")
+        save_instance(path_family(40)[2], str(base / "i.json"))
+        (base / "m.json").write_bytes(head + b"".join(parts) + tail)
+        assert_batch_as_the_reference(base / "m.json")
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from([b"{", b"}", b"[", b"]", b'"a"', b":", b",", b"1", b" ",
@@ -1365,6 +1512,22 @@ class TestCli:
         save_instance(path_family(40)[2], instance)
         assert main([arg.format(instance=instance) for arg in argv] + ["--out", "a\0b"]) == 2
         assert capsys.readouterr() == ("", "error: no file name holds a NUL, got 'a\\x00b'\n")
+
+    @pytest.mark.parametrize("argv", [["gen", "path_family"], ["opt", "{instance}"],
+                                      ["run", "{instance}", "--algo", "greedy_opt"],
+                                      ["batch", "{manifest}"], ["verify", "{instance}", "{log}"]])
+    def test_an_empty_out_exits_2(self, tmp_path, capsys, argv):
+        """--out "" names no file: it is refused as open("") refuses it, and
+        nothing goes to stdout."""
+        paths = {name: tmp_path / f"{name}.json" for name in ("instance", "manifest", "log")}
+        instance = path_family(40)[2]
+        save_instance(instance, str(paths["instance"]))
+        paths["manifest"].write_text(json.dumps({"runs": [{"instance": "instance.json",
+                                                           "algo": "greedy_opt"}]}))
+        paths["log"].write_text(json.dumps(
+            {"actions": [{"op": "color", "color": 1}] * len(instance.requests)}))
+        assert main([arg.format(**paths) for arg in argv] + ["--out", ""]) == 2
+        assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
 
     def test_save_instance_refuses_a_nul_path(self):
         with pytest.raises(MultiColorError, match="no file name holds a NUL"):

@@ -43,7 +43,7 @@ def test_cli_loads_every_module_but_the_adversary():
     """The CLI imports adversary only for `gen`."""
     assert package_modules(loaded_by("import multicolor.cli")) == {
         f"multicolor.{name}" for name in ("advice", "algorithms", "cli", "errors", "graph",
-                                          "harness", "instance", "oracle", "value")}
+                                          "harness", "instance", "jsonwalk", "oracle", "value")}
 
 
 def docstrings(path):

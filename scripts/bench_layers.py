@@ -30,9 +30,6 @@ that step summed over the corpus:
               bounds, and the RunReport)
   csv         harness.report_row and the CSV writer over every report
 
-A side whose harness has no _report (before it was split out of run) has
-neither of the last two layers, and its layers_total leaves them out.
-
 Each worker first times the corpus's set-up (`generation`), before any
 batch and with the garbage collector on, as perfbench times it:
 
@@ -273,8 +270,6 @@ def _layers(manifest_path, calibrate):
     runs = [(*run, t) for run, t in zip(runs, timed("tape", tape, runs)) if t is not None]
     runs = [(*run, a) for run, a in zip(runs, timed("player", play, runs)) if a is not None]
     runs = [(*run, v) for run, v in zip(runs, timed("validation", validate, runs))]
-    if not hasattr(harness, "_report"):
-        return spent
 
     def measure(instance, optimum, algo, b, tape, actions, violation):
         return harness._report(instance, algo, b, optimum, tape, actions, violation)
@@ -372,8 +367,7 @@ def _summary(samples):
     def medians(times):
         return {key: statistics.median(t[key] for t in times) for key in ("cpu_s", "scaled_s")}
 
-    layers = {layer: medians([s["layers"][layer] for s in samples])
-              for layer in LAYERS if layer in samples[0]["layers"]}
+    layers = {layer: medians([s["layers"][layer] for s in samples]) for layer in LAYERS}
     return {"reps": len(samples), "layers": layers,
             "layers_total": {key: sum(v[key] for v in layers.values())
                              for key in ("cpu_s", "scaled_s")},

@@ -31,35 +31,29 @@ class OptWitness(Value):
         self._init(opt_value, coloring)
 
 
-def _check_searchable(optimum: Optimum):
-    """Raise what opt_exact raises instead of searching the optimum's instance:
-    DomainError on a cancellation, BudgetExceededError (lower bound omega) beyond
-    the optimum's budget."""
+def opt_exact(instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
+              max_requests: int = DEFAULT_MAX_REQUESTS) -> OptWitness:
+    """Exact minimum palette size with a witness coloring: _opt_search on
+    an Optimum of the instance with this budget.  Intended for small
+    instances only."""
+    return _opt_search(Optimum(instance, max_nodes, max_requests))
+
+
+def _opt_search(optimum: Optimum) -> OptWitness:
+    """opt_exact's search from the optimum's demand and omega: iterative
+    deepening on the palette size from omega, the clique lower bound, over
+    the nodes in order of decreasing demand, each node's color sets in
+    lexicographic order, so the witness is deterministic.  It refuses first,
+    without searching: DomainError on a cancellation, BudgetExceededError
+    (lower bound omega) beyond the optimum's budget."""
     if optimum.cancelling:
         raise DomainError("opt_exact handles cancellation-free instances only")
-    active, total = sum(k > 0 for k in optimum.demand.values()), sum(optimum.demand.values())
+    g, dem = optimum.instance.graph, optimum.demand
+    active, total = sum(k > 0 for k in dem.values()), sum(dem.values())
     if active > optimum.max_nodes or total > optimum.max_requests:
         raise BudgetExceededError(f"instance too large for exact search ({active} demanded nodes, "
                                   f"{total} requests); best lower bound is {optimum.omega}",
                                   lower_bound=optimum.omega)
-
-
-def opt_exact(instance: Instance, max_nodes: int = DEFAULT_MAX_NODES,
-              max_requests: int = DEFAULT_MAX_REQUESTS) -> OptWitness:
-    """Exact minimum palette size with a witness coloring: _opt_search on
-    an Optimum of the instance with this budget, once _check_searchable
-    lets it through.  Intended for small instances only."""
-    optimum = Optimum(instance, max_nodes, max_requests)
-    _check_searchable(optimum)
-    return _opt_search(optimum)
-
-
-def _opt_search(optimum: Optimum) -> OptWitness:
-    """opt_exact's search, past its gate, from the optimum's demand and omega:
-    iterative deepening on the palette size from omega, the clique lower
-    bound, over the nodes in order of decreasing demand, each node's color
-    sets in lexicographic order, so the witness is deterministic."""
-    g, dem = optimum.instance.graph, optimum.demand
     order = sorted((v for v in g.nodes if dem[v]), key=lambda v: (-dem[v], v))
     position = {v: i for i, v in enumerate(order)}
     need = [dem[v] for v in order]
@@ -199,31 +193,33 @@ class Optimum:
         """An optimal coloring.  On a cancellation-free path or bipartite
         instance it is built in closed form, without search, at any size: with
         m = Opt, an L node gets 1..n_v and a U node m-n_v+1..m, disjoint on
-        every edge since each joins L to U and n_L + n_U <= m.  Otherwise, on a
-        cancellation or beyond the budget, it raises opt_exact's error without
-        running opt_exact; else it is an omega-coloring from omega_coloring,
-        which proves Opt = omega, or failing that opt_exact's witness, searched
-        from this Optimum's demand and omega."""
+        every edge since each joins L to U and n_L + n_U <= m.  On a
+        cancellation-free hexagonal instance, at any size, it is the
+        omega-coloring of omega_coloring when one of its class orders serves,
+        which proves Opt = omega.  Otherwise it is _opt_search's witness, or
+        its refusal: DomainError on a cancellation, BudgetExceededError beyond
+        the budget."""
         g, dem = self.instance.graph, self.demand
-        if g.kind != "hexagonal" and not self.cancelling:
-            m, side = self.peak_load, g.partition
-            return OptWitness(opt_value=m, coloring={
-                v: frozenset(range(1, k + 1) if side[v] == "L" else range(m - k + 1, m + 1))
-                for v, k in dem.items()})
-        _check_searchable(self)
-        masks = omega_coloring(g, dem, self.omega)  # hexagonal: the gate refuses the rest
-        if masks is not None:
-            return OptWitness(opt_value=self.omega, coloring={
-                v: frozenset(_colors(m)) for v, m in masks.items()})
+        if not self.cancelling:
+            if g.kind != "hexagonal":
+                m, side = self.peak_load, g.partition
+                return OptWitness(opt_value=m, coloring={
+                    v: frozenset(range(1, k + 1) if side[v] == "L" else range(m - k + 1, m + 1))
+                    for v, k in dem.items()})
+            masks = omega_coloring(g, dem, self.omega)
+            if masks is not None:
+                return OptWitness(opt_value=self.omega, coloring={
+                    v: frozenset(_colors(m)) for v, m in masks.items()})
         return _opt_search(self)
 
     @cached_property
     def value(self) -> int | None:
         """Best available exact optimum: the peak load on a path or bipartite
         graph, and otherwise the opt_value of the witness: omega when an
-        omega-coloring certifies it, else the exact search's.  None when the
-        instance exceeds the search budget; on a hexagonal instance with a
-        cancellation, opt_exact's DomainError."""
+        omega-coloring certifies it, at any size, else the exact search's.
+        None when no class order serves and the instance exceeds the search
+        budget; on a hexagonal instance with a cancellation, opt_exact's
+        DomainError."""
         if self.instance.graph.kind != "hexagonal":
             return self.peak_load
         try:

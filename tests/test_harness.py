@@ -646,7 +646,7 @@ class TestRun:
         assert report.strict_ratio is None
 
     def test_budget_exceeded_reports_no_opt(self):
-        inst = random_instance("hexagonal", seed=1, n_nodes=8, n_requests=20)
+        inst = hex_chain(4, (1, 1, 1, 1))  # no class order serves
         report = run(inst, "hex43", optimum=Optimum(inst, max_nodes=2, max_requests=2))
         assert report.opt_value is None and report.strict_ratio is None
         assert report.valid
@@ -659,8 +659,22 @@ class TestRun:
         assert report.advice_bits_read == report.advice_bound
 
     def test_trivial_bound_unknown_beyond_the_exact_budget(self):
-        inst = random_instance("hexagonal", seed=1, n_nodes=200, n_requests=2000, grid_extent=17)
+        inst = random_instance("hexagonal", seed=2, n_nodes=200, n_requests=2000, grid_extent=17)
         assert advice_bound(inst, "trivial") is None
+
+    def test_certified_chain_beyond_the_exact_budget(self):
+        """19 demanded nodes exceed the search budget, but a class order
+        certifies Opt = omega = 2."""
+        report = run(hex_chain(6, (0, 1, 0, 1, 0, 1)), "trivial")
+        assert report.ok and report.opt_value == report.max_color == 2
+        assert report.advice_bits_read == 45
+
+    def test_certified_large_hexagonal_reports_opt(self):
+        inst = random_instance("hexagonal", seed=1, n_nodes=200, n_requests=2000, grid_extent=17)
+        assert advice_bound(inst, "trivial") == 12008
+        for algo in ("fpa", "hex43"):
+            report = run(inst, algo)
+            assert report.ok and report.opt_value == 46 and report.strict_ratio is not None
 
     def test_color_bounds_are_the_player_table(self):
         path, odd = path_family(40)[2], path_family(40)[3]  # Opt 12 and 13
@@ -866,16 +880,24 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("algo", ["fpa", "hex43"])
     def test_beyond_the_budget_the_run_shares_demand_and_omega(self, monkeypatch, algo):
-        from multicolor import instance
+        """Seed 1 is certified (Opt 46); no class order serves seed 2, whose
+        search refuses before it starts."""
+        from multicolor import instance, oracle
         from multicolor.graph import clique_weight
 
-        inst = random_instance("hexagonal", seed=1, n_nodes=200, n_requests=2000, grid_extent=17)
-        demands = count_calls(monkeypatch, instance.demand)
-        omegas = count_calls(monkeypatch, clique_weight)
-        builds = count_witness_builds(monkeypatch)
-        report = run(inst, algo)
-        assert report.ok and report.opt_value is None
-        assert (len(demands), len(omegas), builds) == (1, 1, [])
+        counts = [count_calls(monkeypatch, fn) for fn in (instance.demand, clique_weight,
+                                                           oracle.omega_coloring,
+                                                           oracle._opt_search)]
+        demands, omegas, certificates, searched = counts
+        for seed, opt, searches in [(1, 46, 0), (2, None, 1)]:
+            inst = random_instance("hexagonal", seed=seed, n_nodes=200, n_requests=2000,
+                                   grid_extent=17)
+            for calls in counts:
+                calls.clear()
+            report = run(inst, algo)
+            assert report.ok and report.opt_value == opt
+            assert (len(demands), len(omegas)) == (1, 1)
+            assert (len(certificates), len(searched)) == (1, searches)
 
     def test_cli_run_csv_runs_once(self, tmp_path, monkeypatch, capsys):
         inst_path = str(tmp_path / "inst.json")

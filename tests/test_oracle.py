@@ -618,8 +618,8 @@ def hex_shapes(max_cells):
 
 
 class TestHexagonalWitness:
-    """Optimum.witness on a cancellation-free hexagonal instance within the
-    budget: an omega-coloring when a class order gives one, else the exact
+    """Optimum.witness on a cancellation-free hexagonal instance: an
+    omega-coloring when a class order gives one, at any size, else the exact
     search's witness.  Either way it is a proper coloring with exact demands
     that uses exactly the colors 1..Opt."""
 
@@ -667,21 +667,34 @@ class TestHexagonalWitness:
         assert witness.opt_value == 2
 
     def test_beyond_the_budget_nothing_changes(self):
-        inst = random_instance("hexagonal", seed=1, n_nodes=200, n_requests=2000, grid_extent=17)
+        """No class order serves seed 2 (omega 40), so the search refuses."""
+        inst = random_instance("hexagonal", seed=2, n_nodes=200, n_requests=2000, grid_extent=17)
         optimum = Optimum(inst)
         assert optimum.value is None
         message = ("instance too large for exact search (200 demanded nodes, 2000 requests); "
-                   "best lower bound is 46")
+                   "best lower bound is 40")
         with pytest.raises(BudgetExceededError, match=re.escape(message)) as exc:
             optimum.witness
         assert exc.value.lower_bound == optimum.omega
+
+    def test_beyond_the_budget_the_certificate_decides(self, monkeypatch):
+        """The omega-certificate runs at any size: seed 1 is certified at
+        Opt 46, and seed 2, which no class order serves, is refused before
+        the search is entered."""
+        calls = []
+        monkeypatch.setattr(oracle, "_search", lambda *args: calls.append(args))
+        for seed, value in [(1, 46), (2, None)]:
+            inst = random_instance("hexagonal", seed=seed, n_nodes=200, n_requests=2000,
+                                   grid_extent=17)
+            assert Optimum(inst).value == value
+        assert calls == []
 
     @pytest.mark.parametrize("kind", ["path", "hexagonal"])
     def test_a_cancellation_is_refused_without_search(self, monkeypatch, kind):
         g = build_path(2) if kind == "path" else build_hexagonal({"v1": (0, 0), "v2": (1, 0)})
         inst = Instance(g, (Request("v1", "color"), Request("v1", "cancel", cancel_color=1)))
         calls = []
-        for name in ("opt_exact", "_opt_search"):
+        for name in ("opt_exact", "_search"):
             monkeypatch.setattr(oracle, name, lambda *args, **kwargs: calls.append(args))
         with pytest.raises(DomainError, match="^opt_exact handles cancellation-free instances only$"):
             Optimum(inst).witness

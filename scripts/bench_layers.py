@@ -13,57 +13,51 @@ six players on graphs of at most 17 nodes.  It is written once, into a
 temporary directory, and every side reads the same files.
 
 Each repetition runs in a fresh worker process, which imports the package
-from its side's src directory and replays the batch layer by layer, over the
-whole corpus, with fresh objects, so every cached offline fact is computed
-again as a batch computes it.  A layer's time is the user-mode CPU time of
-that step summed over the corpus:
+from its side's src directory.  Its layers are self times in one real
+batch, its last: harness.batch of the manifest with a span around every
+call of the functions below, rebound wherever a multicolor module binds
+them (one that none binds stops the worker, so a rename cannot leave a
+layer at 0).  A layer's time is its calls' time on the thread's CPU clock
+(time.thread_time), less that of the spanned calls they make:
 
-  read        harness._load_json of each instance file
-  decode      harness.instance_from_dict of each document
-  facts       each file's oracle.Optimum: demand, omega, the peak load
-              and Opt, and the witness when a trivial run asks
-  tape        harness.make_advice of each run, from its file's Optimum
-  player      algorithms.run_player of each run
-  validation  instance.validate_full of each run's actions
-  metrics     harness._report of each run, from its validation: the rest
-              of harness.run (max and distinct colors, the advice and color
-              bounds, and the RunReport)
-  csv         harness.report_row and the CSV writer over every report
+  read        harness._load_json
+  decode      harness.instance_from_dict
+  facts       each oracle.Optimum cached property's function: each offline
+              fact the batch computes, where it first computes it
+  tape        harness.make_advice
+  player      algorithms.run_player
+  validation  instance.validate_full
+  metrics     harness.run's own lines: the max and distinct colors, the
+              advice and color bounds, and the RunReport
+  csv         harness.report_row, and writerow of the batch's CSV writer
 
-Each worker first times the corpus's set-up (`generation`), before any
-batch and with the garbage collector on, as perfbench times it:
+A span's own cost (two clock reads and a call) falls on its layer and its
+caller's; the batch's loop and the manifest are in no layer.  Each worker
+first times the corpus's set-up (`generation`) as perfbench times it: one
+workloads.generate of the corpus into a fresh temporary directory
+(`setup`), in which `gen_build` is the self time of the workload's corpus
+builder and `gen_text` that of harness.instance_text.
 
-  setup       workloads.generate of the corpus into a fresh temporary
-              directory: what perfbench's setup_s times
-  gen_build   the corpus's instances, built from multicolor.adversary as
-              workloads.generate builds them
-  gen_text    harness.instance_text of each of those instances
+`batch` is the median of five (BATCH_TIMINGS) timings of what `multicolor
+batch` runs, harness.batch(harness.load_manifest(path), ...), after one
+untimed warm-up batch; every batch writes its report to os.devnull.  The
+warm-up is the whole command, cli.main(["batch", manifest, "--out",
+os.devnull]), under tracemalloc, whose peak (`tracemalloc_peak_mb`, MiB)
+is the most memory the package's objects took at once in a process's first
+batch, the report left out; unlike perfbench's peak_rss_mb, it leaves out
+the interpreter and the allocator's slack, which vary with the checkout.
 
-The replay holds the whole corpus at once, which a batch never does, so the
-garbage collector is off while a layer is timed.  `batch` is the median of
-five (BATCH_TIMINGS) timings of harness.batch on the same manifest, in the
-same worker before the replay and after one untimed warm-up batch, with the
-collector on; one timing per worker could not resolve a few percent.  It is
-more than the sum of the layers: it also pays the batch loop, harness.run's
-own code and the collector.  Every batch writes its report to os.devnull.
-The warm-up batch is the whole command, `cli.main(["batch", manifest,
-"--out", os.devnull])`, run under tracemalloc, whose peak
-(`tracemalloc_peak_mb`, MiB) is the most memory the package's objects took
-at once during a process's first batch, the manifest's read and decode and
-the caches filling included, and the report left out; unlike perfbench's
-peak_rss_mb, it leaves out the interpreter and the allocator's slack, which
-move with the checkout's path.
-
-Each layer and the batch are timed by calibrate.run_inline, as perfbench
-times its in-process batch: the reference kernel runs before, after and
-every 0.1 s during the step, and the step's time is also given scaled to the
-reference core speed by the kernels around it.  The core's speed swings by
-20% to 2x within seconds on a shared host, so one kernel reading per worker
-would scale a whole worker's steps by whatever speed that reading caught.
-With --base (the src directory of another checkout), the workers of the two
-sides alternate, base first on even repetitions, so drift in the machine's
-speed falls on both.  Each time is a median over the workers, in CPU seconds
-(`cpu_s`) and scaled (`scaled_s`).
+The set-up, each batch and the span batch are timed by calibrate.run_inline,
+as perfbench times its in-process batch: the reference kernel runs before,
+after and every 0.1 s during the step (in no span), and the step's time and
+its spans' are also given scaled to the reference core speed by the kernels
+around them.  The core's speed swings by 20% to 2x within seconds on a
+shared host, so one kernel reading per worker would scale a whole worker's
+steps by whatever speed that reading caught.  With --base (the src
+directory of another checkout), the workers of the two sides alternate,
+base first on even repetitions, so drift in the machine's speed falls on
+both.  Each time is a median over the workers, in CPU seconds (`cpu_s`)
+and scaled (`scaled_s`).
 
 The cold-start split is the median wall time of --reps runs each, the sides
 alternating as above: `python -c pass`, `python -S -c pass`, and
@@ -81,8 +75,9 @@ opcodes executed in its multicolor modules, counted per module by a
 sys.settrace tracer that turns on opcode events in every frame of the
 package's code, over one fresh worker process each for
 
-  small_exact_batch       one harness.batch of the corpus's manifest, the
-                          worker's first, with every cache cold
+  small_exact_batch       one batch of the corpus's manifest as `multicolor
+                          batch` runs it, the worker's first, with every
+                          cache cold
   bip_cancel_large_setup  workloads.generate of perfbench's bip-cancel-large
                           workload at seed 1, as its setup_s times it
 
@@ -102,7 +97,8 @@ is the path of the JSON file.
 from __future__ import annotations
 
 import argparse
-import gc
+import contextlib
+import functools
 import glob
 import hashlib
 import json
@@ -115,12 +111,14 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import types
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 PERFBENCH = os.path.join(ROOT, "perfbench")
 LAYERS = ("read", "decode", "facts", "tape", "player", "validation", "metrics", "csv")
 GENERATION = ("setup", "gen_build", "gen_text")
+CORPUS = "small-exact-batch"
 SEED = 1  # the seed of the perfbench small-exact-batch runs that CHANGES.md reports
 BATCH_TIMINGS = 5  # timings of the in-process batch per worker, of which the median is kept
 COUNTED = ("small_exact_batch", "bip_cancel_large_setup")  # the steps --counts counts
@@ -156,35 +154,110 @@ def _times(timing):
     return {"cpu_s": timing.run_s, "scaled_s": timing.scaled_s}
 
 
+def _swap(stack, owner, attr, value):
+    """Set owner.attr to value until the ExitStack stack closes."""
+    stack.callback(setattr, owner, attr, getattr(owner, attr))
+    setattr(owner, attr, value)
+
+
+def _rebind(stack, fn, replacement):
+    """Rebind fn to replacement, until stack closes, wherever a multicolor
+    module binds it; stop if none does."""
+    bindings = [(mod, attr) for name, mod in list(sys.modules.items())
+                if name == "multicolor" or name.startswith("multicolor.")
+                for attr, obj in vars(mod).items() if obj is fn]
+    if not bindings:
+        raise SystemExit(f"bench_layers: no multicolor module binds {fn.__qualname__}")
+    for mod, attr in bindings:
+        _swap(stack, mod, attr, replacement)
+
+
+def _span_batch(span, stack):
+    """Rebind the functions a batch calls to their layers' spans until stack closes."""
+    from multicolor import harness, oracle
+    from multicolor.algorithms import run_player
+    from multicolor.instance import validate_full
+
+    for layer, fn in (("read", harness._load_json), ("decode", harness.instance_from_dict),
+                      ("tape", harness.make_advice), ("player", run_player),
+                      ("validation", validate_full), ("metrics", harness.run),
+                      ("csv", harness.report_row)):
+        _rebind(stack, fn, span(layer, fn))
+
+    def csv_writer(out, csv_writer=harness.csv_writer):
+        return types.SimpleNamespace(writerow=span("csv", csv_writer(out).writerow))
+
+    _rebind(stack, harness.csv_writer, csv_writer)
+    facts = [prop for prop in vars(oracle.Optimum).values()
+             if isinstance(prop, functools.cached_property)]
+    if not facts:
+        raise SystemExit("bench_layers: oracle.Optimum has no cached property")
+    for prop in facts:
+        _swap(stack, prop, "func", span("facts", prop.func))
+
+
+def _spanned(calibrate, install, steps, fn, *args):
+    """(Timing, {step: {"cpu_s", "scaled_s"}}) of fn(*args), timed by
+    calibrate.run_inline with install(span, stack)'s spans in place, where
+    span(step, f) is f in a span: a step's time is its calls' time on the
+    thread's CPU clock, less that of the spanned calls they make."""
+    self_s = dict.fromkeys((*steps, "kernel"), 0.0)
+    inner = [0.0]  # per open span, then the outermost: the time of the spans it opened
+
+    def span(step, fn):
+        @functools.wraps(fn)
+        def spanned(*args, **kwargs):
+            inner.append(0.0)
+            start = time.thread_time()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                took = time.thread_time() - start
+                self_s[step] += took - inner.pop()
+                inner[-1] += took
+        return spanned
+
+    with contextlib.ExitStack() as stack:
+        install(span, stack)
+        _swap(stack, calibrate, "kernel", span("kernel", calibrate.kernel))  # in no step
+        timing = calibrate.run_inline(fn, *args)[1]
+    scale = calibrate.REF_S / statistics.mean(timing.kernel_s)
+    return timing, {step: {"cpu_s": self_s[step], "scaled_s": self_s[step] * scale}
+                    for step in steps}
+
+
 def _generation(calibrate):
     """{step: {"cpu_s", "scaled_s"}} for the corpus's set-up and its split
     into building the instances and rendering their text."""
     import workloads
     from multicolor import harness
 
+    def install(span, stack):
+        build = workloads._BUILDERS[CORPUS]
+        _swap(stack, workloads, "_BUILDERS",
+              {**workloads._BUILDERS, CORPUS: span("gen_build", build)})
+        _rebind(stack, harness.instance_text, span("gen_text", harness.instance_text))
+
     with tempfile.TemporaryDirectory() as out_dir:
-        setup = calibrate.run_inline(workloads.generate, "small-exact-batch", SEED, out_dir)[1]
-    built, gen_build = calibrate.run_inline(workloads._small_exact_batch, SEED)
-    gen_text = calibrate.run_inline(lambda: [harness.instance_text(inst) for inst, _ in built])[1]
-    return {"setup": _times(setup), "gen_build": _times(gen_build), "gen_text": _times(gen_text)}
+        setup, steps = _spanned(calibrate, install, ("gen_build", "gen_text"),
+                                workloads.generate, CORPUS, SEED, out_dir)
+    return {"setup": _times(setup), **steps}
 
 
-def _batch_into(sink):
-    """harness.batch as fn(manifest, base_dir), its report written to the
-    text stream sink."""
+def _run_batch(sink):
+    """What `multicolor batch` runs, as fn(manifest_path), its report written
+    to the text stream sink."""
     from multicolor import harness
 
-    return lambda manifest, base_dir: harness.batch(manifest, sink, base_dir)
+    return lambda path: harness.batch(harness.load_manifest(path), sink,
+                                      os.path.dirname(path) or ".")
 
 
 def _batch(manifest_path, calibrate):
     """{"cpu_s", "scaled_s"}: each the median over BATCH_TIMINGS timings of
-    harness.batch on the manifest, its report written to os.devnull."""
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    a batch of the manifest, its report written to os.devnull."""
     with open(os.devnull, "w") as sink:
-        timings = [_times(calibrate.run_inline(_batch_into(sink), manifest,
-                                               os.path.dirname(manifest_path))[1])
+        timings = [_times(calibrate.run_inline(_run_batch(sink), manifest_path)[1])
                    for _ in range(BATCH_TIMINGS)]
     return {key: statistics.median(t[key] for t in timings) for key in ("cpu_s", "scaled_s")}
 
@@ -206,84 +279,10 @@ def _batch_peak_mb(manifest_path):
     return peak
 
 
-def _layers(manifest_path, calibrate):
-    """{layer: {"cpu_s", "scaled_s"}} for one layer-by-layer replay of the
-    batch."""
-    from multicolor import harness, oracle
-    from multicolor.algorithms import run_player
-    from multicolor.errors import MultiColorError
-    from multicolor.instance import validate_full
-
-    base = os.path.dirname(manifest_path)
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    groups = []  # (path, [(algo, b), ...]) for each run of consecutive entries on one file
-    for entry in manifest["runs"]:
-        if not groups or groups[-1][0] != entry["instance"]:
-            groups.append((entry["instance"], []))
-        groups[-1][1].append((entry["algo"], entry.get("b")))
-
-    spent = {}
-
-    def timed(layer, fn, items):
-        gc.collect()
-        gc.disable()
-        out, timing = calibrate.run_inline(lambda: [fn(*item) for item in items])
-        gc.enable()
-        spent[layer] = _times(timing)
-        return out
-
-    docs = timed("read", harness._load_json,
-                 [(os.path.join(base, path),) for path, _ in groups])
-    instances = timed("decode", harness.instance_from_dict, [(doc,) for doc in docs])
-
-    def facts(instance, runs):
-        optimum = oracle.Optimum(instance)
-        optimum.demand, optimum.omega, optimum.peak_load, optimum.value
-        if any(algo == "trivial" for algo, _ in runs):
-            try:
-                optimum.witness
-            except MultiColorError:
-                pass
-        return optimum
-
-    optima = timed("facts", facts, [(inst, runs) for inst, (_, runs) in zip(instances, groups)])
-    runs = [(inst, opt, algo, b) for inst, opt, (_, group) in zip(instances, optima, groups)
-            for algo, b in group]
-
-    def tape(instance, optimum, algo, b):
-        try:
-            return harness.make_advice(instance, algo, b=b, optimum=optimum)
-        except MultiColorError:
-            return None
-
-    def play(instance, optimum, algo, b, tape):
-        try:
-            return run_player(algo, instance.graph, tape, instance.requests, b=b)
-        except MultiColorError:
-            return None
-
-    def validate(instance, optimum, algo, b, tape, actions):
-        return validate_full(instance, actions)
-
-    # each step keeps the runs that the last one did not refuse, with its output
-    runs = [(*run, t) for run, t in zip(runs, timed("tape", tape, runs)) if t is not None]
-    runs = [(*run, a) for run, a in zip(runs, timed("player", play, runs)) if a is not None]
-    runs = [(*run, v) for run, v in zip(runs, timed("validation", validate, runs))]
-
-    def measure(instance, optimum, algo, b, tape, actions, violation):
-        return harness._report(instance, algo, b, optimum, tape, actions, violation)
-
-    reports = timed("metrics", measure, runs)
-
-    def write_csv(reports):
-        import io
-        writer = harness.csv_writer(io.StringIO())
-        for report in reports:
-            writer.writerow(harness.report_row(report))
-
-    timed("csv", write_csv, [(reports,)])
-    return spent
+def _layers(manifest_path, calibrate, sink):
+    """{layer: {"cpu_s", "scaled_s"}}: the layers' self times in one batch
+    of the manifest, its report written to the text stream sink."""
+    return _spanned(calibrate, _span_batch, LAYERS, _run_batch(sink), manifest_path)[1]
 
 
 def _worker(src, manifest_path):
@@ -294,7 +293,9 @@ def _worker(src, manifest_path):
     generation = _generation(calibrate)
     peak_mb = _batch_peak_mb(manifest_path)  # the warm-up batch, untimed
     batch = _batch(manifest_path, calibrate)
-    print(json.dumps({"generation": generation, "layers": _layers(manifest_path, calibrate),
+    with open(os.devnull, "w") as sink:
+        layers = _layers(manifest_path, calibrate, sink)
+    print(json.dumps({"generation": generation, "layers": layers,
                       "batch": batch, "tracemalloc_peak_mb": peak_mb}))
 
 
@@ -343,10 +344,8 @@ def _count_worker(src, step, manifest_path):
     import workloads  # imports every module the steps run, so no import is counted
 
     if step == "small_exact_batch":
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
         with open(os.devnull, "w") as sink:
-            counts = _opcode_counts(_batch_into(sink), manifest, os.path.dirname(manifest_path))
+            counts = _opcode_counts(_run_batch(sink), manifest_path)
     else:
         with tempfile.TemporaryDirectory() as out_dir:
             counts = _opcode_counts(workloads.generate, "bip-cancel-large", SEED, out_dir)
@@ -436,7 +435,7 @@ def main(argv=None):
         import calibrate
         import workloads
 
-        manifest = workloads.generate("small-exact-batch", SEED,
+        manifest = workloads.generate(CORPUS, SEED,
                                       os.path.join(scratch, "corpus"))
         samples = {side: [] for side in sides}
         for side in _alternate(list(sides), args.reps):
@@ -454,7 +453,7 @@ def main(argv=None):
         kernel_s = statistics.median(kernels)
         scale = calibrate.REF_S / kernel_s
     result = {"python": sys.version.split()[0], "machine": _machine(),
-              "workload": f"small-exact-batch seed {SEED}", "cold_start_kernel_s": kernel_s,
+              "workload": f"{CORPUS} seed {SEED}", "cold_start_kernel_s": kernel_s,
               "sides": {}}
     for side, src in sides.items():
         result["sides"][side] = {

@@ -344,12 +344,7 @@ def run(instance: Instance, algo: str, b: int | None = None,
     optimum = optimum or oracle.Optimum(instance)
     tape = make_advice(instance, algo, b=b, optimum=optimum)
     actions = run_player(algo, instance.graph, tape, instance.requests, b=b)
-    return _report(instance, algo, b, optimum, tape, actions, validate_full(instance, actions))
-
-
-def _report(instance, algo, b, optimum, tape, actions, violation) -> RunReport:
-    """run's metrics step: the RunReport of the player's actions, the tape
-    it read and validate_full's violation (None when valid)."""
+    violation = validate_full(instance, actions)
     max_color, distinct = _metrics(actions)
     opt = optimum.value
     return RunReport(

@@ -2,7 +2,9 @@ import argparse
 import contextlib
 import copy
 import csv
+import functools
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -755,12 +757,16 @@ def test_metrics_count_a_recolor_target():
 
 
 def count_calls(monkeypatch, *fns):
-    """Rebind each of fns in every multicolor module that binds it to a
-    counting wrapper; returns the list that collects one entry per call to
-    any of them."""
+    """Rebind each of fns in every multicolor module that binds it, or a
+    wrapper of it, to a counting wrapper; returns the list that collects one
+    entry per call to any of them.  A binding is matched by the function it
+    wraps (inspect.unwrap), so a second count on one function, even one
+    given a wrapper of the first, sees every call."""
     calls = []
+    originals = [inspect.unwrap(fn) for fn in fns]
 
     def counting(fn):
+        @functools.wraps(fn)
         def counted(*args, **kwargs):
             calls.append(args)
             return fn(*args, **kwargs)
@@ -769,7 +775,7 @@ def count_calls(monkeypatch, *fns):
     for name, mod in list(sys.modules.items()):
         if name == "multicolor" or name.startswith("multicolor."):
             for attr, obj in list(vars(mod).items()):
-                if any(obj is fn for fn in fns):
+                if inspect.isfunction(obj) and any(inspect.unwrap(obj) is fn for fn in originals):
                     monkeypatch.setattr(mod, attr, counting(obj))
     return calls
 
@@ -855,6 +861,16 @@ class TestWorkCounts:
         report = run(hex_edge_21(), "trivial")
         assert report.ok and report.opt_value == report.max_color
         assert len(builds) == 1
+
+    def test_two_counts_on_one_function_each_see_every_call(self, monkeypatch):
+        """The second count is given the first's wrapper in multicolor.instance;
+        the run calls peak_clique_load through multicolor.oracle."""
+        from multicolor import instance
+
+        first = count_calls(monkeypatch, instance.peak_clique_load)
+        second = count_calls(monkeypatch, instance.peak_clique_load)
+        assert run(random_cancel_instance(seed=5), "greedy_cancel").ok
+        assert (len(first), len(second)) == (1, 1)
 
     def test_hex43_computes_omega_once(self, monkeypatch):
         from multicolor.graph import clique_weight
